@@ -14,11 +14,20 @@ Block votes are 0.5*ln((W+ + eps)/(W- + eps)); well-classified pairs
 shed weight each round and misclassified pairs gain it. The round
 count is chosen on the dev corpus by micro-F with a patience window.
 
-Everything is accumulated in a documented deterministic order (docs
-ascending within a block, the present block before the absent one,
-classes in sorted order) and ties in Z break toward the
-lexicographically smallest feature, so identical inputs give identical
-models across runs and implementations.
+Each round sums the per-class weight totals W+/W- over all training
+documents once; a candidate then accumulates only its present block
+and takes its absent block as the complement (Schapire & Singer,
+1999), so a round costs O(sum of present-block sizes) rather than
+O(candidates * documents). Candidates that mark the same documents
+would score the same Z bit for bit, so only the first of them in sort
+order is kept.
+
+Everything is accumulated in a documented deterministic order (totals
+over docs ascending, the present block over docs ascending, the absent
+block as total - present clamped at 0.0, classes in sorted order) and
+ties in Z break toward the lexicographically smallest feature, so
+identical inputs give identical models across runs and
+implementations.
 """
 
 from __future__ import annotations
@@ -116,21 +125,21 @@ class _Candidate:
     ngram: str | None
     threshold: float | None
     present: list[int]       # ascending doc indices
-    absent: list[int]
-    present_set: frozenset[int]
 
 
 def _candidates(ids, feats: dict[str, BoostFeatures]) -> list[_Candidate]:
-    """All candidate stumps with their 'present'/'absent' doc index
-    lists, ordered by (field order, feature value)."""
-    n = len(ids)
+    """Candidate stumps with their 'present' doc index lists, ordered
+    by (field order, feature value), keeping only the first candidate
+    for each distinct present document set."""
     out = []
+    seen: set[tuple[int, ...]] = set()
 
     def add(sort_key, kind, field_name, gram, theta, present):
-        present_set = frozenset(present)
-        absent = [i for i in range(n) if i not in present_set]
-        out.append(_Candidate(sort_key, kind, field_name, gram, theta,
-                              present, absent, present_set))
+        docs = tuple(present)
+        if docs in seen:
+            return
+        seen.add(docs)
+        out.append(_Candidate(sort_key, kind, field_name, gram, theta, present))
 
     for field_idx, (field_name, _max_n) in enumerate(TEXT_FIELDS):
         by_ngram: dict[str, list[int]] = {}
@@ -169,6 +178,12 @@ def _block_weights(indices, dist, y, n_classes):
 
 def _votes(w_plus, w_minus, eps):
     return [0.5 * math.log((wp + eps) / (wm + eps)) for wp, wm in zip(w_plus, w_minus)]
+
+
+def _complement(total, block):
+    """Per-class weights outside a block: total - block, clamped at 0.0
+    against rounding."""
+    return [max(0.0, t - w) for t, w in zip(total, block)]
 
 
 def train_boost(train: Corpus, dev: Corpus | None, features: dict[str, BoostFeatures],
@@ -214,9 +229,10 @@ def train_boost(train: Corpus, dev: Corpus | None, features: dict[str, BoostFeat
         best_key = None
         best_cand = None
         best_votes = None
+        total_p, total_m = _block_weights(range(n), dist, y, k)
         for cand in candidates:
             w1p, w1m = _block_weights(cand.present, dist, y, k)
-            w0p, w0m = _block_weights(cand.absent, dist, y, k)
+            w0p, w0m = _complement(total_p, w1p), _complement(total_m, w1m)
             vp = _votes(w1p, w1m, eps)
             va = _votes(w0p, w0m, eps)
             z = 0.0
@@ -254,9 +270,10 @@ def train_boost(train: Corpus, dev: Corpus | None, features: dict[str, BoostFeat
         )
         model.rounds.append(hypothesis)
 
+        present = set(best_cand.present)
         z_actual = 0.0
         for i in range(n):
-            votes = vp if i in best_cand.present_set else va
+            votes = vp if i in present else va
             row = dist[i]
             for ci in range(k):
                 row[ci] *= math.exp(-y[i][ci] * votes[ci])

@@ -19,7 +19,7 @@ scores, so a full distribution over leaves comes out.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .corpus import Corpus, Recipe
@@ -36,6 +36,7 @@ from .features import (
 )
 from .fusion import normalize_scores
 from .scores import ScoreVector
+from .summation import ordered_sum
 from .textnorm import AgglutinationModel, NormConfig
 
 STANDARD = "standard"
@@ -49,6 +50,13 @@ class CosineModel:
     gini_threshold: float
     denominator_mode: str = STANDARD
     method_id: str = "cosine"
+    # ||v_c|| per class, summed over the vector's terms in sorted order
+    class_norms: dict[str, float] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.class_norms = {
+            cls: math.sqrt(ordered_sum(w * w for _, w in sorted(vector.items())))
+            for cls, vector in self.class_vectors.items()}
 
     def classes(self) -> list[str]:
         return sorted(self.class_vectors)
@@ -117,20 +125,19 @@ def _recipe_vector(model: CosineModel, recipe: Recipe) -> SparseVector:
 def score_cosine(model: CosineModel, recipe: Recipe) -> ScoreVector:
     """Similarity of the recipe to each class; empty overlaps score 0."""
     v_r = _recipe_vector(model, recipe)
-    norm_r = math.sqrt(sum(w * w for _, w in sorted(v_r.items())))
+    norm_r = math.sqrt(ordered_sum(w * w for _, w in sorted(v_r.items())))
     scores = {}
     for cls in model.classes():
         v_c = model.class_vectors[cls]
         shared = sorted(set(v_r) & set(v_c))
-        numerator = sum(v_r[t] * v_c[t] for t in shared)
+        numerator = ordered_sum(v_r[t] * v_c[t] for t in shared)
         if numerator == 0.0:
             scores[cls] = 0.0
             continue
         if model.denominator_mode == STANDARD:
-            norm_c = math.sqrt(sum(w * w for _, w in sorted(v_c.items())))
-            denominator = norm_r * norm_c
+            denominator = norm_r * model.class_norms[cls]
         else:
-            denominator = math.sqrt(sum((v_r[t] * v_c[t]) ** 2 for t in shared))
+            denominator = math.sqrt(ordered_sum((v_r[t] * v_c[t]) ** 2 for t in shared))
         scores[cls] = numerator / denominator if denominator != 0.0 else 0.0
     return ScoreVector(recipe.id, model.method_id, scores)
 

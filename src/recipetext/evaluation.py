@@ -16,6 +16,7 @@ from pathlib import Path
 from .corpus import Corpus, Difficulty, LabelKind
 from .errors import DataError
 from .extraction import canonical_form
+from .summation import ordered_sum
 from .textnorm import NormConfig
 
 
@@ -76,9 +77,9 @@ def report_from_pairs(gold: dict[str, str], predicted: dict[str, str],
     micro_p = _safe_div(pooled_tp, pooled_tp + pooled_fp)
     micro_r = _safe_div(pooled_tp, pooled_tp + pooled_fn)
     micro_f = _safe_div(2 * micro_p * micro_r, micro_p + micro_r)
-    macro_f = sum(f1 for _, _, f1 in per_class.values()) / len(classes)
-    macro_p = sum(precisions) / len(classes)
-    macro_r = sum(recalls) / len(classes)
+    macro_f = ordered_sum(f1 for _, _, f1 in per_class.values()) / len(classes)
+    macro_p = ordered_sum(precisions) / len(classes)
+    macro_r = ordered_sum(recalls) / len(classes)
     macro_f_pr = _safe_div(2 * macro_p * macro_r, macro_p + macro_r)
 
     mean_distance = None

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 from .errors import ConfigError, DataError
 from .scores import ScoreVector
+from .summation import ordered_sum
 
 
 def normalize_scores(vector: ScoreVector) -> ScoreVector:
@@ -28,7 +29,7 @@ def normalize_scores(vector: ScoreVector) -> ScoreVector:
         raise DataError(f"empty score vector for recipe {vector.recipe_id!r}")
     low = min(values.values())
     shifted = {c: v - low for c, v in values.items()} if low < 0 else dict(values)
-    total = sum(shifted[c] for c in sorted(shifted))
+    total = ordered_sum(shifted[c] for c in sorted(shifted))
     if total == 0.0:
         uniform = 1.0 / len(shifted)
         normalized = {c: uniform for c in shifted}
@@ -52,7 +53,7 @@ def _check_alignment(vectors: list[ScoreVector]) -> list[str]:
 def fuse_linear(vectors: list[ScoreVector]) -> tuple[str, ScoreVector]:
     """Component-wise sum of the normalized vectors; argmax wins."""
     classes = _check_alignment(vectors)
-    fused = {c: sum(v.scores[c] for v in vectors) for c in classes}
+    fused = {c: ordered_sum(v.scores[c] for v in vectors) for c in classes}
     result = ScoreVector(vectors[0].recipe_id, "linear", fused)
     return result.top_class(), result
 
@@ -105,7 +106,7 @@ def electre_relation(vectors: list[ScoreVector], params: ElectreParams) -> Outra
             raise ConfigError(f"no weight configured for method {v.method_id!r}")
         if v.method_id not in params.veto_values:
             raise ConfigError(f"no veto value configured for method {v.method_id!r}")
-    total_weight = sum(params.method_weights[v.method_id] for v in vectors)
+    total_weight = ordered_sum(params.method_weights[v.method_id] for v in vectors)
 
     relation = OutrankingRelation()
     for c in classes:

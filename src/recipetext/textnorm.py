@@ -264,23 +264,14 @@ def fit_agglutinator(corpus, config: NormConfig) -> AgglutinationModel:
         raise DataError("fit_agglutinator needs a non-empty corpus")
 
     candidates = {g for g, c in counts.items() if c >= config.agglutination_min_count}
-    kept = set()
-    for gram in candidates:
-        subsumed = False
-        for other in candidates:
-            if len(other) <= len(gram):
-                continue
-            if _contains(other, gram) and counts[gram] <= counts[other]:
-                subsumed = True
-                break
-        if not subsumed:
-            kept.add(gram)
-    return frozenset(kept)
-
-
-def _contains(longer: tuple, shorter: tuple) -> bool:
-    span = len(shorter)
-    return any(longer[i:i + span] == shorter for i in range(len(longer) - span + 1))
+    subsumed = set()
+    for longer in candidates:
+        for span in range(2, len(longer)):
+            for i in range(len(longer) - span + 1):
+                shorter = longer[i:i + span]
+                if shorter in candidates and counts[shorter] <= counts[longer]:
+                    subsumed.add(shorter)
+    return frozenset(candidates - subsumed)
 
 
 def ngrams(stream: TokenStream, max_n: int) -> Counter:

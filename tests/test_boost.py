@@ -8,6 +8,10 @@ from recipetext.boost import (
     NUMERIC_FIELDS,
     TEXT_FIELDS,
     BoostConfig,
+    _block_weights,
+    _candidates,
+    _complement,
+    _votes,
     load_boost,
     margins,
     recipe_boost_features,
@@ -151,6 +155,61 @@ class TestTrainBoost:
         save_boost(m1, p1)
         save_boost(m2, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+class TestCandidates:
+    def test_one_candidate_per_document_set(self, boost40):
+        feats = _features_for(boost40)
+        ids = [r.id for r in boost40.recipes]
+        kept = _candidates(ids, feats)
+        sets = [tuple(c.present) for c in kept]
+        assert len(set(sets)) == len(sets)
+        # the survivor of each document set is its first candidate in sort order
+        _, _, inventory = _oracle_inputs(boost40, feats)
+        first_key = {}
+        for cand in inventory:
+            if cand["kind"] == "text":
+                docs = tuple(i for i, rid in enumerate(ids)
+                             if cand["ngram"] in feats[rid].text[cand["field"]])
+            else:
+                docs = tuple(i for i, rid in enumerate(ids)
+                             if feats[rid].numeric[cand["field"]] > cand["theta"])
+            first_key.setdefault(docs, cand["key"])
+        assert len(inventory) > len(kept)
+        assert [c.sort_key for c in kept] == list(first_key.values())
+
+    def test_cooccurring_ngrams_keep_the_smaller(self, tmp_path):
+        # "banal" and "plat banal" mark the same documents, as do
+        # "magique" and "plat magique"
+        corpus = _toy_separable()
+        feats = _features_for(corpus)
+        ngrams = [c.ngram for c in _candidates([r.id for r in corpus], feats)]
+        assert "banal" in ngrams and "plat banal" not in ngrams
+        assert "magique" in ngrams and "plat magique" not in ngrams
+        model = train_boost(corpus, None, feats, BoostConfig(max_rounds=1))
+        assert (model.rounds[0].field, model.rounds[0].ngram) == ("title", "banal")
+        path = tmp_path / "boost.model"
+        save_boost(model, path)
+        assert load_boost(path).rounds[0].ngram == "banal"
+
+    def test_stump_present_everywhere_has_empty_absent_block(self):
+        corpus = _toy_separable()
+        feats = _features_for(corpus)
+        n = len(corpus.recipes)
+        everywhere = [c for c in _candidates([r.id for r in corpus], feats)
+                      if c.present == list(range(n))]
+        assert [c.ngram for c in everywhere] == ["plat"]
+        k = 2
+        y = [[1, -1] if i % 2 == 0 else [-1, 1] for i in range(n)]
+        raw = [[1.0 / (3 + i + 7 * ci) for ci in range(k)] for i in range(n)]
+        scale = sum(sum(row) for row in raw)
+        dist = [[w / scale for w in row] for row in raw]
+        total_p, total_m = _block_weights(range(n), dist, y, k)
+        w1p, w1m = _block_weights(everywhere[0].present, dist, y, k)
+        w0p, w0m = _complement(total_p, w1p), _complement(total_m, w1m)
+        assert w0p == [0.0] * k and w0m == [0.0] * k
+        votes = _votes(w0p, w0m, 1e-3) + _votes(w1p, w1m, 1e-3)
+        assert all(math.isfinite(v) for v in votes)
 
 
 class TestScoreBoost:

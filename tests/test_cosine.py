@@ -150,11 +150,11 @@ class TestScoreCosine:
 
     def test_argmax_invariant_under_global_scaling(self, fixture_model):
         corpus, _, model = fixture_model
-        import copy
-        scaled = copy.deepcopy(model)
-        for vector in scaled.class_vectors.values():
-            for term in vector:
-                vector[term] *= 7.5
+        import dataclasses
+        # a new model, so the class norms are recomputed from the scaled vectors
+        scaled = dataclasses.replace(model, class_vectors={
+            cls: {term: w * 7.5 for term, w in vector.items()}
+            for cls, vector in model.class_vectors.items()})
         for recipe in corpus:
             assert (score_cosine(model, recipe).top_class()
                     == score_cosine(scaled, recipe).top_class())
