@@ -40,7 +40,7 @@ from .corpus import Corpus
 from .errors import ConfigError, DataError, ModelMismatchError
 from .features import NUMERIC_FIELDS, numeric_features
 from .scores import ScoreVector
-from .textnorm import AgglutinationModel, NormConfig, ngrams, normalize
+from .textnorm import Analysis, ngrams
 
 TEXT_FIELDS = [("title", 3), ("body", 4), ("ingredients", 1)]
 FIELD_ORDER = [name for name, _ in TEXT_FIELDS] + NUMERIC_FIELDS
@@ -53,22 +53,18 @@ class BoostFeatures:
     numeric: dict[str, float]
 
 
-def recipe_boost_features(recipe, ingredients: list[str], config: NormConfig,
-                          agglutination_model: AgglutinationModel | None = None,
+def recipe_boost_features(analysis: Analysis, ingredients: list[list[str]],
                           ) -> BoostFeatures:
-    """Extract the boosting feature view of one recipe."""
-    title_tokens = normalize(recipe.title, config, agglutination_model)
-    body_tokens = normalize(recipe.body, config, agglutination_model)
-    ingredient_tokens = []
-    for item in ingredients:
-        ingredient_tokens.extend(normalize(item, config, agglutination_model))
+    """Extract the boosting feature view of one recipe; ``ingredients``
+    holds each ingredient item's token stream, normalized like the
+    recipe text."""
     text = {
-        "title": frozenset(ngrams(title_tokens, 3)),
-        "body": frozenset(ngrams(body_tokens, 4)),
-        "ingredients": frozenset(ingredient_tokens),
+        "title": frozenset(ngrams(analysis.title, 3)),
+        "body": frozenset(ngrams(analysis.body, 4)),
+        "ingredients": frozenset(tok for item in ingredients for tok in item),
     }
-    numbers = numeric_features(recipe, ingredients, config, agglutination_model)
-    return BoostFeatures(recipe.id, text, numbers.as_mapping())
+    numbers = numeric_features(analysis, ingredients)
+    return BoostFeatures(analysis.recipe.id, text, numbers.as_mapping())
 
 
 @dataclass(frozen=True)

@@ -38,11 +38,16 @@ from .fusion import (
 )
 from .scores import ScoreVector
 from .textnorm import (
+    Analysis,
     NormConfig,
+    analyze,
     fit_agglutinator,
     load_abbrev_table,
     load_agglutination_model,
+    normalize,
     save_agglutination_model,
+    with_agglutination,
+    without_agglutination,
 )
 
 TASK_LABEL_KIND = {
@@ -169,11 +174,30 @@ def _class_boosts(config: PipelineConfig) -> dict[tuple[str, str], int] | None:
     return boosts
 
 
-def _extract_all(corpus: Corpus, lexicon) -> dict[str, list[str]]:
-    """Ingredient lists for every recipe (empty without a lexicon)."""
+def _analyze_corpus(corpus: Corpus, norm: NormConfig):
+    """Every recipe's analysis by id, and the agglutination model (or
+    None). The model is fitted on the plain streams, which are then
+    merged without being normalized again."""
+    plain = without_agglutination(norm)
+    analyses = {r.id: analyze(r, plain) for r in corpus}
+    if not norm.agglutinate:
+        return analyses, None
+    agglut = fit_agglutinator(analyses, norm)
+    return {rid: with_agglutination(a, norm, agglut) for rid, a in analyses.items()}, agglut
+
+
+def _ingredients(analysis: Analysis, lexicon) -> list[str]:
+    """The recipe's extracted ingredient list (empty without a lexicon)."""
     if lexicon is None:
-        return {r.id: [] for r in corpus}
-    return {r.id: extraction_mod.extract(r, lexicon).ingredients() for r in corpus}
+        return []
+    return extraction_mod.extract(analysis, lexicon).ingredients()
+
+
+def _boost_features(analysis: Analysis, ingredients: list[str], norm: NormConfig,
+                    agglut) -> boost_mod.BoostFeatures:
+    """Boost features, each ingredient item normalized like the recipe text."""
+    items = [normalize(item, norm, agglut) for item in ingredients]
+    return boost_mod.recipe_boost_features(analysis, items)
 
 
 # --------------------------------------------------------------------
@@ -189,13 +213,12 @@ def cmd_train(config: PipelineConfig) -> int:
     label_kind = TASK_LABEL_KIND[config.task]
     full = load_corpus(train_path, label_kind)
 
-    agglut = None
-    if norm.agglutinate:
-        agglut = fit_agglutinator(full, norm)
+    analyses, agglut = _analyze_corpus(full, norm)
+    if agglut is not None:
         save_agglutination_model(agglut, model_dir / "agglutination.txt")
 
     if config.task == "T4":
-        lexicon = extraction_mod.build_lexicon(full, norm)
+        lexicon = extraction_mod.build_lexicon(full, analyses, norm)
         extraction_mod.save_lexicon(lexicon, model_dir / "lexicon.tsv")
         _write_manifest(model_dir, {
             "task": config.task, "seed": config.seed,
@@ -209,15 +232,14 @@ def cmd_train(config: PipelineConfig) -> int:
 
     lexicon = None
     if any(r.gold_ingredients for r in train):
-        lexicon = extraction_mod.build_lexicon(train, norm)
+        lexicon = extraction_mod.build_lexicon(train, analyses, norm)
         extraction_mod.save_lexicon(lexicon, model_dir / "lexicon.tsv")
-    ingredients = _extract_all(full, lexicon)
 
-    stats = build_stats(train, full, norm, agglut, feed=Feed.TITLE_AND_BODY)
+    stats = build_stats(train, full, analyses, feed=Feed.TITLE_AND_BODY)
     save_stats(stats, model_dir / "stats.tsv")
 
-    feats = {r.id: boost_mod.recipe_boost_features(r, ingredients[r.id], norm, agglut)
-             for r in full}
+    feats = {rid: _boost_features(a, _ingredients(a, lexicon), norm, agglut)
+             for rid, a in analyses.items()}
     boost_cfg = boost_mod.BoostConfig(**config.boost)
     boost_model = boost_mod.train_boost(train, dev, feats, boost_cfg)
     boost_mod.save_boost(boost_model, model_dir / "boost.model")
@@ -226,7 +248,7 @@ def cmd_train(config: PipelineConfig) -> int:
     if config.task == "T2" and config.mi_k:
         vocab_filter = frozenset(mutual_information_select(stats, config.mi_k))
     svm_cfg = svm_mod.SvmConfig(seed=config.seed, **config.svm)
-    svm_model = svm_mod.train_ovo(train, stats, svm_cfg, vocab_filter)
+    svm_model = svm_mod.train_ovo(train, analyses, stats, svm_cfg, vocab_filter)
     svm_mod.save_ovo(svm_model, model_dir / "svm.model")
 
     cosine_opts = dict(config.cosine)
@@ -251,7 +273,7 @@ def cmd_train(config: PipelineConfig) -> int:
     if alpha is not None:
         spec = cosine_mod.HierarchySpec(tuple(
             cosine_mod.HierarchyStage(stage.grouping, alpha) for stage in spec.stages))
-    hier = cosine_mod.train_hierarchical(train, full, spec, norm, agglut, threshold, mode)
+    hier = cosine_mod.train_hierarchical(train, full, spec, analyses, threshold, mode)
     cosine_mod.save_hierarchical(hier, model_dir / "cosine_hier.model")
 
     _write_manifest(model_dir, {
@@ -269,10 +291,30 @@ def cmd_train(config: PipelineConfig) -> int:
 # classify
 # --------------------------------------------------------------------
 
-def _load_artifacts(config: PipelineConfig):
+def _model_dir(config: PipelineConfig) -> Path:
     model_dir = Path(config.model_dir)
     if not model_dir.exists():
         raise ConfigError(f"model directory not found: {model_dir}")
+    return model_dir
+
+
+def _check_trained_task(model_dir: Path, task: str) -> None:
+    """The model directory's manifest must name the configured task."""
+    path = model_dir / "manifest.json"
+    if not path.exists():
+        raise ModelMismatchError(f"{path} is missing")
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ModelMismatchError(f"{path}: unreadable manifest ({exc})") from exc
+    trained = manifest.get("task") if isinstance(manifest, dict) else None
+    if trained != task:
+        raise ModelMismatchError(
+            f"{model_dir} holds models trained for task {trained!r}, "
+            f"config asks for {task!r}")
+
+
+def _load_artifacts(config: PipelineConfig, model_dir: Path):
     norm = config.norm_config()
     agglut = None
     agglut_path = model_dir / "agglutination.txt"
@@ -284,8 +326,8 @@ def _load_artifacts(config: PipelineConfig):
     lexicon = None
     lexicon_path = model_dir / "lexicon.tsv"
     if lexicon_path.exists():
-        lexicon = extraction_mod.load_lexicon(lexicon_path, norm)
-    return model_dir, norm, agglut, lexicon
+        lexicon = extraction_mod.load_lexicon(lexicon_path)
+    return norm, agglut, lexicon
 
 
 def _save_score_tsv(vectors: list[ScoreVector], classes: list[str], method: str,
@@ -320,38 +362,36 @@ def cmd_classify(config: PipelineConfig) -> int:
     if config.task == "T4":
         raise ConfigError("classify applies to tasks T1 and T2; use extract for T4")
     test_path = _require_file(config.test_xml, "test corpus")
-    model_dir, norm, agglut, lexicon = _load_artifacts(config)
+    model_dir = _model_dir(config)
+    _check_trained_task(model_dir, config.task)
+    norm, agglut, lexicon = _load_artifacts(config, model_dir)
     run_dir = Path(config.run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
 
     test = load_corpus(test_path, LabelKind.NONE)
-    stats = load_stats(_require_file(model_dir / "stats.tsv", "stats table"), norm, agglut)
-    ingredients = _extract_all(test, lexicon)
-
+    stats = load_stats(_require_file(model_dir / "stats.tsv", "stats table"))
     methods = TASK_METHODS[config.task]
-    per_method: dict[str, list[ScoreVector]] = {}
-
     boost_model = boost_mod.load_boost(
         _require_file(model_dir / "boost.model", "boost model"))
-    per_method["boost"] = [
-        boost_mod.score_boost(
-            boost_model,
-            boost_mod.recipe_boost_features(r, ingredients[r.id], norm, agglut))
-        for r in test]
-
     svm_model = svm_mod.load_ovo(_require_file(model_dir / "svm.model", "svm model"))
-    per_method["svm"] = [svm_mod.score_ovo(svm_model, r, stats) for r in test]
-
     hier_model = cosine_mod.load_hierarchical(
-        _require_file(model_dir / "cosine_hier.model", "hierarchical cosine model"),
-        norm, agglut)
-    per_method["cosine_hier"] = [cosine_mod.classify_hierarchical(hier_model, r)
-                                 for r in test]
-
+        _require_file(model_dir / "cosine_hier.model", "hierarchical cosine model"))
+    flat_model = None
     if "cosine_flat" in methods:
         flat_model = cosine_mod.load_cosine(
             _require_file(model_dir / "cosine_flat.model", "flat cosine model"), stats)
-        per_method["cosine_flat"] = [cosine_mod.score_cosine(flat_model, r) for r in test]
+
+    # Recipe-major: each analysis is dropped once every method has scored it.
+    per_method: dict[str, list[ScoreVector]] = {m: [] for m in methods}
+    for recipe in test:
+        analysis = analyze(recipe, norm, agglut)
+        feats = _boost_features(analysis, _ingredients(analysis, lexicon), norm, agglut)
+        per_method["boost"].append(boost_mod.score_boost(boost_model, feats))
+        per_method["svm"].append(svm_mod.score_ovo(svm_model, analysis, stats))
+        per_method["cosine_hier"].append(
+            cosine_mod.classify_hierarchical(hier_model, analysis))
+        if flat_model is not None:
+            per_method["cosine_flat"].append(cosine_mod.score_cosine(flat_model, analysis))
 
     classes = sorted(per_method["boost"][0].scores)
     for method in methods:
@@ -389,23 +429,28 @@ def _electre_params(config: PipelineConfig, methods: list[str]) -> ElectreParams
                          veto_values=vetoes)
 
 
-def cmd_fuse(config: PipelineConfig, runs_preset: str | None) -> int:
-    if config.task == "T4":
-        raise ConfigError("fuse applies to tasks T1 and T2")
-    run_dir = Path(config.run_dir)
-    methods = TASK_METHODS[config.task]
+def _load_score_files(run_dir: Path, methods: list[str]):
+    """Each method's score vectors by recipe id, and the sorted recipe
+    ids, which every score file must share."""
     by_method: dict[str, dict[str, ScoreVector]] = {}
     for method in methods:
         path = run_dir / f"scores_{method}.tsv"
         if not path.exists():
             raise ConfigError(f"score file not found: {path} (run classify first)")
         by_method[method] = {v.recipe_id: v for v in _load_score_tsv(path)}
-
     ids = sorted(by_method[methods[0]])
     for method in methods[1:]:
         if sorted(by_method[method]) != ids:
             raise DataError(f"score files disagree on recipe ids ({method!r})")
+    return by_method, ids
 
+
+def cmd_fuse(config: PipelineConfig, runs_preset: str | None) -> int:
+    if config.task == "T4":
+        raise ConfigError("fuse applies to tasks T1 and T2")
+    run_dir = Path(config.run_dir)
+    methods = TASK_METHODS[config.task]
+    by_method, ids = _load_score_files(run_dir, methods)
     params = _electre_params(config, methods)
     normalized = {
         rid: [normalize_scores(by_method[m][rid]) for m in methods] for rid in ids}
@@ -456,13 +501,16 @@ def cmd_fuse(config: PipelineConfig, runs_preset: str | None) -> int:
 
 def cmd_extract(config: PipelineConfig) -> int:
     test_path = _require_file(config.test_xml, "test corpus")
-    model_dir, norm, agglut, lexicon = _load_artifacts(config)
+    model_dir = _model_dir(config)
+    norm, _, lexicon = _load_artifacts(config, model_dir)
     if lexicon is None:
         raise ModelMismatchError(f"no ingredient lexicon in {model_dir}")
     run_dir = Path(config.run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     test = load_corpus(test_path, LabelKind.NONE)
-    run = {r.id: extraction_mod.extract(r, lexicon) for r in test}
+    # extraction reads only the plain view
+    plain = without_agglutination(norm)
+    run = {r.id: extraction_mod.extract(analyze(r, plain), lexicon) for r in test}
     extraction_mod.save_run(run, run_dir / "ingredients.tsv")
     total = sum(len(cl.items) for cl in run.values())
     print(f"extracted {total} candidates over {len(test)} recipes -> {run_dir}")
@@ -521,31 +569,24 @@ def cmd_sweep(config: PipelineConfig, param: str, start: float, stop: float,
         raise ConfigError("sweep applies to classification tasks")
     norm = config.norm_config()
     full = load_corpus(train_path, label_kind)
-    agglut = fit_agglutinator(full, norm) if norm.agglutinate else None
     train, dev = stratified_split(
         full, SplitSpec(dev_fraction=config.dev_fraction, seed=config.seed))
 
     if param == "gini_threshold":
-        stats = build_stats(train, full, norm, agglut)
+        analyses, _ = _analyze_corpus(full, norm)
+        stats = build_stats(train, full, analyses)
         mode = config.cosine.get("denominator_mode", cosine_mod.STANDARD)
         print("gini_threshold\tdev_macro_f")
         for threshold in values:
             model = cosine_mod.train_cosine(train, stats, threshold, mode)
-            predicted = {r.id: cosine_mod.score_cosine(model, r).top_class()
+            predicted = {r.id: cosine_mod.score_cosine(model, analyses[r.id]).top_class()
                          for r in dev}
             report = classification_report(dev, predicted)
             print(f"{threshold:.6f}\t{report.macro_f:.6f}")
         return 0
     if param == "concordance_threshold":
-        run_dir = Path(config.run_dir)
         methods = TASK_METHODS[config.task]
-        by_method = {}
-        for method in methods:
-            path = run_dir / f"scores_{method}.tsv"
-            if not path.exists():
-                raise ConfigError(f"score file not found: {path} (run classify first)")
-            by_method[method] = {v.recipe_id: v for v in _load_score_tsv(path)}
-        ids = sorted(by_method[methods[0]])
+        by_method, ids = _load_score_files(Path(config.run_dir), methods)
         gold = load_corpus(_require_file(config.test_xml, "test corpus"), label_kind)
         print("concordance_threshold\tmicro_f")
         for sc in values:

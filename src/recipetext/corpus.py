@@ -232,16 +232,6 @@ def stratified_split(corpus: Corpus, spec: SplitSpec) -> tuple[Corpus, Corpus]:
     )
 
 
-def relabeled(corpus: Corpus, kind: LabelKind) -> Corpus:
-    """The same recipes viewed under a different label kind."""
-    return Corpus(list(corpus.recipes), kind)
-
-
-def subcorpus(corpus: Corpus, ids: set[str]) -> Corpus:
-    """Recipes whose id is in ``ids``, original order preserved."""
-    return Corpus([r for r in corpus.recipes if r.id in ids], corpus.label_kind)
-
-
 __all__ = [
     "Corpus",
     "Difficulty",
@@ -250,8 +240,6 @@ __all__ = [
     "Recipe",
     "SplitSpec",
     "load_corpus",
-    "relabeled",
     "save_corpus",
     "stratified_split",
-    "subcorpus",
 ]

@@ -19,10 +19,11 @@ scores, so a full distribution over leaves comes out.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .corpus import Corpus, Recipe
+from .corpus import Corpus
 from .errors import ConfigError, DataError, ModelMismatchError
 from .features import (
     Feed,
@@ -37,7 +38,7 @@ from .features import (
 from .fusion import normalize_scores
 from .scores import ScoreVector
 from .summation import ordered_sum
-from .textnorm import AgglutinationModel, NormConfig
+from .textnorm import Analysis
 
 STANDARD = "standard"
 LITERAL = "literal"
@@ -106,11 +107,11 @@ def train_cosine(train: Corpus, stats: LexiconStats, gini_threshold: float,
     return CosineModel(vectors, stats, gini_threshold, mode, method_id)
 
 
-def _recipe_vector(model: CosineModel, recipe: Recipe) -> SparseVector:
+def _recipe_vector(model: CosineModel, analysis: Analysis) -> SparseVector:
     stats = model.stats
     vector: SparseVector = {}
     counts: dict[str, int] = {}
-    for token in stats.tokenize(recipe):
+    for token in stats.tokenize(analysis):
         counts[token] = counts.get(token, 0) + 1
     for term, tf in counts.items():
         g = stats.gini(term)
@@ -122,14 +123,15 @@ def _recipe_vector(model: CosineModel, recipe: Recipe) -> SparseVector:
     return vector
 
 
-def score_cosine(model: CosineModel, recipe: Recipe) -> ScoreVector:
+def score_cosine(model: CosineModel, analysis: Analysis) -> ScoreVector:
     """Similarity of the recipe to each class; empty overlaps score 0."""
-    v_r = _recipe_vector(model, recipe)
-    norm_r = math.sqrt(ordered_sum(w * w for _, w in sorted(v_r.items())))
+    v_r = _recipe_vector(model, analysis)
+    terms = sorted(v_r)
+    norm_r = math.sqrt(ordered_sum(v_r[t] * v_r[t] for t in terms))
     scores = {}
     for cls in model.classes():
         v_c = model.class_vectors[cls]
-        shared = sorted(set(v_r) & set(v_c))
+        shared = [t for t in terms if t in v_c]
         numerator = ordered_sum(v_r[t] * v_c[t] for t in shared)
         if numerator == 0.0:
             scores[cls] = 0.0
@@ -139,7 +141,7 @@ def score_cosine(model: CosineModel, recipe: Recipe) -> ScoreVector:
         else:
             denominator = math.sqrt(ordered_sum((v_r[t] * v_c[t]) ** 2 for t in shared))
         scores[cls] = numerator / denominator if denominator != 0.0 else 0.0
-    return ScoreVector(recipe.id, model.method_id, scores)
+    return ScoreVector(analysis.recipe.id, model.method_id, scores)
 
 
 # --------------------------------------------------------------------
@@ -225,8 +227,7 @@ def _context_of(spec: HierarchySpec, stage_idx: int, leaf: str) -> str:
 
 
 def train_hierarchical(train: Corpus, full: Corpus, spec: HierarchySpec,
-                       tokenizer: NormConfig,
-                       agglutination_model: AgglutinationModel | None,
+                       analyses: Mapping[str, Analysis],
                        gini_threshold: float,
                        mode: str = STANDARD) -> HierarchicalCosineModel:
     """Fit one cosine model per (stage, context, feed).
@@ -257,8 +258,8 @@ def train_hierarchical(train: Corpus, full: Corpus, spec: HierarchySpec,
             group_labels = {rid: stage.grouping[leaf_labels[rid]] for rid in subset_ids}
             per_feed = {}
             for feed in (Feed.TITLE_ONLY, Feed.TITLE_AND_BODY):
-                stats = build_stats(subset, full, tokenizer, agglutination_model,
-                                    feed=feed, labels=group_labels)
+                stats = build_stats(subset, full, analyses, feed=feed,
+                                    labels=group_labels)
                 per_feed[feed] = train_cosine(subset, stats, gini_threshold, mode,
                                               labels=group_labels)
             stage_models[(stage_idx, context)] = per_feed
@@ -267,19 +268,20 @@ def train_hierarchical(train: Corpus, full: Corpus, spec: HierarchySpec,
 
 def _stage_distribution(model: HierarchicalCosineModel, stage_idx: int,
                         context: str, groups: list[str], alpha: float,
-                        recipe: Recipe) -> dict[str, float]:
+                        analysis: Analysis) -> dict[str, float]:
     if len(groups) == 1:
         return {groups[0]: 1.0}
     per_feed = model.stage_models[(stage_idx, context)]
     mixed = {}
-    title = normalize_scores(score_cosine(per_feed[Feed.TITLE_ONLY], recipe))
-    both = normalize_scores(score_cosine(per_feed[Feed.TITLE_AND_BODY], recipe))
+    title = normalize_scores(score_cosine(per_feed[Feed.TITLE_ONLY], analysis))
+    both = normalize_scores(score_cosine(per_feed[Feed.TITLE_AND_BODY], analysis))
     for group in groups:
         mixed[group] = alpha * title.scores[group] + (1.0 - alpha) * both.scores[group]
     return mixed
 
 
-def classify_hierarchical(model: HierarchicalCosineModel, recipe: Recipe) -> ScoreVector:
+def classify_hierarchical(model: HierarchicalCosineModel,
+                          analysis: Analysis) -> ScoreVector:
     """Full leaf distribution: each leaf scores the product of its own
     path's mixed stage scores."""
     spec = model.spec
@@ -298,10 +300,10 @@ def classify_hierarchical(model: HierarchicalCosineModel, recipe: Recipe) -> Sco
                     raise ModelMismatchError(
                         f"hierarchical model lacks stage {stage_idx} context {context!r}")
                 distributions[key] = _stage_distribution(
-                    model, stage_idx, context, groups, stage.alpha, recipe)
+                    model, stage_idx, context, groups, stage.alpha, analysis)
             product *= distributions[key][stage.grouping[leaf]]
         leaf_scores[leaf] = product
-    return ScoreVector(recipe.id, model.method_id, leaf_scores)
+    return ScoreVector(analysis.recipe.id, model.method_id, leaf_scores)
 
 
 # --------------------------------------------------------------------
@@ -368,9 +370,7 @@ def save_hierarchical(model: HierarchicalCosineModel, path: str | Path) -> None:
     Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
 
-def load_hierarchical(path: str | Path, tokenizer: NormConfig,
-                      agglutination_model: AgglutinationModel | None = None,
-                      ) -> HierarchicalCosineModel:
+def load_hierarchical(path: str | Path) -> HierarchicalCosineModel:
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines or lines[0] != "#cosine_hier\tv1":
         raise ModelMismatchError(f"{path}: not a v1 hierarchical cosine model file")
@@ -402,8 +402,7 @@ def load_hierarchical(path: str | Path, tokenizer: NormConfig,
             while i < len(lines) and lines[i] != "#end_context":
                 block.append(lines[i])
                 i += 1
-            stats = stats_from_lines(block, tokenizer, agglutination_model,
-                                     source=f"{path}:{context}")
+            stats = stats_from_lines(block, source=f"{path}:{context}")
             classes = classes_csv.split(",")
             vectors = build_class_vectors(stats, classes, threshold)
             sub = CosineModel(vectors, stats, threshold, mode, method_id)

@@ -155,9 +155,14 @@ def mean_average_precision(run: dict[str, list[str]], qrels: QrelSet,
     if unknown:
         raise DataError(f"run contains ids outside the qrels: {unknown[:5]}")
 
+    # items repeat across recipes: each distinct string is normalized once
+    forms: dict[str, str] = {}
+
     def canon(item: str) -> str:
-        form = canonical_form(item, norm) if norm is not None else item
-        return _deaccent(form) if deaccent else form
+        if item not in forms:
+            form = canonical_form(item, norm) if norm is not None else item
+            forms[item] = _deaccent(form) if deaccent else form
+        return forms[item]
 
     scored = qrels.scored_ids()
     if not scored:

@@ -12,19 +12,20 @@ only when the unsmoothed evidence is non-zero.
 Surface forms are canonicalized by folding a trailing "s" or "x" off
 every token of three letters or more, which matches singular and
 plural mentions both ways; accents are preserved end to end. The
-extractor always works on the plain (non-agglutinated) token view so
-lexicon entries and recipe tokens stay aligned regardless of the
-agglutination model used elsewhere in the pipeline.
+extractor always works on the analysis's plain (non-agglutinated)
+token view so lexicon entries and recipe tokens stay aligned
+regardless of the agglutination model used elsewhere in the pipeline.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import Corpus, Recipe
+from .corpus import Corpus
 from .errors import DataError
-from .textnorm import NormConfig, normalize, without_agglutination
+from .textnorm import Analysis, NormConfig, normalize, without_agglutination
 
 GENERIC_TERMS = ("fromage", "poisson", "viande")
 
@@ -50,12 +51,14 @@ class IngredientLexicon:
     generic_terms: frozenset[str]
     specializations: dict[str, dict[str, int]]         # generic -> specific -> count
     pair_counts: dict[str, dict[str, int]]             # specific -> candidate -> count
-    norm_config: NormConfig = field(default_factory=NormConfig)
 
 
-def build_lexicon(train: Corpus, norm: NormConfig,
+def build_lexicon(train: Corpus, analyses: Mapping[str, Analysis], norm: NormConfig,
                   generic_terms=GENERIC_TERMS) -> IngredientLexicon:
     """Collect entry forms and co-occurrence tables from gold lists.
+
+    ``analyses`` maps each training recipe id to its analysis; ``norm``
+    canonicalizes the gold items (see canonical_form).
 
     specializations[g][x] counts training recipes whose gold list holds
     x while their text holds the generic token g; pair_counts[x][l]
@@ -71,8 +74,7 @@ def build_lexicon(train: Corpus, norm: NormConfig,
             continue
         gold = {canonical_form(item, norm) for item in recipe.gold_ingredients}
         gold = {g for g in gold if g}
-        tokens = {fold_token(t) for t in
-                  normalize(recipe.title + "\n" + recipe.body, norm)}
+        tokens = {fold_token(t) for t in analyses[recipe.id].plain}
         gold_sets.append((gold, tokens))
         entries.update(g for g in gold if g not in generics)
     if not gold_sets:
@@ -99,7 +101,7 @@ def build_lexicon(train: Corpus, norm: NormConfig,
             for item in gold:
                 row[item] = row.get(item, 0) + 1
 
-    return IngredientLexicon(entries, generics, specializations, pair_counts, norm)
+    return IngredientLexicon(entries, generics, specializations, pair_counts)
 
 
 @dataclass(frozen=True)
@@ -126,8 +128,7 @@ class CandidateList:
         return [c.ingredient for c in self.items]
 
 
-def extract_candidates(recipe: Recipe, lexicon: IngredientLexicon,
-                       norm: NormConfig | None = None,
+def extract_candidates(analysis: Analysis, lexicon: IngredientLexicon,
                        ) -> tuple[CandidateList, frozenset[str]]:
     """Scan the recipe for lexicon entries; returns the candidate list
     and the set of generic tokens seen (carried forward, not emitted).
@@ -137,10 +138,7 @@ def extract_candidates(recipe: Recipe, lexicon: IngredientLexicon,
     base confidence is min(1, tf/2 + 0.5) on the matched form's
     occurrence count.
     """
-    if norm is None:
-        norm = lexicon.norm_config
-    tokens = [fold_token(t) for t in
-              normalize(recipe.title + "\n" + recipe.body, without_agglutination(norm))]
+    tokens = [fold_token(t) for t in analysis.plain]
     counts: dict[str, int] = {}
     generics_found = set()
     i = 0
@@ -196,9 +194,9 @@ def resolve_generics(candidates: CandidateList, generics_found: frozenset[str],
     return CandidateList(items)
 
 
-def extract(recipe: Recipe, lexicon: IngredientLexicon) -> CandidateList:
+def extract(analysis: Analysis, lexicon: IngredientLexicon) -> CandidateList:
     """Full extraction: candidate scan plus generic resolution."""
-    candidates, generics_found = extract_candidates(recipe, lexicon)
+    candidates, generics_found = extract_candidates(analysis, lexicon)
     return resolve_generics(candidates, generics_found, lexicon)
 
 
@@ -232,7 +230,7 @@ def save_lexicon(lexicon: IngredientLexicon, path: str | Path) -> None:
     Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
 
-def load_lexicon(path: str | Path, norm: NormConfig) -> IngredientLexicon:
+def load_lexicon(path: str | Path) -> IngredientLexicon:
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines or lines[0] != "#lexicon\tv1":
         raise DataError(f"{path}: not a v1 ingredient lexicon file")
@@ -251,7 +249,7 @@ def load_lexicon(path: str | Path, norm: NormConfig) -> IngredientLexicon:
             specializations.setdefault(cells[1], {})[cells[2]] = int(cells[3])
         elif cells[0] == "pair":
             pair_counts.setdefault(cells[1], {})[cells[2]] = int(cells[3])
-    return IngredientLexicon(entries, generics, specializations, pair_counts, norm)
+    return IngredientLexicon(entries, generics, specializations, pair_counts)
 
 
 def save_run(run: dict[str, CandidateList], path: str | Path) -> None:

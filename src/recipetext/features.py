@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
-from .corpus import Corpus, Recipe
+from .corpus import Corpus
 from .errors import ConfigError, DataError, ModelMismatchError
-from .textnorm import AgglutinationModel, NormConfig, normalize
+from .textnorm import Analysis
 
 SparseVector = dict[str, float]
 
@@ -29,10 +30,11 @@ class Feed(Enum):
     TITLE_AND_BODY = "title_body"
 
 
-def recipe_text(recipe: Recipe, feed: Feed) -> str:
+def feed_tokens(analysis: Analysis, feed: Feed) -> tuple[str, ...]:
+    """The analysis view a feed reads."""
     if feed is Feed.TITLE_ONLY:
-        return recipe.title
-    return recipe.title + "\n" + recipe.body
+        return analysis.title
+    return analysis.title_body
 
 
 @dataclass
@@ -49,13 +51,23 @@ class LexiconStats:
     classes: list[str]
     class_sizes: dict[str, int]
     terms: dict[str, TermStats]
-    norm_config: NormConfig
-    agglutination_model: AgglutinationModel | None = None
     feed: Feed = Feed.TITLE_AND_BODY
+    # G(t) per term seen in training, computed once from ``terms``
+    _gini: dict[str, float] = field(init=False, repr=False, compare=False)
 
-    def tokenize(self, recipe: Recipe) -> list[str]:
-        return normalize(recipe_text(recipe, self.feed), self.norm_config,
-                         self.agglutination_model)
+    def __post_init__(self):
+        self._gini = {}
+        for term, stats in self.terms.items():
+            if stats.df_train == 0:
+                continue
+            total = 0.0
+            for cls in self.classes:
+                ratio = stats.df_class.get(cls, 0) / stats.df_train
+                total += ratio * ratio
+            self._gini[term] = total
+
+    def tokenize(self, analysis: Analysis) -> tuple[str, ...]:
+        return feed_tokens(analysis, self.feed)
 
     def idf(self, term: str) -> float:
         stats = self.terms.get(term)
@@ -65,21 +77,13 @@ class LexiconStats:
 
     def gini(self, term: str) -> float | None:
         """G(t) in [1/|C|, 1], or None for terms unseen in training."""
-        stats = self.terms.get(term)
-        if stats is None or stats.df_train == 0:
-            return None
-        total = 0.0
-        for cls in self.classes:
-            ratio = stats.df_class.get(cls, 0) / stats.df_train
-            total += ratio * ratio
-        return total
+        return self._gini.get(term)
 
     def vocabulary(self) -> list[str]:
         return sorted(self.terms)
 
 
-def build_stats(train: Corpus, full: Corpus, tokenizer: NormConfig,
-                agglutination_model: AgglutinationModel | None = None,
+def build_stats(train: Corpus, full: Corpus, analyses: Mapping[str, Analysis],
                 feed: Feed = Feed.TITLE_AND_BODY,
                 labels: dict[str, str] | None = None) -> LexiconStats:
     """Collect df/df_T/df_c statistics.
@@ -87,6 +91,7 @@ def build_stats(train: Corpus, full: Corpus, tokenizer: NormConfig,
     df is counted over ``full``; df_T and df_c over ``train``, whose
     gold labels may be overridden through ``labels`` (used by the
     hierarchical classifier to train on superclass groupings).
+    ``analyses`` maps every recipe id of both corpora to its analysis.
     """
     if len(train) == 0:
         raise DataError("build_stats needs a non-empty training corpus")
@@ -97,7 +102,7 @@ def build_stats(train: Corpus, full: Corpus, tokenizer: NormConfig,
     train_ids = set()
     for recipe in train:
         train_ids.add(recipe.id)
-        seen = set(normalize(recipe_text(recipe, feed), tokenizer, agglutination_model))
+        seen = set(feed_tokens(analyses[recipe.id], feed))
         cls = labels[recipe.id]
         for term in seen:
             stats = terms.setdefault(term, TermStats())
@@ -105,7 +110,7 @@ def build_stats(train: Corpus, full: Corpus, tokenizer: NormConfig,
             stats.df_class[cls] = stats.df_class.get(cls, 0) + 1
 
     for recipe in full:
-        seen = set(normalize(recipe_text(recipe, feed), tokenizer, agglutination_model))
+        seen = set(feed_tokens(analyses[recipe.id], feed))
         for term in seen:
             stats = terms.setdefault(term, TermStats())
             stats.df += 1
@@ -126,15 +131,13 @@ def build_stats(train: Corpus, full: Corpus, tokenizer: NormConfig,
         classes=sorted(class_sizes),
         class_sizes=class_sizes,
         terms=terms,
-        norm_config=tokenizer,
-        agglutination_model=agglutination_model,
         feed=feed,
     )
 
 
-def tfidf_vector(recipe: Recipe, stats: LexiconStats) -> SparseVector:
+def tfidf_vector(analysis: Analysis, stats: LexiconStats) -> SparseVector:
     """tf * idf weights over the recipe's in-lexicon terms; zeros dropped."""
-    counts = Counter(stats.tokenize(recipe))
+    counts = Counter(stats.tokenize(analysis))
     vector: SparseVector = {}
     for term, tf in counts.items():
         info = stats.terms.get(term)
@@ -156,23 +159,6 @@ def gini_filtered_vocabulary(stats: LexiconStats, gini_threshold: float) -> list
         if g is not None and g >= gini_threshold:
             vocab.append(term)
     return vocab
-
-
-def gini_weighted_vectors(recipe: Recipe, cls: str, stats: LexiconStats,
-                          gini_threshold: float) -> tuple[SparseVector, SparseVector]:
-    """Recipe vector (tf*idf*G) and class vector (df_c*idf*G) over the
-    Gini-filtered vocabulary."""
-    vocab = set(gini_filtered_vocabulary(stats, gini_threshold))
-    counts = Counter(stats.tokenize(recipe))
-    v_r: SparseVector = {}
-    for term, tf in counts.items():
-        if term not in vocab:
-            continue
-        weight = tf * stats.idf(term) * stats.gini(term)
-        if weight != 0.0:
-            v_r[term] = weight
-    v_c = class_vector(cls, stats, vocab)
-    return v_r, v_c
 
 
 def class_vector(cls: str, stats: LexiconStats, vocab) -> SparseVector:
@@ -252,20 +238,17 @@ NUMERIC_FIELDS = ["title_words", "body_words", "sentences", "separators", "ingre
 _SEPARATORS = ".,:;!?"
 
 
-def numeric_features(recipe: Recipe, ingredients: list[str],
-                     config: NormConfig | None = None,
-                     agglutination_model: AgglutinationModel | None = None,
-                     ) -> NumericFeatures:
-    """The five continuous features: word counts on normalized text,
-    sentence and separator counts on the raw body, ingredient count.
+def numeric_features(analysis: Analysis, ingredients: list) -> NumericFeatures:
+    """The five continuous features: word counts on the analyzed title
+    and body, sentence and separator counts on the raw body, and the
+    number of ingredient items.
 
     Sentences are the maximal body segments ended by '.', '!' or '?';
     a trailing segment without terminator counts as one sentence.
     """
-    if config is None:
-        config = NormConfig()
-    title_words = len(normalize(recipe.title, config, agglutination_model))
-    body_words = len(normalize(recipe.body, config, agglutination_model))
+    recipe = analysis.recipe
+    title_words = len(analysis.title)
+    body_words = len(analysis.body)
 
     sentences = 0
     segment_has_content = False
@@ -302,9 +285,7 @@ def stats_lines(stats: LexiconStats) -> list[str]:
     return lines
 
 
-def stats_from_lines(lines, norm_config: NormConfig,
-                     agglutination_model: AgglutinationModel | None = None,
-                     source: str = "<lines>") -> LexiconStats:
+def stats_from_lines(lines, source: str = "<lines>") -> LexiconStats:
     header: dict[str, str] = {}
     rows = []
     for line in lines:
@@ -328,8 +309,6 @@ def stats_from_lines(lines, norm_config: NormConfig,
         classes=classes,
         class_sizes=dict(zip(classes, sizes)),
         terms=terms,
-        norm_config=norm_config,
-        agglutination_model=agglutination_model,
         feed=Feed(header["feed"]),
     )
 
@@ -339,10 +318,9 @@ def save_stats(stats: LexiconStats, path: str | Path) -> None:
         "".join(line + "\n" for line in stats_lines(stats)), encoding="utf-8")
 
 
-def load_stats(path: str | Path, norm_config: NormConfig,
-               agglutination_model: AgglutinationModel | None = None) -> LexiconStats:
+def load_stats(path: str | Path) -> LexiconStats:
     lines = Path(path).read_text(encoding="utf-8").splitlines()
-    return stats_from_lines(lines, norm_config, agglutination_model, source=str(path))
+    return stats_from_lines(lines, source=str(path))
 
 
 __all__ = [
@@ -354,13 +332,12 @@ __all__ = [
     "TermStats",
     "build_stats",
     "class_vector",
+    "feed_tokens",
     "gini_filtered_vocabulary",
-    "gini_weighted_vectors",
     "load_stats",
     "mutual_information",
     "mutual_information_select",
     "numeric_features",
-    "recipe_text",
     "save_stats",
     "stats_from_lines",
     "stats_lines",

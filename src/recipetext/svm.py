@@ -10,14 +10,16 @@ class and take the argmax.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import Corpus, Recipe
+from .corpus import Corpus
 from .errors import ConfigError, DataError, ModelMismatchError
 from .features import LexiconStats, SparseVector, tfidf_vector
 from .rng import SplitMix64, mix64
 from .scores import ScoreVector
+from .textnorm import Analysis
 
 
 @dataclass(frozen=True)
@@ -108,16 +110,18 @@ def train_pair(docs: list[tuple[str, SparseVector, int]], config: SvmConfig,
     return PairModel(pair, weights, bias)
 
 
-def train_ovo(train: Corpus, stats: LexiconStats, config: SvmConfig,
-              vocab_filter: frozenset[str] | None = None,
+def train_ovo(train: Corpus, analyses: Mapping[str, Analysis], stats: LexiconStats,
+              config: SvmConfig, vocab_filter: frozenset[str] | None = None,
               labels: dict[str, str] | None = None) -> OvoModel:
-    """One PairModel per unordered class pair, classes in sorted order."""
+    """One PairModel per unordered class pair, classes in sorted order;
+    ``analyses`` maps each training recipe id to its analysis."""
     if labels is None:
         labels = train.labels()
     classes = sorted(set(labels.values()))
     if len(classes) < 2:
         raise DataError("one-vs-one training needs at least 2 classes")
-    vectors = {r.id: _restrict(tfidf_vector(r, stats), vocab_filter) for r in train}
+    vectors = {r.id: _restrict(tfidf_vector(analyses[r.id], stats), vocab_filter)
+               for r in train}
 
     by_class: dict[str, list[str]] = {c: [] for c in classes}
     for recipe in train:
@@ -143,18 +147,18 @@ def train_ovo(train: Corpus, stats: LexiconStats, config: SvmConfig,
     return OvoModel(pair_models, classes, vocab_filter)
 
 
-def score_ovo(model: OvoModel, recipe: Recipe, stats: LexiconStats,
+def score_ovo(model: OvoModel, analysis: Analysis, stats: LexiconStats,
               method_id: str = "svm") -> ScoreVector:
     """Aggregate margins: each pair's margin counts positively for its
     first class and negatively for its second."""
-    vector = _restrict(tfidf_vector(recipe, stats), model.vocab_filter)
+    vector = _restrict(tfidf_vector(analysis, stats), model.vocab_filter)
     scores = {cls: 0.0 for cls in model.classes}
     for pair_model in model.pair_models:
         first, second = pair_model.class_pair
         m = margin(pair_model, vector)
         scores[first] += m
         scores[second] -= m
-    return ScoreVector(recipe.id, method_id, scores)
+    return ScoreVector(analysis.recipe.id, method_id, scores)
 
 
 def save_ovo(model: OvoModel, path: str | Path) -> None:

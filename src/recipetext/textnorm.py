@@ -13,6 +13,23 @@ Normalization applies four steps in order:
 
 Diacritics are preserved throughout: de-accenting recipe text creates
 ambiguities ("pâte"/"pâté") that cost more than it saves.
+
+A recipe is analyzed once (``analyze``) and every consumer reads the
+token view it needs from the resulting ``Analysis``:
+
+* ``plain`` -- steps 1-3 on ``title + "\n" + body``; extraction and
+  the agglutinator fit read it;
+* ``title``, ``body``, ``title_body`` -- steps 1-4, the last merged
+  over the joined plain stream (never the merged title followed by the
+  merged body: an agglutinated n-gram can span the boundary). Without
+  agglutination they are the plain title, the plain body and ``plain``.
+
+Steps 1-3 run once per field. The joined stream is the plain title
+stream followed by the plain body stream because "\n" is a hard
+boundary for every step before merging: no token pattern matches
+across it, NFC composes no mark onto it, ``lower()`` reads no
+final-sigma context through it, and abbreviations and numbers are
+rewritten token by token.
 """
 
 from __future__ import annotations
@@ -20,10 +37,12 @@ from __future__ import annotations
 import re
 import unicodedata
 from collections import Counter
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
+from .corpus import Recipe
 from .errors import ConfigError, DataError
 
 TokenStream = list[str]
@@ -190,7 +209,7 @@ def _apply_numbers(tokens: TokenStream, words: dict[int, str]) -> TokenStream:
     return out
 
 
-def _merge_ngrams(tokens: TokenStream, model: AgglutinationModel, max_n: int) -> TokenStream:
+def _merge_ngrams(tokens: Sequence[str], model: AgglutinationModel, max_n: int) -> TokenStream:
     out: TokenStream = []
     i = 0
     while i < len(tokens):
@@ -239,29 +258,73 @@ def without_agglutination(config: NormConfig) -> NormConfig:
     )
 
 
-def fit_agglutinator(corpus, config: NormConfig) -> AgglutinationModel:
+@dataclass(frozen=True)
+class Analysis:
+    """One recipe's token views, each built once (see the module docstring)."""
+
+    recipe: Recipe
+    plain: tuple[str, ...]
+    title_end: int              # plain[:title_end] is the plain title
+    title: tuple[str, ...]
+    body: tuple[str, ...]
+    title_body: tuple[str, ...]
+
+
+def analyze(recipe: Recipe, config: NormConfig,
+            agglutination_model: AgglutinationModel | None = None) -> Analysis:
+    """Normalize a recipe's title and body once into every token view.
+
+    With ``config.agglutinate`` a fitted model (see fit_agglutinator)
+    must be supplied.
+    """
+    plain_config = without_agglutination(config)
+    title = tuple(normalize(recipe.title, plain_config))
+    body = tuple(normalize(recipe.body, plain_config))
+    joined = title + body
+    analysis = Analysis(recipe, joined, len(title), title, body, joined)
+    if config.agglutinate:
+        return with_agglutination(analysis, config, agglutination_model)
+    return analysis
+
+
+def with_agglutination(analysis: Analysis, config: NormConfig,
+                       agglutination_model: AgglutinationModel | None) -> Analysis:
+    """The analysis with step 4 applied to its plain streams, which are
+    not normalized again (``analyze`` = this over a plain analysis)."""
+    if agglutination_model is None:
+        raise ConfigError("agglutinate=True requires a fitted agglutination model")
+    max_n = config.agglutination_max_n
+    plain, cut = analysis.plain, analysis.title_end
+    return Analysis(
+        analysis.recipe, plain, cut,
+        tuple(_merge_ngrams(plain[:cut], agglutination_model, max_n)),
+        tuple(_merge_ngrams(plain[cut:], agglutination_model, max_n)),
+        tuple(_merge_ngrams(plain, agglutination_model, max_n)),
+    )
+
+
+def fit_agglutinator(analyses: Mapping[str, Analysis],
+                     config: NormConfig) -> AgglutinationModel:
     """Collect the n-grams worth merging into composite tokens.
 
     Candidates are token n-grams (2 <= n <= agglutination_max_n) whose
-    corpus frequency reaches agglutination_min_count, counted on texts
-    normalized through steps 1-3. A shorter candidate contained in a
+    corpus frequency reaches agglutination_min_count, counted on the
+    plain (steps 1-3) title and body of every analysis, each field on
+    its own. A shorter candidate contained in a
     longer one survives only if it also occurs outside it, i.e. its
     frequency strictly exceeds the longer candidate's; otherwise the
     longer n-gram subsumes it. Merging at normalize() time is then
     longest-match-first, left to right.
     """
-    plain = without_agglutination(config)
+    if not analyses:
+        raise DataError("fit_agglutinator needs a non-empty corpus")
     counts: Counter = Counter()
-    n_texts = 0
-    for recipe in corpus:
-        for text in (recipe.title, recipe.body):
-            n_texts += 1
-            tokens = normalize(text, plain)
+    for analysis in analyses.values():
+        plain, cut = analysis.plain, analysis.title_end
+        for tokens in (plain[:cut], plain[cut:]):
             for n in range(2, config.agglutination_max_n + 1):
                 for i in range(len(tokens) - n + 1):
-                    counts[tuple(tokens[i:i + n])] += 1
-    if n_texts == 0:
-        raise DataError("fit_agglutinator needs a non-empty corpus")
+                    counts[tokens[i:i + n]] += 1
 
     candidates = {g for g, c in counts.items() if c >= config.agglutination_min_count}
     subsumed = set()
@@ -300,8 +363,10 @@ def load_agglutination_model(path: str | Path) -> AgglutinationModel:
 
 __all__ = [
     "AgglutinationModel",
+    "Analysis",
     "NormConfig",
     "TokenStream",
+    "analyze",
     "builtin_abbreviations",
     "default_french_numbers",
     "fit_agglutinator",
@@ -310,5 +375,6 @@ __all__ = [
     "ngrams",
     "normalize",
     "save_agglutination_model",
+    "with_agglutination",
     "without_agglutination",
 ]

@@ -3,7 +3,7 @@ from pathlib import Path
 import pytest
 
 from recipetext.corpus import LabelKind, load_corpus
-from recipetext.textnorm import NormConfig
+from recipetext.textnorm import NormConfig, analyze
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -31,3 +31,12 @@ def boost40():
 @pytest.fixture(scope="session")
 def plain_norm() -> NormConfig:
     return NormConfig()
+
+
+@pytest.fixture(scope="session")
+def analyze_all():
+    """Builds the id -> Analysis mapping of a corpus."""
+    def analyses(corpus, config=None):
+        config = config or NormConfig()
+        return {r.id: analyze(r, config) for r in corpus}
+    return analyses

@@ -42,7 +42,7 @@ from recipetext.fusion import ElectreParams, fuse_electre, normalize_scores
 from recipetext.rng import SplitMix64
 from recipetext.scores import ScoreVector
 from recipetext.svm import SvmConfig, save_ovo, train_ovo
-from recipetext.textnorm import NormConfig
+from recipetext.textnorm import NormConfig, analyze, normalize
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -115,7 +115,9 @@ def test_criterion_3_boosting_properties():
     oracle to 1e-12."""
     corpus = load_corpus(FIXTURES / "boost40.xml", LabelKind.DIFFICULTY)
     config = NormConfig()
-    feats = {r.id: recipe_boost_features(r, r.gold_ingredients or [], config)
+    feats = {r.id: recipe_boost_features(
+                 analyze(r, config),
+                 [normalize(item, config) for item in r.gold_ingredients or []])
              for r in corpus}
     boost_config = BoostConfig(max_rounds=50, smoothing_epsilon=1e-3)
     model = train_boost(corpus, None, feats, boost_config)
@@ -136,7 +138,7 @@ def test_criterion_3_boosting_properties():
         toy.append(Recipe(f"b{i}", "plat banal", f"etape numero {i}.",
                           dish_type=DishType.Entree))
     toy_corpus = Corpus(toy, LabelKind.DISH_TYPE)
-    toy_feats = {r.id: recipe_boost_features(r, [], config) for r in toy_corpus}
+    toy_feats = {r.id: recipe_boost_features(analyze(r, config), []) for r in toy_corpus}
     toy_model = train_boost(toy_corpus, None, toy_feats, BoostConfig(max_rounds=3))
     toy_labels = toy_corpus.labels()
     wrong = sum(1 for r in toy_corpus
@@ -193,12 +195,12 @@ def test_criterion_4_cosine_gini_correctness():
     """Standard-mode scores in [0,1]; fixture Gini equals the brute
     force to 1e-12; class-vector support shrinks monotonically over a
     0.0 -> 1.0 threshold sweep."""
-    from recipetext.textnorm import normalize
     for fixture, kind in (("mini6.xml", LabelKind.DISH_TYPE),
                           ("boost40.xml", LabelKind.DIFFICULTY)):
         corpus = load_corpus(FIXTURES / fixture, kind)
         config = NormConfig()
-        stats = build_stats(corpus, corpus, config)
+        analyses = {r.id: analyze(r, config) for r in corpus}
+        stats = build_stats(corpus, corpus, analyses)
 
         doc_terms = {r.id: set(normalize(r.title + "\n" + r.body, config))
                      for r in corpus}
@@ -216,7 +218,7 @@ def test_criterion_4_cosine_gini_correctness():
 
         model = train_cosine(corpus, stats, 0.45)
         for recipe in corpus:
-            for value in score_cosine(model, recipe).scores.values():
+            for value in score_cosine(model, analyses[recipe.id]).scores.values():
                 assert -1e-12 <= value <= 1.0 + 1e-12
 
         previous = None
@@ -257,14 +259,16 @@ def test_criterion_5_svm_determinism_antisymmetry_filter():
     from recipetext.svm import margin, train_pair
 
     corpus = _svm_synthetic_corpus()
-    stats = build_stats(corpus, corpus, NormConfig(number_conversion=False))
+    norm = NormConfig(number_conversion=False)
+    analyses = {r.id: analyze(r, norm) for r in corpus}
+    stats = build_stats(corpus, corpus, analyses)
     vocab_size = sum(1 for t in stats.terms.values() if t.df_train > 0)
     assert vocab_size >= 12_000
 
     selected = frozenset(mutual_information_select(stats, 10_000))
     assert len(selected) == 10_000
     config = SvmConfig(regularization=1e-2, epochs=5, seed=11)
-    model = train_ovo(corpus, stats, config, selected)
+    model = train_ovo(corpus, analyses, stats, config, selected)
     for pair_model in model.pair_models:
         assert pair_model.weights
         assert set(pair_model.weights) <= selected
@@ -272,14 +276,15 @@ def test_criterion_5_svm_determinism_antisymmetry_filter():
     with tempfile.TemporaryDirectory() as tmp:
         p1, p2 = Path(tmp) / "a.model", Path(tmp) / "b.model"
         save_ovo(model, p1)
-        save_ovo(train_ovo(corpus, stats, config, selected), p2)
+        save_ovo(train_ovo(corpus, analyses, stats, config, selected), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     # antisymmetry: mirrored pair training negates margins on random recipes
     labels = corpus.labels()
     docs_fwd, docs_rev = [], []
     for r in corpus:
-        vector = {t: w for t, w in tfidf_vector(r, stats).items() if t in selected}
+        vector = {t: w for t, w in tfidf_vector(analyses[r.id], stats).items()
+                  if t in selected}
         y = +1 if labels[r.id] == "Dessert" else -1
         docs_fwd.append((r.id, vector, y))
         docs_rev.append((r.id, vector, -y))
@@ -337,21 +342,22 @@ def test_criterion_7_extraction_closed_world():
     for fixture, kind in (("mini6.xml", LabelKind.DISH_TYPE),
                           ("golden60.xml", LabelKind.DISH_TYPE)):
         corpus = load_corpus(FIXTURES / fixture, kind)
-        lexicon = build_lexicon(corpus, config)
+        analyses = {r.id: analyze(r, config) for r in corpus}
+        lexicon = build_lexicon(corpus, analyses, config)
         specifics = {x for table in lexicon.specializations.values() for x in table}
         for recipe in corpus:
-            for item in extract(recipe, lexicon).ingredients():
+            for item in extract(analyses[recipe.id], lexicon).ingredients():
                 assert item in lexicon.entries or item in specifics
 
-    lexicon = build_lexicon(load_corpus(FIXTURES / "mini6.xml", LabelKind.DISH_TYPE),
-                            config)
+    mini6 = load_corpus(FIXTURES / "mini6.xml", LabelKind.DISH_TYPE)
+    lexicon = build_lexicon(mini6, {r.id: analyze(r, config) for r in mini6}, config)
     ghost = Recipe("ghost", "Mystère", "mélanger énergiquement tous les ingrédients")
-    candidates, generics = extract_candidates(ghost, lexicon)
+    candidates, generics = extract_candidates(analyze(ghost, config), lexicon)
     assert candidates.ingredients() == []
     assert generics == frozenset()
 
     probe = Recipe("p", "Plat", "saisir la viande, râper le fromage sur les lardons.")
-    cands, found = extract_candidates(probe, lexicon)
+    cands, found = extract_candidates(analyze(probe, config), lexicon)
     checked = 0
     for generic in found:
         posteriors = generic_posteriors(generic, cands, lexicon)

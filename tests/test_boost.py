@@ -21,12 +21,14 @@ from recipetext.boost import (
 )
 from recipetext.corpus import Corpus, DishType, LabelKind, Recipe
 from recipetext.errors import DataError, ModelMismatchError
-from recipetext.textnorm import NormConfig
+from recipetext.textnorm import NormConfig, analyze, normalize
 
 
 def _features_for(corpus, config=None):
     config = config or NormConfig()
-    return {r.id: recipe_boost_features(r, r.gold_ingredients or [], config)
+    return {r.id: recipe_boost_features(
+                analyze(r, config),
+                [normalize(item, config) for item in r.gold_ingredients or []])
             for r in corpus}
 
 

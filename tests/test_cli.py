@@ -1,8 +1,10 @@
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
+from recipetext import textnorm
 from recipetext.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -86,6 +88,47 @@ class TestClassify:
     def test_t4_task_rejected(self, tmp_path, capsys):
         config = _config(tmp_path, task="T4")
         assert main(["--config", str(config), "classify"]) == 2
+
+    def test_model_for_another_task_rejected(self, tmp_path, pipeline, capsys):
+        src, _ = pipeline
+        config = _config(tmp_path, task="T1", model_dir=str(src / "models"))
+        assert main(["--config", str(config), "classify"]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:model-mismatch:")
+        assert not (tmp_path / "runs").exists()
+
+    def test_missing_manifest_rejected(self, tmp_path, pipeline, capsys):
+        src, _ = pipeline
+        config = _config(tmp_path)
+        models = tmp_path / "models"
+        models.mkdir()
+        for child in (src / "models").iterdir():
+            if child.name != "manifest.json":
+                (models / child.name).write_bytes(child.read_bytes())
+        assert main(["--config", str(config), "classify"]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:model-mismatch:")
+
+    def test_each_recipe_normalized_once_per_field(self, tmp_path, pipeline, monkeypatch):
+        # two normalize calls per test recipe (title, body), plus one per
+        # extracted ingredient for the boost features
+        src, config = pipeline
+        calls = []
+        original = textnorm.normalize
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("recipetext"):
+                if getattr(module, "normalize", None) is original:
+                    monkeypatch.setattr(module, "normalize", counting)
+        assert main(["--config", str(config), "--run-dir", str(tmp_path / "runs"),
+                     "classify"]) == 0
+        ingredients = (src / "runs" / "ingredients.tsv").read_text(
+            encoding="utf-8").splitlines()
+        assert len(calls) == 2 * 60 + len(ingredients)
 
 
 class TestFuse:

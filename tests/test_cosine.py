@@ -20,12 +20,16 @@ from recipetext.cosine import (
 )
 from recipetext.errors import ConfigError
 from recipetext.features import build_stats
-from recipetext.textnorm import NormConfig, normalize
+from recipetext.textnorm import NormConfig, analyze, normalize
+
+
+def _analysis(recipe):
+    return analyze(recipe, NormConfig())
 
 
 @pytest.fixture(scope="module")
-def fixture_model(mini6_dish):
-    stats = build_stats(mini6_dish, mini6_dish, NormConfig())
+def fixture_model(mini6_dish, analyze_all):
+    stats = build_stats(mini6_dish, mini6_dish, analyze_all(mini6_dish))
     return mini6_dish, stats, train_cosine(mini6_dish, stats, 0.45)
 
 
@@ -36,11 +40,11 @@ class TestTrainCosine:
             for term in vector:
                 assert stats.gini(term) >= 0.45
 
-    def test_one_class_corpus_gini_is_one(self):
+    def test_one_class_corpus_gini_is_one(self, analyze_all):
         recipes = [Recipe(f"d{i}", "tarte sucre", "sucre farine beurre.",
                           dish_type=DishType.Dessert) for i in range(3)]
         corpus = Corpus(recipes, LabelKind.DISH_TYPE)
-        stats = build_stats(corpus, corpus, NormConfig())
+        stats = build_stats(corpus, corpus, analyze_all(corpus))
         model = train_cosine(corpus, stats, 0.0)
         for term, weight in model.class_vectors["Dessert"].items():
             info = stats.terms[term]
@@ -78,11 +82,11 @@ class TestScoreCosine:
     def test_standard_scores_in_unit_interval(self, fixture_model):
         corpus, _, model = fixture_model
         for recipe in corpus:
-            vector = score_cosine(model, recipe)
+            vector = score_cosine(model, _analysis(recipe))
             for value in vector.scores.values():
                 assert -1e-12 <= value <= 1.0 + 1e-12
 
-    def test_parallel_vectors_score_one(self):
+    def test_parallel_vectors_score_one(self, analyze_all):
         # recipe and class vectors are parallel when the class's docs all
         # share the recipe's exact term profile
         recipes = [
@@ -92,15 +96,16 @@ class TestScoreCosine:
             Recipe("d", "autre", "chose differente.", dish_type=DishType.Entree),
         ]
         corpus = Corpus(recipes, LabelKind.DISH_TYPE)
-        stats = build_stats(corpus, corpus, NormConfig())
+        analyses = analyze_all(corpus)
+        stats = build_stats(corpus, corpus, analyses)
         model = train_cosine(corpus, stats, 0.0)
-        score = score_cosine(model, corpus.recipes[0]).scores["Dessert"]
+        score = score_cosine(model, analyses["a"]).scores["Dessert"]
         assert score == pytest.approx(1.0, abs=1e-12)
 
     def test_empty_recipe_vector_scores_zero(self, fixture_model):
         corpus, _, model = fixture_model
         ghost = Recipe("ghost", "zzz", "mots totalement inconnus ici")
-        vector = score_cosine(model, ghost)
+        vector = score_cosine(model, _analysis(ghost))
         assert all(v == 0.0 for v in vector.scores.values())
         assert vector.top_class() == sorted(vector.scores)[0]
 
@@ -110,7 +115,7 @@ class TestScoreCosine:
         config = NormConfig()
         for recipe in corpus:
             tokens = normalize(recipe.title + "\n" + recipe.body, config)
-            got = score_cosine(model, recipe)
+            got = score_cosine(model, _analysis(recipe))
             for cls, v_c in model.class_vectors.items():
                 v_r = {}
                 for term in set(tokens):
@@ -133,7 +138,7 @@ class TestScoreCosine:
         config = NormConfig()
         for recipe in corpus:
             tokens = normalize(recipe.title + "\n" + recipe.body, config)
-            got = score_cosine(model, recipe)
+            got = score_cosine(model, _analysis(recipe))
             v_r = {}
             for term in set(tokens):
                 g = stats.gini(term)
@@ -156,8 +161,9 @@ class TestScoreCosine:
             cls: {term: w * 7.5 for term, w in vector.items()}
             for cls, vector in model.class_vectors.items()})
         for recipe in corpus:
-            assert (score_cosine(model, recipe).top_class()
-                    == score_cosine(scaled, recipe).top_class())
+            analysis = _analysis(recipe)
+            assert (score_cosine(model, analysis).top_class()
+                    == score_cosine(scaled, analysis).top_class())
 
 
 class TestHierarchy:
@@ -186,12 +192,12 @@ class TestHierarchy:
         reloaded = load_hierarchy_spec(path)
         assert reloaded == spec
 
-    def test_stage_scores_sum_to_one_and_leaves_nonnegative(self, mini6_dish):
+    def test_stage_scores_sum_to_one_and_leaves_nonnegative(self, mini6_dish, analyze_all):
         spec = default_hierarchy("T2")
-        model = train_hierarchical(mini6_dish, mini6_dish, spec, NormConfig(),
-                                   None, 0.3)
+        model = train_hierarchical(mini6_dish, mini6_dish, spec, analyze_all(mini6_dish),
+                                   0.3)
         for recipe in mini6_dish:
-            vector = classify_hierarchical(model, recipe)
+            vector = classify_hierarchical(model, _analysis(recipe))
             assert set(vector.scores) == {"Dessert", "Entree", "PlatPrincipal"}
             assert all(v >= 0.0 for v in vector.scores.values())
             # leaf scores are products of stage distributions, each summing
@@ -200,11 +206,11 @@ class TestHierarchy:
             autre = vector.scores["Entree"] + vector.scores["PlatPrincipal"]
             assert dessert + autre == pytest.approx(1.0, abs=1e-9)
 
-    def test_alpha_one_uses_title_models_only(self, mini6_dish):
+    def test_alpha_one_uses_title_models_only(self, mini6_dish, analyze_all):
         spec_title = HierarchySpec(tuple(
             HierarchyStage(s.grouping, 1.0) for s in default_hierarchy("T2").stages))
-        model = train_hierarchical(mini6_dish, mini6_dish, spec_title, NormConfig(),
-                                   None, 0.0)
+        model = train_hierarchical(mini6_dish, mini6_dish, spec_title,
+                                   analyze_all(mini6_dish), 0.0)
         # mutate every title+body model: with alpha=1 the output must not change
         import copy
         mutated = copy.deepcopy(model)
@@ -214,24 +220,24 @@ class TestHierarchy:
                 for term in vector:
                     vector[term] *= 123.0
         for recipe in mini6_dish:
-            a = classify_hierarchical(model, recipe)
-            b = classify_hierarchical(mutated, recipe)
+            a = classify_hierarchical(model, _analysis(recipe))
+            b = classify_hierarchical(mutated, _analysis(recipe))
             assert a.scores == b.scores
 
-    def test_product_form_of_leaf_scores(self, mini6_dish):
+    def test_product_form_of_leaf_scores(self, mini6_dish, analyze_all):
         from recipetext.features import Feed
         from recipetext.fusion import normalize_scores
         spec = default_hierarchy("T2")
-        model = train_hierarchical(mini6_dish, mini6_dish, spec, NormConfig(), None, 0.3)
-        recipe = mini6_dish.by_id("r3")
-        vector = classify_hierarchical(model, recipe)
+        model = train_hierarchical(mini6_dish, mini6_dish, spec, analyze_all(mini6_dish), 0.3)
+        analysis = _analysis(mini6_dish.by_id("r3"))
+        vector = classify_hierarchical(model, analysis)
         per_feed = model.stage_models[(0, "__root__")]
-        title = normalize_scores(score_cosine(per_feed[Feed.TITLE_ONLY], recipe)).scores
-        both = normalize_scores(score_cosine(per_feed[Feed.TITLE_AND_BODY], recipe)).scores
+        title = normalize_scores(score_cosine(per_feed[Feed.TITLE_ONLY], analysis)).scores
+        both = normalize_scores(score_cosine(per_feed[Feed.TITLE_AND_BODY], analysis)).scores
         p1 = {g: 0.5 * title[g] + 0.5 * both[g] for g in ("DESSERT", "AUTRE")}
         sub = model.stage_models[(1, "AUTRE")]
-        title2 = normalize_scores(score_cosine(sub[Feed.TITLE_ONLY], recipe)).scores
-        both2 = normalize_scores(score_cosine(sub[Feed.TITLE_AND_BODY], recipe)).scores
+        title2 = normalize_scores(score_cosine(sub[Feed.TITLE_ONLY], analysis)).scores
+        both2 = normalize_scores(score_cosine(sub[Feed.TITLE_AND_BODY], analysis)).scores
         p2 = {g: 0.5 * title2[g] + 0.5 * both2[g] for g in ("Entree", "PlatPrincipal")}
         assert vector.scores["Dessert"] == pytest.approx(p1["DESSERT"], abs=1e-12)
         assert vector.scores["Entree"] == pytest.approx(p1["AUTRE"] * p2["Entree"],
@@ -239,22 +245,24 @@ class TestHierarchy:
         assert vector.scores["PlatPrincipal"] == pytest.approx(
             p1["AUTRE"] * p2["PlatPrincipal"], abs=1e-12)
 
-    def test_hierarchical_roundtrip(self, tmp_path, mini6_dish):
+    def test_hierarchical_roundtrip(self, tmp_path, mini6_dish, analyze_all):
         spec = default_hierarchy("T2")
         config = NormConfig()
-        model = train_hierarchical(mini6_dish, mini6_dish, spec, config, None, 0.3)
+        model = train_hierarchical(mini6_dish, mini6_dish, spec,
+                                   analyze_all(mini6_dish, config), 0.3)
         path = tmp_path / "hier.model"
         save_hierarchical(model, path)
-        reloaded = load_hierarchical(path, config)
+        reloaded = load_hierarchical(path)
         for recipe in mini6_dish:
-            assert (classify_hierarchical(model, recipe).scores
-                    == classify_hierarchical(reloaded, recipe).scores)
+            analysis = analyze(recipe, config)
+            assert (classify_hierarchical(model, analysis).scores
+                    == classify_hierarchical(reloaded, analysis).scores)
 
-    def test_t1_hierarchy_on_difficulty(self, mini6_difficulty):
+    def test_t1_hierarchy_on_difficulty(self, mini6_difficulty, analyze_all):
         spec = default_hierarchy("T1")
         model = train_hierarchical(mini6_difficulty, mini6_difficulty, spec,
-                                   NormConfig(), None, 0.0)
+                                   analyze_all(mini6_difficulty), 0.0)
         recipe = mini6_difficulty.by_id("r1")
-        vector = classify_hierarchical(model, recipe)
+        vector = classify_hierarchical(model, _analysis(recipe))
         assert set(vector.scores) == {
             "TresFacile", "Facile", "MoyennementDifficile", "Difficile"}

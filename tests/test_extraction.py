@@ -15,12 +15,22 @@ from recipetext.extraction import (
     save_lexicon,
     save_run,
 )
-from recipetext.textnorm import NormConfig
+from recipetext.textnorm import NormConfig, analyze
+
+
+def _lexicon_of(recipes):
+    corpus = Corpus(recipes, LabelKind.NONE)
+    config = NormConfig()
+    return build_lexicon(corpus, {r.id: analyze(r, config) for r in corpus}, config)
+
+
+def _analysis(recipe):
+    return analyze(recipe, NormConfig())
 
 
 @pytest.fixture(scope="module")
-def lexicon(mini6_dish):
-    return build_lexicon(mini6_dish, NormConfig())
+def lexicon(mini6_dish, analyze_all):
+    return build_lexicon(mini6_dish, analyze_all(mini6_dish), NormConfig())
 
 
 class TestFolding:
@@ -43,18 +53,18 @@ class TestBuildLexicon:
             Recipe("1", "a", "des oeufs battus.", gold_ingredients=["oeufs"]),
             Recipe("2", "b", "un oeuf entier.", gold_ingredients=["oeuf"]),
         ]
-        lex = build_lexicon(Corpus(recipes, LabelKind.NONE), NormConfig())
+        lex = _lexicon_of(recipes)
         assert "oeuf" in lex.entries
         assert "oeufs" not in lex.entries  # folded to the canonical form
 
     def test_requires_gold_lists(self):
         recipes = [Recipe("1", "a", "rien ici.")]
         with pytest.raises(DataError):
-            build_lexicon(Corpus(recipes, LabelKind.NONE), NormConfig())
+            _lexicon_of(recipes)
 
     def test_generic_without_text_mentions_has_empty_table(self):
         recipes = [Recipe("1", "a", "du chocolat noir.", gold_ingredients=["chocolat"])]
-        lex = build_lexicon(Corpus(recipes, LabelKind.NONE), NormConfig())
+        lex = _lexicon_of(recipes)
         assert lex.specializations["viande"] == {}
 
     def test_fixture_specializations_match_bruteforce(self, mini6_dish, lexicon):
@@ -78,7 +88,7 @@ class TestBuildLexicon:
     def test_roundtrip(self, tmp_path, lexicon):
         path = tmp_path / "lexicon.tsv"
         save_lexicon(lexicon, path)
-        reloaded = load_lexicon(path, lexicon.norm_config)
+        reloaded = load_lexicon(path)
         assert reloaded.entries == lexicon.entries
         assert reloaded.generic_terms == lexicon.generic_terms
         assert reloaded.specializations == lexicon.specializations
@@ -88,19 +98,19 @@ class TestBuildLexicon:
 class TestExtractCandidates:
     def test_direct_hit(self, lexicon):
         recipe = Recipe("x", "Salade", "Émincer un oignon rouge.")
-        candidates, generics = extract_candidates(recipe, lexicon)
+        candidates, generics = extract_candidates(_analysis(recipe), lexicon)
         assert "oignon" in candidates.ingredients()
         assert generics == frozenset()
 
     def test_no_lexicon_hit_gives_empty_list(self, lexicon):
         recipe = Recipe("x", "Mystère", "mélanger énergiquement tous les ingrédients")
-        candidates, generics = extract_candidates(recipe, lexicon)
+        candidates, generics = extract_candidates(_analysis(recipe), lexicon)
         assert candidates.ingredients() == []
         assert generics == frozenset()
 
     def test_multiword_entry_single_candidate(self, lexicon):
         recipe = Recipe("x", "Quiche", "Verser la crème fraîche sur la pâte brisée.")
-        candidates, _ = extract_candidates(recipe, lexicon)
+        candidates, _ = extract_candidates(_analysis(recipe), lexicon)
         items = candidates.ingredients()
         assert "crème fraîche" in items
         assert "crème" not in items and "fraîche" not in items
@@ -108,25 +118,25 @@ class TestExtractCandidates:
 
     def test_plural_text_matches_singular_entry(self, lexicon):
         recipe = Recipe("x", "Omelette", "Casser trois oeufs sur les lardons.")
-        candidates, _ = extract_candidates(recipe, lexicon)
+        candidates, _ = extract_candidates(_analysis(recipe), lexicon)
         assert "oeuf" in candidates.ingredients()
         assert "lardon" in candidates.ingredients()
 
     def test_generic_carried_not_emitted(self, lexicon):
         recipe = Recipe("x", "Grillade", "Saisir la viande avec du beurre.")
-        candidates, generics = extract_candidates(recipe, lexicon)
+        candidates, generics = extract_candidates(_analysis(recipe), lexicon)
         assert "viande" in generics
         assert "viande" not in candidates.ingredients()
 
     def test_idempotent_and_deterministic(self, lexicon, mini6_dish):
         for recipe in mini6_dish:
-            first = extract(recipe, lexicon)
-            second = extract(recipe, lexicon)
+            first = extract(_analysis(recipe), lexicon)
+            second = extract(_analysis(recipe), lexicon)
             assert first.items == second.items
 
     def test_ranked_by_confidence_then_name(self, lexicon):
         recipe = Recipe("x", "Mix", "beurre et sucre, sucre encore, beurre beurre.")
-        candidates, _ = extract_candidates(recipe, lexicon)
+        candidates, _ = extract_candidates(_analysis(recipe), lexicon)
         items = candidates.items
         assert items == sorted(items, key=lambda c: (-c.confidence, c.ingredient))
 
@@ -143,18 +153,18 @@ class TestResolveGenerics:
             Recipe("4", "quiche", "garnir de lardons.",
                    gold_ingredients=["lardons", "reblochon"]),
         ]
-        return build_lexicon(Corpus(recipes, LabelKind.NONE), NormConfig())
+        return _lexicon_of(recipes)
 
     def test_no_generic_is_identity(self, lexicon):
         recipe = Recipe("x", "Salade", "Couper un oignon.")
-        candidates, generics = extract_candidates(recipe, lexicon)
+        candidates, generics = extract_candidates(_analysis(recipe), lexicon)
         resolved = resolve_generics(candidates, generics, lexicon)
         assert resolved.items == candidates.items
 
     def test_injects_cooccurring_specific(self):
         lex = self._lexicon()
         recipe = Recipe("x", "Plat", "faire revenir la viande avec lardons et reblochon.")
-        candidates, generics = extract_candidates(recipe, lex)
+        candidates, generics = extract_candidates(_analysis(recipe), lex)
         assert "viande" in generics
         resolved = resolve_generics(candidates, generics, lex)
         # specifics of "viande": jambon, lardons (from recipe 1's text mention);
@@ -164,21 +174,21 @@ class TestResolveGenerics:
     def test_zero_evidence_drops_generic(self):
         lex = self._lexicon()
         recipe = Recipe("x", "Plat", "cuire la viande avec du gruyère.")
-        candidates, generics = extract_candidates(recipe, lex)
+        candidates, generics = extract_candidates(_analysis(recipe), lex)
         resolved = resolve_generics(candidates, generics, lex)
         # gruyère never co-occurs with jambon or lardons in gold lists
         assert set(resolved.ingredients()) == set(candidates.ingredients())
 
     def test_never_removes_candidates(self, lexicon, mini6_dish):
         for recipe in mini6_dish:
-            candidates, generics = extract_candidates(recipe, lexicon)
+            candidates, generics = extract_candidates(_analysis(recipe), lexicon)
             resolved = resolve_generics(candidates, generics, lexicon)
             assert set(candidates.ingredients()) <= set(resolved.ingredients())
 
     def test_posteriors_sum_to_one(self):
         lex = self._lexicon()
         recipe = Recipe("x", "Plat", "la viande et les lardons.")
-        candidates, _ = extract_candidates(recipe, lex)
+        candidates, _ = extract_candidates(_analysis(recipe), lex)
         posteriors = generic_posteriors("viande", candidates, lex)
         assert posteriors
         assert sum(posteriors.values()) == pytest.approx(1.0, abs=1e-12)
@@ -186,13 +196,13 @@ class TestResolveGenerics:
     def test_closed_world(self, lexicon, mini6_dish):
         specifics = {x for table in lexicon.specializations.values() for x in table}
         for recipe in mini6_dish:
-            for item in extract(recipe, lexicon).ingredients():
+            for item in extract(_analysis(recipe), lexicon).ingredients():
                 assert item in lexicon.entries or item in specifics
 
 
 class TestRunIo:
     def test_run_roundtrip(self, tmp_path, lexicon, mini6_dish):
-        run = {r.id: extract(r, lexicon) for r in mini6_dish}
+        run = {r.id: extract(_analysis(r), lexicon) for r in mini6_dish}
         path = tmp_path / "run.tsv"
         save_run(run, path)
         loaded = load_run(path)

@@ -5,12 +5,13 @@ import pytest
 from oracles import gini_oracle, mi_oracle
 
 from recipetext.corpus import Corpus, LabelKind, Recipe
+from recipetext.cosine import _recipe_vector, train_cosine
 from recipetext.errors import ConfigError
 from recipetext.features import (
     Feed,
     build_stats,
+    class_vector,
     gini_filtered_vocabulary,
-    gini_weighted_vectors,
     load_stats,
     mutual_information,
     mutual_information_select,
@@ -18,7 +19,7 @@ from recipetext.features import (
     save_stats,
     tfidf_vector,
 )
-from recipetext.textnorm import NormConfig, normalize
+from recipetext.textnorm import NormConfig, analyze, normalize
 
 
 def _corpus(docs: dict[str, tuple[str, str]]) -> Corpus:
@@ -30,7 +31,7 @@ def _corpus(docs: dict[str, tuple[str, str]]) -> Corpus:
 
 
 @pytest.fixture(scope="module")
-def small_stats():
+def small_stats(analyze_all):
     corpus = _corpus({
         "a": ("chocolat sucre beurre", "Dessert"),
         "b": ("chocolat vanille sucre", "Dessert"),
@@ -39,7 +40,7 @@ def small_stats():
         "e": ("poulet riz oignon", "PlatPrincipal"),
         "f": ("poulet sauce beurre", "PlatPrincipal"),
     })
-    return corpus, build_stats(corpus, corpus, NormConfig())
+    return corpus, build_stats(corpus, corpus, analyze_all(corpus))
 
 
 class TestBuildStats:
@@ -60,17 +61,17 @@ class TestBuildStats:
         assert stats.gini("chocolat") == 1.0
         assert stats.gini("poulet") == 1.0
 
-    def test_uniform_term_gini_is_one_third(self):
+    def test_uniform_term_gini_is_one_third(self, analyze_all):
         corpus = _corpus({
             "a": ("sel", "Dessert"), "b": ("sel", "Entree"), "c": ("sel", "PlatPrincipal"),
             "d": ("x", "Dessert"), "e": ("x", "Entree"), "f": ("x", "PlatPrincipal"),
         })
-        stats = build_stats(corpus, corpus, NormConfig())
+        stats = build_stats(corpus, corpus, analyze_all(corpus))
         assert stats.gini("sel") == pytest.approx(1 / 3, abs=1e-15)
 
-    def test_gini_matches_bruteforce(self, mini6_dish):
+    def test_gini_matches_bruteforce(self, mini6_dish, analyze_all):
         config = NormConfig()
-        stats = build_stats(mini6_dish, mini6_dish, config)
+        stats = build_stats(mini6_dish, mini6_dish, analyze_all(mini6_dish, config))
         doc_terms = {r.id: set(normalize(r.title + "\n" + r.body, config))
                      for r in mini6_dish}
         labels = mini6_dish.labels()
@@ -83,9 +84,9 @@ class TestBuildStats:
                 assert got == pytest.approx(expected, abs=1e-12)
                 assert 1 / 3 - 1e-12 <= got <= 1 + 1e-12
 
-    def test_unseen_in_train_has_no_gini(self, mini6_dish):
+    def test_unseen_in_train_has_no_gini(self, mini6_dish, analyze_all):
         train = Corpus(mini6_dish.recipes[:3], LabelKind.DISH_TYPE)
-        stats = build_stats(train, mini6_dish, NormConfig())
+        stats = build_stats(train, mini6_dish, analyze_all(mini6_dish))
         # "cannelle" occurs only in r5, which is not in the train slice
         assert stats.terms["cannelle"].df_train == 0
         assert stats.gini("cannelle") is None
@@ -94,7 +95,7 @@ class TestBuildStats:
         _, stats = small_stats
         path = tmp_path / "stats.tsv"
         save_stats(stats, path)
-        reloaded = load_stats(path, stats.norm_config)
+        reloaded = load_stats(path)
         assert reloaded.corpus_size == stats.corpus_size
         assert reloaded.train_size == stats.train_size
         assert reloaded.classes == stats.classes
@@ -106,40 +107,42 @@ class TestBuildStats:
 
 
 class TestTfidf:
-    def test_everywhere_terms_drop_out(self):
+    def test_everywhere_terms_drop_out(self, analyze_all):
         corpus = _corpus({
             "a": ("sel poivre", "Dessert"), "b": ("sel poivre", "Dessert"),
             "c": ("sel poivre", "Entree"), "d": ("sel poivre", "Entree"),
         })
-        stats = build_stats(corpus, corpus, NormConfig())
-        vector = tfidf_vector(corpus.recipes[0], stats)
+        analyses = analyze_all(corpus)
+        stats = build_stats(corpus, corpus, analyses)
+        vector = tfidf_vector(analyses["a"], stats)
         assert "sel" not in vector and "poivre" not in vector
 
     def test_weight_is_tf_times_idf(self, small_stats):
         corpus, stats = small_stats
         recipe = Recipe("x", "chocolat", "chocolat encore du chocolat")
-        vector = tfidf_vector(recipe, stats)
+        vector = tfidf_vector(analyze(recipe, NormConfig()), stats)
         assert vector["chocolat"] == pytest.approx(3 * math.log(6 / 2), abs=1e-15)
 
     def test_out_of_lexicon_dropped(self, small_stats):
         _, stats = small_stats
         recipe = Recipe("x", "inconnu", "mot jamais vu")
-        assert tfidf_vector(recipe, stats) == {}
+        assert tfidf_vector(analyze(recipe, NormConfig()), stats) == {}
 
     def test_monotone_decreasing_in_df(self, small_stats):
         _, stats = small_stats
         # same tf, more documents -> smaller weight
         r = Recipe("x", "t", "chocolat oignon")
-        vector = tfidf_vector(r, stats)
+        vector = tfidf_vector(analyze(r, NormConfig()), stats)
         assert stats.terms["chocolat"].df == stats.terms["oignon"].df
         r2 = Recipe("y", "t", "chocolat salade")  # salade df=2 too
         assert all(w >= 0 for w in vector.values())
 
-    def test_fixture_vector_matches_hand_computation(self, mini6_dish):
+    def test_fixture_vector_matches_hand_computation(self, mini6_dish, analyze_all):
         config = NormConfig()
-        stats = build_stats(mini6_dish, mini6_dish, config)
+        analyses = analyze_all(mini6_dish, config)
+        stats = build_stats(mini6_dish, mini6_dish, analyses)
         recipe = mini6_dish.by_id("r1")
-        vector = tfidf_vector(recipe, stats)
+        vector = tfidf_vector(analyses["r1"], stats)
         tokens = normalize(recipe.title + "\n" + recipe.body, config)
         for term, weight in vector.items():
             tf = tokens.count(term)
@@ -162,9 +165,9 @@ class TestGiniVectors:
         for term in strict:
             assert stats.gini(term) >= 0.45
 
-    def test_bruteforce_survivors(self, mini6_dish):
+    def test_bruteforce_survivors(self, mini6_dish, analyze_all):
         config = NormConfig()
-        stats = build_stats(mini6_dish, mini6_dish, config)
+        stats = build_stats(mini6_dish, mini6_dish, analyze_all(mini6_dish, config))
         doc_terms = {r.id: set(normalize(r.title + "\n" + r.body, config))
                      for r in mini6_dish}
         labels = mini6_dish.labels()
@@ -176,12 +179,14 @@ class TestGiniVectors:
 
     def test_vector_weights(self, small_stats):
         corpus, stats = small_stats
-        recipe = corpus.recipes[0]
-        v_r, v_c = gini_weighted_vectors(recipe, "Dessert", stats, 0.45)
+        analysis = analyze(corpus.recipes[0], NormConfig())
+        model = train_cosine(corpus, stats, 0.45)
+        v_r = _recipe_vector(model, analysis)
+        v_c = class_vector("Dessert", stats, gini_filtered_vocabulary(stats, 0.45))
         for term, weight in v_r.items():
             g = stats.gini(term)
             assert g >= 0.45
-            tokens = stats.tokenize(recipe)
+            tokens = stats.tokenize(analysis)
             assert weight == pytest.approx(
                 tokens.count(term) * stats.idf(term) * g, abs=1e-15)
         for term, weight in v_c.items():
@@ -192,9 +197,9 @@ class TestGiniVectors:
 
 
 class TestMutualInformation:
-    def test_matches_bruteforce(self, mini6_dish):
+    def test_matches_bruteforce(self, mini6_dish, analyze_all):
         config = NormConfig()
-        stats = build_stats(mini6_dish, mini6_dish, config)
+        stats = build_stats(mini6_dish, mini6_dish, analyze_all(mini6_dish, config))
         doc_terms = {r.id: set(normalize(r.title + "\n" + r.body, config))
                      for r in mini6_dish}
         labels = mini6_dish.labels()
@@ -203,22 +208,22 @@ class TestMutualInformation:
                 assert mutual_information(stats, term, cls) == pytest.approx(
                     mi_oracle(doc_terms, labels, term, cls), abs=1e-12)
 
-    def test_prefix_stability(self, mini6_dish):
-        stats = build_stats(mini6_dish, mini6_dish, NormConfig())
+    def test_prefix_stability(self, mini6_dish, analyze_all):
+        stats = build_stats(mini6_dish, mini6_dish, analyze_all(mini6_dish))
         sizes = [1, 3, 5, 10, 50, 10_000]
         selections = [mutual_information_select(stats, k) for k in sizes]
         for smaller, larger in zip(selections, selections[1:]):
             assert smaller == larger[:len(smaller)]
 
-    def test_k_beyond_vocab_returns_all(self, mini6_dish):
-        stats = build_stats(mini6_dish, mini6_dish, NormConfig())
+    def test_k_beyond_vocab_returns_all(self, mini6_dish, analyze_all):
+        stats = build_stats(mini6_dish, mini6_dish, analyze_all(mini6_dish))
         everything = mutual_information_select(stats, 10_000)
         assert len(everything) == len(
             [t for t in stats.terms if stats.terms[t].df_train > 0])
 
-    def test_top5_matches_oracle_ranking(self, mini6_dish):
+    def test_top5_matches_oracle_ranking(self, mini6_dish, analyze_all):
         config = NormConfig()
-        stats = build_stats(mini6_dish, mini6_dish, config)
+        stats = build_stats(mini6_dish, mini6_dish, analyze_all(mini6_dish, config))
         doc_terms = {r.id: set(normalize(r.title + "\n" + r.body, config))
                      for r in mini6_dish}
         labels = mini6_dish.labels()
@@ -229,8 +234,8 @@ class TestMutualInformation:
         expected = [t for _, t in scored[:5]]
         assert mutual_information_select(stats, 5) == expected
 
-    def test_invalid_k(self, mini6_dish):
-        stats = build_stats(mini6_dish, mini6_dish, NormConfig())
+    def test_invalid_k(self, mini6_dish, analyze_all):
+        stats = build_stats(mini6_dish, mini6_dish, analyze_all(mini6_dish))
         with pytest.raises(ConfigError):
             mutual_information_select(stats, 0)
 
@@ -238,22 +243,23 @@ class TestMutualInformation:
 class TestNumericFeatures:
     def test_sentence_and_separator_counts(self):
         recipe = Recipe("x", "Titre", "A. B. C.")
-        feats = numeric_features(recipe, [])
+        feats = numeric_features(analyze(recipe, NormConfig()), [])
         assert feats.sentence_count == 3
         assert feats.separator_count == 3
 
     def test_trailing_segment_counts(self):
         recipe = Recipe("x", "Titre", "Premier point. ensuite sans point final")
-        assert numeric_features(recipe, []).sentence_count == 2
+        assert numeric_features(analyze(recipe, NormConfig()), []).sentence_count == 2
 
     def test_empty_ingredient_list(self):
-        feats = numeric_features(Recipe("x", "T", "B."), [])
+        analysis = analyze(Recipe("x", "T", "B."), NormConfig())
+        feats = numeric_features(analysis, [])
         assert feats.ingredient_list_size == 0
-        assert numeric_features(Recipe("x", "T", "B."), ["a", "b"]).ingredient_list_size == 2
+        assert numeric_features(analysis, ["a", "b"]).ingredient_list_size == 2
 
     def test_fixture_recipe_counts(self, mini6_dish, plain_norm):
         recipe = mini6_dish.by_id("r2")
-        feats = numeric_features(recipe, ["chocolat", "beurre"], plain_norm)
+        feats = numeric_features(analyze(recipe, plain_norm), ["chocolat", "beurre"])
         assert feats.title_word_count == len(normalize(recipe.title, plain_norm))
         assert feats.body_word_count == len(normalize(recipe.body, plain_norm))
         # hand-count on the r2 body: three '.'-terminated sentences
@@ -263,12 +269,14 @@ class TestNumericFeatures:
 
     def test_all_non_negative(self, mini6_dish):
         for recipe in mini6_dish:
-            feats = numeric_features(recipe, recipe.gold_ingredients or [])
+            feats = numeric_features(analyze(recipe, NormConfig()),
+                                     recipe.gold_ingredients or [])
             assert min(feats.as_mapping().values()) >= 0
 
 
 class TestFeeds:
-    def test_title_only_feed(self, mini6_dish):
-        stats = build_stats(mini6_dish, mini6_dish, NormConfig(), feed=Feed.TITLE_ONLY)
+    def test_title_only_feed(self, mini6_dish, analyze_all):
+        stats = build_stats(mini6_dish, mini6_dish, analyze_all(mini6_dish),
+                            feed=Feed.TITLE_ONLY)
         assert "reblochon" not in stats.terms  # body-only word
         assert "quiche" in stats.terms

@@ -15,7 +15,7 @@ from recipetext.svm import (
     train_ovo,
     train_pair,
 )
-from recipetext.textnorm import NormConfig
+from recipetext.textnorm import NormConfig, analyze
 
 DISHES = ["Dessert", "Entree", "PlatPrincipal"]
 
@@ -25,6 +25,14 @@ WORD_POOLS = {
     "PlatPrincipal": ["poulet", "boeuf", "riz", "gratin", "sauce", "lardons"],
 }
 SHARED = ["sel", "poivre", "huile", "beurre", "eau", "cuire", "servir"]
+
+
+def _analysis(recipe):
+    return analyze(recipe, NormConfig())
+
+
+def _analyses(corpus):
+    return {r.id: _analysis(r) for r in corpus}
 
 
 def synthetic_corpus(n_per_class: int, seed: int, classes=DISHES) -> Corpus:
@@ -48,9 +56,10 @@ def synthetic_corpus(n_per_class: int, seed: int, classes=DISHES) -> Corpus:
 @pytest.fixture(scope="module")
 def trained():
     corpus = synthetic_corpus(8, seed=42)
-    stats = build_stats(corpus, corpus, NormConfig())
+    analyses = _analyses(corpus)
+    stats = build_stats(corpus, corpus, analyses)
     config = SvmConfig(regularization=1e-2, epochs=10, seed=7)
-    return corpus, stats, config, train_ovo(corpus, stats, config)
+    return corpus, stats, config, train_ovo(corpus, analyses, stats, config)
 
 
 class TestTrainOvo:
@@ -69,16 +78,18 @@ class TestTrainOvo:
             recipes.append(Recipe(f"b{i}", "salade", "tomate huile vinaigre.",
                                   dish_type=DishType.Entree))
         corpus = Corpus(recipes, LabelKind.DISH_TYPE)
-        stats = build_stats(corpus, corpus, NormConfig())
-        model = train_ovo(corpus, stats, SvmConfig(regularization=1e-2, epochs=10, seed=1))
+        analyses = _analyses(corpus)
+        stats = build_stats(corpus, corpus, analyses)
+        model = train_ovo(corpus, analyses, stats,
+                          SvmConfig(regularization=1e-2, epochs=10, seed=1))
         correct = sum(
             1 for r in corpus
-            if score_ovo(model, r, stats).top_class() == r.label(LabelKind.DISH_TYPE))
+            if score_ovo(model, analyses[r.id], stats).top_class() == r.label(LabelKind.DISH_TYPE))
         assert correct == len(corpus)
 
     def test_determinism_bytewise(self, tmp_path, trained):
         corpus, stats, config, model = trained
-        again = train_ovo(corpus, stats, config)
+        again = train_ovo(corpus, _analyses(corpus), stats, config)
         p1, p2 = tmp_path / "m1.model", tmp_path / "m2.model"
         save_ovo(model, p1)
         save_ovo(again, p2)
@@ -88,14 +99,15 @@ class TestTrainOvo:
         recipes = [Recipe(f"x{i}", "t", "corps.", dish_type=DishType.Dessert)
                    for i in range(4)]
         corpus = Corpus(recipes, LabelKind.DISH_TYPE)
-        stats = build_stats(corpus, corpus, NormConfig())
+        analyses = _analyses(corpus)
+        stats = build_stats(corpus, corpus, analyses)
         with pytest.raises(DataError):
-            train_ovo(corpus, stats, SvmConfig())
+            train_ovo(corpus, analyses, stats, SvmConfig())
 
     def test_matches_independent_sgd_oracle(self, trained):
         corpus, stats, config, model = trained
         labels = corpus.labels()
-        vectors = {r.id: tfidf_vector(r, stats) for r in corpus}
+        vectors = {r.id: tfidf_vector(_analysis(r), stats) for r in corpus}
         pair_idx = 0
         for i, first in enumerate(DISHES):
             for second in DISHES[i + 1:]:
@@ -125,10 +137,12 @@ class TestTrainOvo:
 class TestScoreOvo:
     def test_two_class_antisymmetry(self):
         corpus = synthetic_corpus(6, seed=3, classes=["Dessert", "Entree"])
-        stats = build_stats(corpus, corpus, NormConfig())
-        model = train_ovo(corpus, stats, SvmConfig(regularization=1e-2, epochs=5, seed=2))
+        analyses = _analyses(corpus)
+        stats = build_stats(corpus, corpus, analyses)
+        model = train_ovo(corpus, analyses, stats,
+                          SvmConfig(regularization=1e-2, epochs=5, seed=2))
         for r in corpus:
-            scores = score_ovo(model, r, stats).scores
+            scores = score_ovo(model, analyses[r.id], stats).scores
             assert scores["Dessert"] == -scores["Entree"]
 
     def test_mirrored_pair_training_negates_margins(self, trained):
@@ -136,7 +150,7 @@ class TestScoreOvo:
         labels = corpus.labels()
         docs_fwd, docs_rev = [], []
         for r in corpus:
-            vector = tfidf_vector(r, stats)
+            vector = tfidf_vector(_analysis(r), stats)
             if labels[r.id] == "Dessert":
                 docs_fwd.append((r.id, vector, +1))
                 docs_rev.append((r.id, vector, -1))
@@ -158,22 +172,23 @@ class TestScoreOvo:
     def test_empty_vector_scores_bias_sums(self, trained):
         corpus, stats, _, model = trained
         ghost = Recipe("ghost", "zzz", "inconnu absent.")
-        scores = score_ovo(model, ghost, stats).scores
+        scores = score_ovo(model, _analysis(ghost), stats).scores
         expected = {c: 0.0 for c in DISHES}
         for pair_model in model.pair_models:
             first, second = pair_model.class_pair
             expected[first] += pair_model.bias
             expected[second] -= pair_model.bias
         # ghost words share "zzz" with nothing: tf-idf vector is empty
-        assert tfidf_vector(ghost, stats) == {}
+        assert tfidf_vector(_analysis(ghost), stats) == {}
         for cls in DISHES:
             assert scores[cls] == pytest.approx(expected[cls], abs=1e-15)
 
     def test_vocab_filter_limits_weight_support(self):
         corpus = synthetic_corpus(6, seed=9)
-        stats = build_stats(corpus, corpus, NormConfig())
+        analyses = _analyses(corpus)
+        stats = build_stats(corpus, corpus, analyses)
         selected = frozenset(mutual_information_select(stats, 10))
-        model = train_ovo(corpus, stats, SvmConfig(epochs=5, seed=4), selected)
+        model = train_ovo(corpus, analyses, stats, SvmConfig(epochs=5, seed=4), selected)
         for pair_model in model.pair_models:
             assert set(pair_model.weights) <= selected
 
@@ -210,5 +225,6 @@ class TestSerialization:
             assert a.bias == b.bias
             assert a.weights == b.weights
         for r in corpus:
-            assert (score_ovo(model, r, stats).scores
-                    == score_ovo(reloaded, r, stats).scores)
+            analysis = _analysis(r)
+            assert (score_ovo(model, analysis, stats).scores
+                    == score_ovo(reloaded, analysis, stats).scores)

@@ -2,10 +2,12 @@ from collections import Counter
 
 import pytest
 
+from recipetext.corpus import LabelKind, Recipe, load_corpus
 from recipetext.errors import ConfigError
 from recipetext.rng import SplitMix64
 from recipetext.textnorm import (
     NormConfig,
+    analyze,
     default_french_numbers,
     fit_agglutinator,
     load_abbrev_table,
@@ -13,7 +15,13 @@ from recipetext.textnorm import (
     ngrams,
     normalize,
     save_agglutination_model,
+    without_agglutination,
 )
+
+
+def _plain_analyses(corpus, config):
+    plain = without_agglutination(config)
+    return {r.id: analyze(r, plain) for r in corpus}
 
 
 class TestNormalize:
@@ -72,21 +80,22 @@ class TestAgglutinator:
         from recipetext.corpus import Corpus, Recipe, LabelKind
         recipes = [Recipe(str(i), "Titre exemple", "il y a une astuce ici.")
                    for i in range(12)]
-        model = fit_agglutinator(Corpus(recipes, LabelKind.NONE), config)
+        corpus = Corpus(recipes, LabelKind.NONE)
+        model = fit_agglutinator(_plain_analyses(corpus, config), config)
         assert ("il", "y", "a") in model
         tokens = normalize("il y a une astuce", config, model)
         assert tokens[0] == "il_y_a"
 
     def test_threshold_above_max_gives_identity(self, mini6_dish):
         config = NormConfig(agglutinate=True, agglutination_min_count=50)
-        model = fit_agglutinator(mini6_dish, config)
+        model = fit_agglutinator(_plain_analyses(mini6_dish, config), config)
         assert model == frozenset()
         text = "verser sur la pâte brisée"
         assert normalize(text, config, model) == normalize(text, NormConfig())
 
     def test_fixture_four_chaud(self, mini6_dish):
         config = NormConfig(agglutinate=True, agglutination_min_count=3)
-        model = fit_agglutinator(mini6_dish, config)
+        model = fit_agglutinator(_plain_analyses(mini6_dish, config), config)
         assert model == frozenset({("four", "chaud")})
         tokens = normalize("enfourner à four chaud vingt minutes", config, model)
         assert "four_chaud" in tokens
@@ -96,7 +105,8 @@ class TestAgglutinator:
         recipes = [Recipe(str(i), "x", "on sert le plat du jour ici.") for i in range(5)]
         config = NormConfig(agglutinate=True, agglutination_min_count=5,
                             agglutination_max_n=3)
-        model = fit_agglutinator(Corpus(recipes, LabelKind.NONE), config)
+        corpus = Corpus(recipes, LabelKind.NONE)
+        model = fit_agglutinator(_plain_analyses(corpus, config), config)
         # "plat du" and "du jour" occur exactly as often as "plat du jour":
         # only the trigram (and other maximal ones) survive
         assert ("plat", "du", "jour") in model
@@ -105,7 +115,7 @@ class TestAgglutinator:
 
     def test_conservativity(self, mini6_dish):
         config = NormConfig(agglutinate=True, agglutination_min_count=2)
-        model = fit_agglutinator(mini6_dish, config)
+        model = fit_agglutinator(_plain_analyses(mini6_dish, config), config)
         plain = NormConfig()
         for recipe in mini6_dish:
             merged = normalize(recipe.body, config, model)
@@ -114,10 +124,58 @@ class TestAgglutinator:
 
     def test_model_roundtrip(self, tmp_path, mini6_dish):
         config = NormConfig(agglutinate=True, agglutination_min_count=2)
-        model = fit_agglutinator(mini6_dish, config)
+        model = fit_agglutinator(_plain_analyses(mini6_dish, config), config)
         path = tmp_path / "agglutination.txt"
         save_agglutination_model(model, path)
         assert load_agglutination_model(path) == model
+
+
+BOUNDARY_PAIRS = [
+    ("Tarte fine de l'", "oignon confit au four."),
+    ("Cake 3,", "5 kg de farine, 2,5 l de lait."),
+    ("Purée de pomme", "\u0301crasée à la fourchette."),
+    ("Soupe ΟΔΟΣ", "Σ servie chaude."),
+    ("Salade à l\u2019", "\u2019huile d\u2019olive."),
+]
+
+
+class TestAnalysis:
+    @pytest.mark.parametrize("number_conversion", [True, False])
+    @pytest.mark.parametrize("fixture", ["golden60.xml", "mini6.xml", "boost40.xml"])
+    def test_plain_is_the_joined_text(self, fixtures_dir, fixture, number_conversion):
+        config = NormConfig(number_conversion=number_conversion)
+        for recipe in load_corpus(fixtures_dir / fixture, LabelKind.NONE):
+            analysis = analyze(recipe, config)
+            assert analysis.plain == tuple(
+                normalize(recipe.title + "\n" + recipe.body, config))
+            assert analysis.title == tuple(normalize(recipe.title, config))
+            assert analysis.body == tuple(normalize(recipe.body, config))
+            assert analysis.title_body == analysis.plain
+
+    @pytest.mark.parametrize("number_conversion", [True, False])
+    @pytest.mark.parametrize("title,body", BOUNDARY_PAIRS)
+    def test_plain_is_the_joined_text_at_hard_boundaries(self, title, body,
+                                                         number_conversion):
+        config = NormConfig(number_conversion=number_conversion)
+        analysis = analyze(Recipe("x", title, body), config)
+        assert analysis.plain == tuple(normalize(title + "\n" + body, config))
+        assert analysis.plain[:analysis.title_end] == tuple(normalize(title, config))
+
+    def test_ngram_spanning_the_boundary_merges_in_title_body_only(self):
+        config = NormConfig(agglutinate=True)
+        model = frozenset({("four", "chaud")})
+        recipe = Recipe("x", "Gratin au four", "chaud et doré.")
+        analysis = analyze(recipe, config, model)
+        assert analysis.title == ("gratin", "au", "four")
+        assert analysis.body == ("chaud", "et", "doré")
+        assert analysis.title_body == ("gratin", "au", "four_chaud", "et", "doré")
+        assert analysis.title_body != analysis.title + analysis.body
+        assert analysis.title_body == tuple(
+            normalize(recipe.title + "\n" + recipe.body, config, model))
+
+    def test_agglutinate_requires_model(self):
+        with pytest.raises(ConfigError):
+            analyze(Recipe("x", "il y a", "rien."), NormConfig(agglutinate=True))
 
 
 class TestNgrams:
