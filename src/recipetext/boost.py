@@ -41,6 +41,7 @@ from .errors import ConfigError, DataError, ModelMismatchError
 from .features import NUMERIC_FIELDS, numeric_features
 from .scores import ScoreVector
 from .textnorm import Analysis, ngrams
+from .tsv import Header, read_rows, write_lines
 
 TEXT_FIELDS = [("title", 3), ("body", 4), ("ingredients", 1)]
 FIELD_ORDER = [name for name, _ in TEXT_FIELDS] + NUMERIC_FIELDS
@@ -356,33 +357,29 @@ def save_boost(model: BoostModel, path: str | Path) -> None:
         cells += [f"{hyp.votes_present[c]:.17g}" for c in model.classes]
         cells += [f"{hyp.votes_absent[c]:.17g}" for c in model.classes]
         lines.append("\t".join(cells))
-    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    write_lines(path, lines)
 
 
 def load_boost(path: str | Path) -> BoostModel:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != "#boost\tv1":
-        raise ModelMismatchError(f"{path}: not a v1 boost model file")
-    classes: list[str] = []
-    schema: dict[str, int] = {}
+    rows = read_rows(path, "#boost\tv1")
+    schema = {row[1]: row.int(2) for row in rows if row[0] == "#field"}
+    header, body = Header.split((row for row in rows if row[0] != "#field"), path)
+    classes = header["classes"][1].split(",")
+    k = len(classes)
     rounds: list[WeakHypothesis] = []
-    for line in lines[1:]:
-        cells = line.split("\t")
-        if cells[0] == "#classes":
-            classes = cells[1].split(",")
-        elif cells[0] == "#field":
-            schema[cells[1]] = int(cells[2])
-        elif cells[0] in ("text", "numeric"):
-            k = len(classes)
-            votes = [float(x) for x in cells[3:3 + 2 * k]]
-            rounds.append(WeakHypothesis(
-                kind=cells[0],
-                field=cells[1],
-                ngram=cells[2] if cells[0] == "text" else None,
-                threshold=float(cells[2]) if cells[0] == "numeric" else None,
-                votes_present=dict(zip(classes, votes[:k])),
-                votes_absent=dict(zip(classes, votes[k:])),
-            ))
+    for row in body:
+        kind = row[0]
+        if kind not in ("text", "numeric"):
+            raise row.fail(f"unknown row kind {kind!r}")
+        votes = [row.float(i) for i in range(3, 3 + 2 * k)]
+        rounds.append(WeakHypothesis(
+            kind=kind,
+            field=row[1],
+            ngram=row[2] if kind == "text" else None,
+            threshold=row.float(2) if kind == "numeric" else None,
+            votes_present=dict(zip(classes, votes[:k])),
+            votes_absent=dict(zip(classes, votes[k:])),
+        ))
     if not rounds:
         raise ModelMismatchError(f"{path}: model has no rounds")
     return BoostModel(rounds, classes, schema)

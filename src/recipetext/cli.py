@@ -20,7 +20,7 @@ from . import cosine as cosine_mod
 from . import extraction as extraction_mod
 from . import svm as svm_mod
 from .corpus import Corpus, LabelKind, SplitSpec, load_corpus, stratified_split
-from .errors import ConfigError, DataError, ModelMismatchError, RecipetextError
+from .errors import ConfigError, DataError, ModelMismatchError
 from .evaluation import (
     classification_report,
     load_qrels,
@@ -49,6 +49,7 @@ from .textnorm import (
     with_agglutination,
     without_agglutination,
 )
+from .tsv import Header, read_rows, write_lines
 
 TASK_LABEL_KIND = {
     "T1": LabelKind.DIFFICULTY,
@@ -92,10 +93,7 @@ class PipelineConfig:
 
     def norm_config(self) -> NormConfig:
         if self.abbreviations_tsv is not None:
-            path = Path(self.abbreviations_tsv)
-            if not path.exists():
-                raise ConfigError(f"abbreviation file not found: {path}")
-            table = load_abbrev_table(path)
+            table = load_abbrev_table(_require_file(self.abbreviations_tsv, "abbreviation file"))
             base = {"abbrev_table": table}
         else:
             base = {}
@@ -164,13 +162,10 @@ def _class_boosts(config: PipelineConfig) -> dict[tuple[str, str], int] | None:
         return None
     path = _require_file(config.class_boosts_tsv, "class boost file")
     boosts: dict[tuple[str, str], int] = {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip() or line.startswith("#"):
-            continue
-        cells = line.split("\t")
-        if len(cells) != 3:
-            raise DataError(f"{path}:{lineno}: expected term<TAB>class<TAB>count")
-        boosts[(cells[0], cells[1])] = int(cells[2])
+    for row in read_rows(path, error=DataError, comments=True):
+        if len(row) != 3:
+            raise row.fail("expected term<TAB>class<TAB>count")
+        boosts[(row[0], row[1])] = row.int(2)
     return boosts
 
 
@@ -291,43 +286,21 @@ def cmd_train(config: PipelineConfig) -> int:
 # classify
 # --------------------------------------------------------------------
 
-def _model_dir(config: PipelineConfig) -> Path:
-    model_dir = Path(config.model_dir)
-    if not model_dir.exists():
-        raise ConfigError(f"model directory not found: {model_dir}")
-    return model_dir
-
-
-def _check_trained_task(model_dir: Path, task: str) -> None:
-    """The model directory's manifest must name the configured task."""
+def _verified_manifest(model_dir: Path) -> dict:
+    """The model directory's manifest, once every file it lists is
+    present and matches its recorded sha256."""
     path = model_dir / "manifest.json"
-    if not path.exists():
-        raise ModelMismatchError(f"{path} is missing")
     try:
         manifest = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise ModelMismatchError(f"{path}: unreadable manifest ({exc})") from exc
-    trained = manifest.get("task") if isinstance(manifest, dict) else None
-    if trained != task:
-        raise ModelMismatchError(
-            f"{model_dir} holds models trained for task {trained!r}, "
-            f"config asks for {task!r}")
-
-
-def _load_artifacts(config: PipelineConfig, model_dir: Path):
-    norm = config.norm_config()
-    agglut = None
-    agglut_path = model_dir / "agglutination.txt"
-    if norm.agglutinate:
-        if not agglut_path.exists():
-            raise ModelMismatchError(
-                f"config asks for agglutination but {agglut_path} is missing")
-        agglut = load_agglutination_model(agglut_path)
-    lexicon = None
-    lexicon_path = model_dir / "lexicon.tsv"
-    if lexicon_path.exists():
-        lexicon = extraction_mod.load_lexicon(lexicon_path)
-    return norm, agglut, lexicon
+        files = manifest["files"].items()
+    except (OSError, ValueError, LookupError, TypeError, AttributeError) as exc:
+        raise ModelMismatchError(f"{path}: unreadable manifest ({exc!r})") from exc
+    for name, digest in files:
+        if not (model_dir / name).is_file():
+            raise ModelMismatchError(f"{model_dir / name} is listed in {path} but missing")
+        if _sha256(model_dir / name) != digest:
+            raise ModelMismatchError(f"{model_dir / name} does not match its sha256 in {path}")
+    return manifest
 
 
 def _save_score_tsv(vectors: list[ScoreVector], classes: list[str], method: str,
@@ -336,50 +309,44 @@ def _save_score_tsv(vectors: list[ScoreVector], classes: list[str], method: str,
     for v in vectors:
         cells = [v.recipe_id] + [f"{v.scores[c]:.17g}" for c in classes]
         lines.append("\t".join(cells))
-    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    write_lines(path, lines)
 
 
 def _load_score_tsv(path: Path) -> list[ScoreVector]:
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != "#scores\tv1":
-        raise ModelMismatchError(f"{path}: not a v1 score file")
-    method = ""
-    classes: list[str] = []
-    vectors = []
-    for line in lines[1:]:
-        cells = line.split("\t")
-        if cells[0] == "#method":
-            method = cells[1]
-        elif cells[0] == "#classes":
-            classes = cells[1].split(",")
-        elif cells[0]:
-            scores = {c: float(x) for c, x in zip(classes, cells[1:])}
-            vectors.append(ScoreVector(cells[0], method, scores))
-    return vectors
+    header, rows = Header.split(read_rows(path, "#scores\tv1"), path)
+    method, classes = header["method"][1], header["classes"][1].split(",")
+    return [ScoreVector(row[0], method, {c: row.float(i) for i, c in enumerate(classes, 1)})
+            for row in rows]
 
 
 def cmd_classify(config: PipelineConfig) -> int:
     if config.task == "T4":
         raise ConfigError("classify applies to tasks T1 and T2; use extract for T4")
     test_path = _require_file(config.test_xml, "test corpus")
-    model_dir = _model_dir(config)
-    _check_trained_task(model_dir, config.task)
-    norm, agglut, lexicon = _load_artifacts(config, model_dir)
-    run_dir = Path(config.run_dir)
-    run_dir.mkdir(parents=True, exist_ok=True)
-
-    test = load_corpus(test_path, LabelKind.NONE)
-    stats = load_stats(_require_file(model_dir / "stats.tsv", "stats table"))
+    model_dir = Path(config.model_dir)
+    manifest = _verified_manifest(model_dir)
+    if manifest.get("task") != config.task:
+        raise ModelMismatchError(
+            f"{model_dir} holds models trained for task {manifest.get('task')!r}, "
+            f"config asks for {config.task!r}")
+    norm = config.norm_config()
+    agglut = None
+    if norm.agglutinate:
+        agglut = load_agglutination_model(model_dir / "agglutination.txt")
+    lexicon = None
+    if "lexicon.tsv" in manifest["files"]:
+        lexicon = extraction_mod.load_lexicon(model_dir / "lexicon.tsv")
+    stats = load_stats(model_dir / "stats.tsv")
     methods = TASK_METHODS[config.task]
-    boost_model = boost_mod.load_boost(
-        _require_file(model_dir / "boost.model", "boost model"))
-    svm_model = svm_mod.load_ovo(_require_file(model_dir / "svm.model", "svm model"))
-    hier_model = cosine_mod.load_hierarchical(
-        _require_file(model_dir / "cosine_hier.model", "hierarchical cosine model"))
+    boost_model = boost_mod.load_boost(model_dir / "boost.model")
+    svm_model = svm_mod.load_ovo(model_dir / "svm.model")
+    hier_model = cosine_mod.load_hierarchical(model_dir / "cosine_hier.model")
     flat_model = None
     if "cosine_flat" in methods:
-        flat_model = cosine_mod.load_cosine(
-            _require_file(model_dir / "cosine_flat.model", "flat cosine model"), stats)
+        flat_model = cosine_mod.load_cosine(model_dir / "cosine_flat.model", stats)
+    run_dir = Path(config.run_dir)
+    run_dir.mkdir(parents=True, exist_ok=True)
+    test = load_corpus(test_path, LabelKind.NONE)
 
     # Recipe-major: each analysis is dropped once every method has scored it.
     per_method: dict[str, list[ScoreVector]] = {m: [] for m in methods}
@@ -434,9 +401,7 @@ def _load_score_files(run_dir: Path, methods: list[str]):
     ids, which every score file must share."""
     by_method: dict[str, dict[str, ScoreVector]] = {}
     for method in methods:
-        path = run_dir / f"scores_{method}.tsv"
-        if not path.exists():
-            raise ConfigError(f"score file not found: {path} (run classify first)")
+        path = _require_file(run_dir / f"scores_{method}.tsv", "score file (run classify first)")
         by_method[method] = {v.recipe_id: v for v in _load_score_tsv(path)}
     ids = sorted(by_method[methods[0]])
     for method in methods[1:]:
@@ -472,23 +437,17 @@ def cmd_fuse(config: PipelineConfig, runs_preset: str | None) -> int:
         cells.append(f"electre={electre_winner}")
         detail_rows.append("\t".join(cells))
 
-    (run_dir / "fused_linear.tsv").write_text(
-        "".join(r + "\n" for r in linear_rows), encoding="utf-8")
-    (run_dir / "fused_electre.tsv").write_text(
-        "".join(r + "\n" for r in electre_rows), encoding="utf-8")
-    (run_dir / "fusion_details.tsv").write_text(
-        "".join(r + "\n" for r in detail_rows), encoding="utf-8")
+    write_lines(run_dir / "fused_linear.tsv", linear_rows)
+    write_lines(run_dir / "fused_electre.tsv", electre_rows)
+    write_lines(run_dir / "fusion_details.tsv", detail_rows)
 
     if runs_preset == "paper":
         single = RUN1_METHOD[config.task]
         run1 = [f"{rid}\t{normalized[rid][methods.index(single)].top_class()}"
                 for rid in ids]
-        (run_dir / "run1.tsv").write_text("".join(r + "\n" for r in run1),
-                                          encoding="utf-8")
-        (run_dir / "run2.tsv").write_text("".join(r + "\n" for r in electre_rows),
-                                          encoding="utf-8")
-        (run_dir / "run3.tsv").write_text("".join(r + "\n" for r in linear_rows),
-                                          encoding="utf-8")
+        write_lines(run_dir / "run1.tsv", run1)
+        write_lines(run_dir / "run2.tsv", electre_rows)
+        write_lines(run_dir / "run3.tsv", linear_rows)
         print(f"wrote run1 ({single}), run2 (electre), run3 (linear) -> {run_dir}")
     else:
         print(f"wrote linear and electre fusion runs for {len(ids)} recipes -> {run_dir}")
@@ -501,15 +460,15 @@ def cmd_fuse(config: PipelineConfig, runs_preset: str | None) -> int:
 
 def cmd_extract(config: PipelineConfig) -> int:
     test_path = _require_file(config.test_xml, "test corpus")
-    model_dir = _model_dir(config)
-    norm, _, lexicon = _load_artifacts(config, model_dir)
-    if lexicon is None:
-        raise ModelMismatchError(f"no ingredient lexicon in {model_dir}")
+    model_dir = Path(config.model_dir)
+    _verified_manifest(model_dir)
+    # every task's model directory carries the lexicon, the only file read
+    lexicon = extraction_mod.load_lexicon(model_dir / "lexicon.tsv")
     run_dir = Path(config.run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     test = load_corpus(test_path, LabelKind.NONE)
     # extraction reads only the plain view
-    plain = without_agglutination(norm)
+    plain = without_agglutination(config.norm_config())
     run = {r.id: extraction_mod.extract(analyze(r, plain), lexicon) for r in test}
     extraction_mod.save_run(run, run_dir / "ingredients.tsv")
     total = sum(len(cl.items) for cl in run.values())
@@ -519,13 +478,10 @@ def cmd_extract(config: PipelineConfig) -> int:
 
 def _load_label_run(path: Path) -> dict[str, str]:
     predicted = {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
-        cells = line.split("\t")
-        if len(cells) != 2:
-            raise DataError(f"{path}:{lineno}: expected recipe_id<TAB>class")
-        predicted[cells[0]] = cells[1]
+    for row in read_rows(path, error=DataError):
+        if len(row) != 2:
+            raise row.fail("expected recipe_id<TAB>class")
+        predicted[row[0]] = row[1]
     return predicted
 
 
@@ -668,8 +624,8 @@ def main(argv=None) -> int:
     except ModelMismatchError as exc:
         print(f"error:model-mismatch: {exc}", file=sys.stderr)
         return 4
-    except RecipetextError as exc:
-        print(f"error:internal: {exc}", file=sys.stderr)
+    except Exception as exc:  # a bug, not bad input: one line, never a traceback
+        print(f"error:internal: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     return 0
 

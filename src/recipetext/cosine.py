@@ -32,13 +32,14 @@ from .features import (
     build_stats,
     class_vector,
     gini_filtered_vocabulary,
-    stats_from_lines,
+    stats_from_rows,
     stats_lines,
 )
 from .fusion import normalize_scores
 from .scores import ScoreVector
 from .summation import ordered_sum
 from .textnorm import Analysis
+from .tsv import Header, Row, read_rows, write_lines
 
 STANDARD = "standard"
 LITERAL = "literal"
@@ -312,53 +313,41 @@ def classify_hierarchical(model: HierarchicalCosineModel,
 # are rebuilt on load, which keeps the files small and diff-able.
 # --------------------------------------------------------------------
 
+def _scalar_lines(magic: str, threshold: float, mode: str, method_id: str) -> list[str]:
+    return [magic, f"#threshold\t{threshold:.17g}", f"#mode\t{mode}",
+            f"#method_id\t{method_id}"]
+
+
 def save_cosine(model: CosineModel, path: str | Path,
                 class_boosts: dict[tuple[str, str], int] | None = None) -> None:
-    lines = [
-        "#cosine\tv1",
-        f"#threshold\t{model.gini_threshold:.17g}",
-        f"#mode\t{model.denominator_mode}",
-        f"#method_id\t{model.method_id}",
-        "#classes\t" + ",".join(model.classes()),
-    ]
+    lines = _scalar_lines("#cosine\tv1", model.gini_threshold, model.denominator_mode,
+                          model.method_id)
+    lines.append("#classes\t" + ",".join(model.classes()))
     if class_boosts:
         for (term, cls), extra in sorted(class_boosts.items()):
             lines.append(f"boost\t{term}\t{cls}\t{extra}")
-    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    write_lines(path, lines)
 
 
 def load_cosine(path: str | Path, stats: LexiconStats) -> CosineModel:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != "#cosine\tv1":
-        raise ModelMismatchError(f"{path}: not a v1 cosine model file")
-    header: dict[str, str] = {}
+    header, body = Header.split(read_rows(path, "#cosine\tv1"), path)
     boosts: dict[tuple[str, str], int] = {}
-    for line in lines[1:]:
-        cells = line.split("\t")
-        if cells[0].startswith("#"):
-            header[cells[0][1:]] = cells[1]
-        elif cells[0] == "boost":
-            boosts[(cells[1], cells[2])] = int(cells[3])
-    classes = header["classes"].split(",")
-    threshold = float(header["threshold"])
+    for row in body:
+        if row[0] != "boost":
+            raise row.fail(f"unknown row kind {row[0]!r}")
+        row.put(boosts, (row[1], row[2]), row.int(3))
+    classes = header["classes"][1].split(",")
+    threshold = header["threshold"].float(1)
     vectors = build_class_vectors(stats, classes, threshold, boosts or None)
-    return CosineModel(vectors, stats, threshold, header["mode"], header["method_id"])
+    return CosineModel(vectors, stats, threshold, header["mode"][1], header["method_id"][1])
 
 
 def save_hierarchical(model: HierarchicalCosineModel, path: str | Path) -> None:
     first = next(iter(model.stage_models.values()), None)
     threshold = first[Feed.TITLE_ONLY].gini_threshold if first else 0.0
     mode = first[Feed.TITLE_ONLY].denominator_mode if first else STANDARD
-    lines = [
-        "#cosine_hier\tv1",
-        f"#threshold\t{threshold:.17g}",
-        f"#mode\t{mode}",
-        f"#method_id\t{model.method_id}",
-    ]
-    for stage in model.spec.stages:
-        cells = ["#stage", f"alpha={stage.alpha!r}"]
-        cells += [f"{leaf}={group}" for leaf, group in sorted(stage.grouping.items())]
-        lines.append("\t".join(cells))
+    lines = _scalar_lines("#cosine_hier\tv1", threshold, mode, model.method_id)
+    lines += ["\t".join(["#stage"] + _stage_cells(stage)) for stage in model.spec.stages]
     for (stage_idx, context) in sorted(model.stage_models):
         per_feed = model.stage_models[(stage_idx, context)]
         for feed in (Feed.TITLE_ONLY, Feed.TITLE_AND_BODY):
@@ -367,80 +356,68 @@ def save_hierarchical(model: HierarchicalCosineModel, path: str | Path) -> None:
                 [str(stage_idx), context, feed.value, ",".join(sub.classes())]))
             lines.extend(stats_lines(sub.stats))
             lines.append("#end_context")
-    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    write_lines(path, lines)
 
 
 def load_hierarchical(path: str | Path) -> HierarchicalCosineModel:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != "#cosine_hier\tv1":
-        raise ModelMismatchError(f"{path}: not a v1 hierarchical cosine model file")
-    threshold = 0.0
-    mode = STANDARD
-    method_id = "cosine_hier"
+    header = Header(path)
     stages: list[HierarchyStage] = []
-    stage_models: dict[tuple[int, str], dict[Feed, CosineModel]] = {}
-    i = 1
-    while i < len(lines):
-        cells = lines[i].split("\t")
-        if cells[0] == "#threshold":
-            threshold = float(cells[1])
-        elif cells[0] == "#mode":
-            mode = cells[1]
-        elif cells[0] == "#method_id":
-            method_id = cells[1]
-        elif cells[0] == "#stage":
-            alpha = float(cells[1][len("alpha="):])
-            grouping = {}
-            for cell in cells[2:]:
-                leaf, _, group = cell.partition("=")
-                grouping[leaf] = group
-            stages.append(HierarchyStage(grouping, alpha))
-        elif cells[0] == "#begin_context":
-            stage_idx, context, feed_value, classes_csv = cells[1], cells[2], cells[3], cells[4]
+    contexts: list[tuple[Row, list[Row]]] = []  # (#begin_context row, its stats rows)
+    block = None
+    for row in read_rows(path, "#cosine_hier\tv1"):
+        if row[0] == "#begin_context":
             block = []
-            i += 1
-            while i < len(lines) and lines[i] != "#end_context":
-                block.append(lines[i])
-                i += 1
-            stats = stats_from_lines(block, source=f"{path}:{context}")
-            classes = classes_csv.split(",")
-            vectors = build_class_vectors(stats, classes, threshold)
-            sub = CosineModel(vectors, stats, threshold, mode, method_id)
-            stage_models.setdefault((int(stage_idx), context), {})[Feed(feed_value)] = sub
-        i += 1
+            contexts.append((row, block))
+        elif row[0] == "#end_context":
+            block = None
+        elif block is not None:
+            block.append(row)
+        elif row[0] == "#stage":
+            stages.append(_parse_stage(row))
+        elif row[0].startswith("#"):
+            header.put(row)
+        else:
+            raise row.fail("row outside a #begin_context block")
+    threshold = header["threshold"].float(1)
+    mode, method_id = header["mode"][1], header["method_id"][1]
+    stage_models: dict[tuple[int, str], dict[Feed, CosineModel]] = {}
+    for begin, rows in contexts:
+        stats = stats_from_rows(rows, f"{path}:{begin.lineno}")
+        vectors = build_class_vectors(stats, begin[4].split(","), threshold)
+        per_feed = stage_models.setdefault((begin.int(1), begin[2]), {})
+        begin.put(per_feed, begin.parse(3, Feed),
+                  CosineModel(vectors, stats, threshold, mode, method_id))
     return HierarchicalCosineModel(HierarchySpec(tuple(stages)), stage_models, method_id)
 
 
 # --------------------------------------------------------------------
 # Hierarchy spec file format: one "stage" line per stage, holding
-# alpha and leaf=GROUP assignments, tab-separated.
+# alpha and leaf=GROUP assignments, tab-separated; the hierarchical
+# model file stores its stages on "#stage" lines of the same form.
 # --------------------------------------------------------------------
 
-def save_hierarchy_spec(spec: HierarchySpec, path: str | Path) -> None:
-    lines = []
-    for stage in spec.stages:
-        cells = ["stage", f"alpha={stage.alpha!r}"]
-        cells += [f"{leaf}={group}" for leaf, group in sorted(stage.grouping.items())]
-        lines.append("\t".join(cells))
-    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+def _stage_cells(stage: HierarchyStage) -> list[str]:
+    return [f"alpha={stage.alpha!r}"] + [
+        f"{leaf}={group}" for leaf, group in sorted(stage.grouping.items())]
+
+
+def _parse_stage(row: Row) -> HierarchyStage:
+    """The stage in the cells after a row's first (see _stage_cells)."""
+    pairs = [cell.partition("=") for cell in row[1:]]
+    try:
+        if len(pairs) < 2 or pairs[0][0] != "alpha" or not all(k and v for k, _, v in pairs):
+            raise ValueError("expected 'stage<TAB>alpha=...<TAB>leaf=GROUP...'")
+        return HierarchyStage({k: v for k, _, v in pairs[1:]}, float(pairs[0][2]))
+    except (ConfigError, ValueError) as exc:
+        raise row.fail(str(exc)) from None
 
 
 def load_hierarchy_spec(path: str | Path) -> HierarchySpec:
     stages = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip() or line.startswith("#"):
-            continue
-        cells = line.split("\t")
-        if cells[0] != "stage" or len(cells) < 3 or not cells[1].startswith("alpha="):
-            raise ConfigError(f"{path}:{lineno}: expected 'stage<TAB>alpha=...<TAB>leaf=GROUP...'")
-        alpha = float(cells[1][len("alpha="):])
-        grouping = {}
-        for cell in cells[2:]:
-            leaf, _, group = cell.partition("=")
-            if not leaf or not group:
-                raise ConfigError(f"{path}:{lineno}: bad mapping {cell!r}")
-            grouping[leaf] = group
-        stages.append(HierarchyStage(grouping, alpha))
+    for row in read_rows(path, error=ConfigError, comments=True):
+        if row[0] != "stage":
+            raise row.fail("expected 'stage<TAB>alpha=...<TAB>leaf=GROUP...'")
+        stages.append(_parse_stage(row))
     return HierarchySpec(tuple(stages))
 
 
@@ -459,7 +436,6 @@ __all__ = [
     "load_hierarchy_spec",
     "save_cosine",
     "save_hierarchical",
-    "save_hierarchy_spec",
     "score_cosine",
     "train_cosine",
     "train_hierarchical",

@@ -9,6 +9,7 @@ are penalized; recipes with an empty gold set are skipped and counted.
 
 from __future__ import annotations
 
+import functools
 import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,7 +18,8 @@ from .corpus import Corpus, Difficulty, LabelKind
 from .errors import DataError
 from .extraction import canonical_form
 from .summation import ordered_sum
-from .textnorm import NormConfig
+from .textnorm import NormConfig, without_agglutination
+from .tsv import read_rows
 
 
 @dataclass
@@ -126,6 +128,18 @@ def _deaccent(text: str) -> str:
     return "".join(ch for ch in decomposed if not unicodedata.combining(ch))
 
 
+def _canonicalizer(norm: NormConfig | None, deaccent: bool = False):
+    """item -> the form it is matched by, each distinct item computed
+    once (items repeat across recipes)."""
+    plain = without_agglutination(norm) if norm is not None else None
+
+    @functools.cache
+    def canon(item: str) -> str:
+        form = canonical_form(item, plain) if plain is not None else item
+        return _deaccent(form) if deaccent else form
+    return canon
+
+
 def average_precision(predicted: list[str], gold: set[str]) -> float:
     """AP with the |gold| denominator; raises on duplicate predictions."""
     if len(set(predicted)) != len(predicted):
@@ -155,15 +169,7 @@ def mean_average_precision(run: dict[str, list[str]], qrels: QrelSet,
     if unknown:
         raise DataError(f"run contains ids outside the qrels: {unknown[:5]}")
 
-    # items repeat across recipes: each distinct string is normalized once
-    forms: dict[str, str] = {}
-
-    def canon(item: str) -> str:
-        if item not in forms:
-            form = canonical_form(item, norm) if norm is not None else item
-            forms[item] = _deaccent(form) if deaccent else form
-        return forms[item]
-
+    canon = _canonicalizer(norm, deaccent)
     scored = qrels.scored_ids()
     if not scored:
         raise DataError("qrels contain no recipe with a non-empty gold set")
@@ -182,40 +188,27 @@ def mean_average_precision(run: dict[str, list[str]], qrels: QrelSet,
     return total / len(scored)
 
 
-def save_qrels(qrels: QrelSet, path: str | Path) -> None:
-    """TREC-like qrel lines: recipe_id<TAB>0<TAB>ingredient<TAB>1."""
-    lines = []
-    for rid in sorted(qrels.gold):
-        for item in sorted(qrels.gold[rid]):
-            lines.append(f"{rid}\t0\t{item}\t1")
-    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-
-
 def load_qrels(path: str | Path) -> QrelSet:
+    """TREC-like qrel lines: recipe_id<TAB>0<TAB>ingredient<TAB>relevance."""
     gold: dict[str, set[str]] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
-        cells = line.split("\t")
-        if len(cells) != 4:
-            raise DataError(f"{path}:{lineno}: expected 4 tab-separated fields")
-        rid, _, item, relevant = cells
-        gold.setdefault(rid, set())
-        if relevant != "0":
-            gold[rid].add(item)
+    for row in read_rows(path, error=DataError):
+        if len(row) != 4:
+            raise row.fail("expected 4 tab-separated fields")
+        items = gold.setdefault(row[0], set())
+        if row[3] != "0":
+            items.add(row[2])
     return QrelSet(gold)
 
 
 def qrels_from_corpus(corpus: Corpus, norm: NormConfig | None = None) -> QrelSet:
     """Gold ingredient sets from a corpus carrying gold lists."""
+    canon = _canonicalizer(norm)
     gold = {}
     for recipe in corpus:
-        items = recipe.gold_ingredients or []
+        forms = {canon(item) for item in recipe.gold_ingredients or []}
         if norm is not None:
-            canon = {canonical_form(item, norm) for item in items}
-            gold[recipe.id] = {c for c in canon if c}
-        else:
-            gold[recipe.id] = set(items)
+            forms.discard("")
+        gold[recipe.id] = forms
     return QrelSet(gold)
 
 
@@ -228,5 +221,4 @@ __all__ = [
     "mean_average_precision",
     "qrels_from_corpus",
     "report_from_pairs",
-    "save_qrels",
 ]

@@ -26,6 +26,7 @@ from pathlib import Path
 from .corpus import Corpus
 from .errors import DataError
 from .textnorm import Analysis, NormConfig, normalize, without_agglutination
+from .tsv import Header, read_rows, write_lines
 
 GENERIC_TERMS = ("fromage", "poisson", "viande")
 
@@ -227,29 +228,21 @@ def save_lexicon(lexicon: IngredientLexicon, path: str | Path) -> None:
         row = lexicon.pair_counts[x]
         for item in sorted(row):
             lines.append(f"pair\t{x}\t{item}\t{row[item]}")
-    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    write_lines(path, lines)
 
 
 def load_lexicon(path: str | Path) -> IngredientLexicon:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != "#lexicon\tv1":
-        raise DataError(f"{path}: not a v1 ingredient lexicon file")
-    entries: set[str] = set()
-    generics: frozenset[str] = frozenset()
-    specializations: dict[str, dict[str, int]] = {}
-    pair_counts: dict[str, dict[str, int]] = {}
-    for line in lines[1:]:
-        cells = line.split("\t")
-        if cells[0] == "#generics":
-            generics = frozenset(cells[1].split(","))
-            specializations = {g: {} for g in generics}
-        elif cells[0] == "entry":
-            entries.add(cells[1])
-        elif cells[0] == "spec":
-            specializations.setdefault(cells[1], {})[cells[2]] = int(cells[3])
-        elif cells[0] == "pair":
-            pair_counts.setdefault(cells[1], {})[cells[2]] = int(cells[3])
-    return IngredientLexicon(entries, generics, specializations, pair_counts)
+    header, body = Header.split(read_rows(path, "#lexicon\tv1"), path)
+    entries: dict[str, None] = {}
+    tables: dict[str, dict[str, dict[str, int]]] = {"spec": {}, "pair": {}}
+    for row in body:
+        if row[0] == "entry":
+            row.put(entries, row[1], None)
+        elif row[0] in tables:
+            row.put(tables[row[0]].setdefault(row[1], {}), row[2], row.int(3))
+    generics = frozenset(header["generics"][1].split(","))
+    specializations = {g: {} for g in generics} | tables["spec"]
+    return IngredientLexicon(set(entries), generics, specializations, tables["pair"])
 
 
 def save_run(run: dict[str, CandidateList], path: str | Path) -> None:
@@ -258,19 +251,14 @@ def save_run(run: dict[str, CandidateList], path: str | Path) -> None:
     for rid in sorted(run):
         for rank, cand in enumerate(run[rid].items, start=1):
             lines.append(f"{rid}\t{rank}\t{cand.ingredient}\t{cand.confidence:.6f}")
-    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    write_lines(path, lines)
 
 
 def load_run(path: str | Path) -> dict[str, list[str]]:
     """Ranked ingredient lists keyed by recipe id."""
     ranked: dict[str, list[tuple[int, str]]] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
-        cells = line.split("\t")
-        if len(cells) < 3:
-            raise DataError(f"{path}:{lineno}: expected id<TAB>rank<TAB>ingredient")
-        ranked.setdefault(cells[0], []).append((int(cells[1]), cells[2]))
+    for row in read_rows(path, error=DataError):
+        ranked.setdefault(row[0], []).append((row.int(1), row[2]))
     return {rid: [ing for _, ing in sorted(pairs)] for rid, pairs in ranked.items()}
 
 

@@ -19,6 +19,7 @@ from pathlib import Path
 from .corpus import Corpus
 from .errors import ConfigError, DataError, ModelMismatchError
 from .textnorm import Analysis
+from .tsv import Header, Row, read_rows, write_lines
 
 SparseVector = dict[str, float]
 
@@ -52,12 +53,16 @@ class LexiconStats:
     class_sizes: dict[str, int]
     terms: dict[str, TermStats]
     feed: Feed = Feed.TITLE_AND_BODY
-    # G(t) per term seen in training, computed once from ``terms``
+    # G(t) per training term and idf per corpus term, computed once from ``terms``
     _gini: dict[str, float] = field(init=False, repr=False, compare=False)
+    _idf: dict[str, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._gini = {}
+        self._idf = {}
         for term, stats in self.terms.items():
+            if stats.df > 0:
+                self._idf[term] = math.log(self.corpus_size / stats.df)
             if stats.df_train == 0:
                 continue
             total = 0.0
@@ -70,10 +75,10 @@ class LexiconStats:
         return feed_tokens(analysis, self.feed)
 
     def idf(self, term: str) -> float:
-        stats = self.terms.get(term)
-        if stats is None or stats.df == 0:
+        idf = self._idf.get(term)
+        if idf is None:
             raise DataError(f"term {term!r} not in lexicon")
-        return math.log(self.corpus_size / stats.df)
+        return idf
 
     def gini(self, term: str) -> float | None:
         """G(t) in [1/|C|, 1], or None for terms unseen in training."""
@@ -140,10 +145,10 @@ def tfidf_vector(analysis: Analysis, stats: LexiconStats) -> SparseVector:
     counts = Counter(stats.tokenize(analysis))
     vector: SparseVector = {}
     for term, tf in counts.items():
-        info = stats.terms.get(term)
-        if info is None or info.df == 0:
+        idf = stats._idf.get(term)
+        if idf is None:
             continue
-        weight = tf * math.log(stats.corpus_size / info.df)
+        weight = tf * idf
         if weight != 0.0:
             vector[term] = weight
     return vector
@@ -285,42 +290,37 @@ def stats_lines(stats: LexiconStats) -> list[str]:
     return lines
 
 
-def stats_from_lines(lines, source: str = "<lines>") -> LexiconStats:
-    header: dict[str, str] = {}
-    rows = []
-    for line in lines:
-        if line.startswith("#"):
-            key, _, value = line[1:].partition("\t")
-            header[key] = value
-        elif line:
-            rows.append(line.split("\t"))
-    if header.get("lexstats") != "v1":
-        raise ModelMismatchError(f"{source}: not a v1 lexstats table")
-    classes = header["classes"].split(",")
-    sizes = [int(x) for x in header["class_sizes"].split(",")]
+def stats_from_rows(rows: list[Row], where) -> LexiconStats:
+    """The statistics in the rows of a stats_lines table, its magic line
+    first; ``where`` names the table in errors."""
+    if not rows or rows[0] != ["#lexstats", "v1"]:
+        raise ModelMismatchError(f"{where}: not a v1 lexstats table")
+    header, body = Header.split(rows[1:], where)
+    classes = header["classes"][1].split(",")
+    sizes = header["class_sizes"].parse(1, lambda cell: [int(n) for n in cell.split(",")])
+    if len(sizes) != len(classes):
+        raise header["class_sizes"].fail(f"expected one size per class {classes}")
     terms: dict[str, TermStats] = {}
-    for row in rows:
-        term, df, df_train = row[0], int(row[1]), int(row[2])
-        df_class = {c: int(v) for c, v in zip(classes, row[3:]) if int(v) > 0}
-        terms[term] = TermStats(df=df, df_train=df_train, df_class=df_class)
+    for row in body:
+        counts = [row.int(i) for i in range(1, 3 + len(classes))]
+        df_class = {cls: n for cls, n in zip(classes, counts[2:]) if n > 0}
+        row.put(terms, row[0], TermStats(df=counts[0], df_train=counts[1], df_class=df_class))
     return LexiconStats(
-        corpus_size=int(header["corpus_size"]),
-        train_size=int(header["train_size"]),
+        corpus_size=header["corpus_size"].int(1),
+        train_size=header["train_size"].int(1),
         classes=classes,
         class_sizes=dict(zip(classes, sizes)),
         terms=terms,
-        feed=Feed(header["feed"]),
+        feed=header["feed"].parse(1, Feed),
     )
 
 
 def save_stats(stats: LexiconStats, path: str | Path) -> None:
-    Path(path).write_text(
-        "".join(line + "\n" for line in stats_lines(stats)), encoding="utf-8")
+    write_lines(path, stats_lines(stats))
 
 
 def load_stats(path: str | Path) -> LexiconStats:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    return stats_from_lines(lines, source=str(path))
+    return stats_from_rows(read_rows(path), path)
 
 
 __all__ = [
@@ -339,7 +339,7 @@ __all__ = [
     "mutual_information_select",
     "numeric_features",
     "save_stats",
-    "stats_from_lines",
+    "stats_from_rows",
     "stats_lines",
     "tfidf_vector",
 ]

@@ -20,6 +20,7 @@ from .features import LexiconStats, SparseVector, tfidf_vector
 from .rng import SplitMix64, mix64
 from .scores import ScoreVector
 from .textnorm import Analysis
+from .tsv import Header, read_rows, write_lines
 
 
 @dataclass(frozen=True)
@@ -170,34 +171,29 @@ def save_ovo(model: OvoModel, path: str | Path) -> None:
         lines.append(f"pair\t{first}\t{second}\t{pair_model.bias:.17g}")
         for term in sorted(pair_model.weights):
             lines.append(f"w\t{term}\t{pair_model.weights[term]:.17g}")
-    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    write_lines(path, lines)
 
 
 def load_ovo(path: str | Path) -> OvoModel:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != "#ovo\tv1":
-        raise ModelMismatchError(f"{path}: not a v1 one-vs-one model file")
-    classes: list[str] = []
-    vocab_filter = None
+    header, body = Header.split(read_rows(path, "#ovo\tv1"), path)
     pair_models: list[PairModel] = []
-    current: PairModel | None = None
-    for line in lines:
-        cells = line.split("\t")
-        if cells[0] == "#classes":
-            classes = cells[1].split(",")
-        elif cells[0] == "#vocab_filter":
-            vocab_filter = frozenset(cells[1].split(","))
-        elif cells[0] == "pair":
-            current = PairModel((cells[1], cells[2]), {}, float(cells[3]))
-            pair_models.append(current)
-        elif cells[0] == "w":
-            if current is None:
-                raise ModelMismatchError(f"{path}: weight line before any pair header")
-            current.weights[cells[1]] = float(cells[2])
-    expected = len(classes) * (len(classes) - 1) // 2
-    if len(pair_models) != expected:
+    for row in body:
+        if row[0] == "w":
+            if not pair_models:
+                raise row.fail("weight line before any pair header")
+            row.put(pair_models[-1].weights, row[1], row.float(2))
+        elif row[0] == "pair":
+            pair_models.append(PairModel((row[1], row[2]), {}, row.float(3)))
+        else:
+            raise row.fail(f"unknown row kind {row[0]!r}")
+    classes = header["classes"][1].split(",")
+    vocab_filter = None
+    if "vocab_filter" in header:
+        vocab_filter = frozenset(header["vocab_filter"][1].split(","))
+    expected = [(a, b) for i, a in enumerate(classes) for b in classes[i + 1:]]
+    if [model.class_pair for model in pair_models] != expected:
         raise ModelMismatchError(
-            f"{path}: {len(pair_models)} pair models for {len(classes)} classes")
+            f"{path}: {len(pair_models)} pair models do not match classes {classes}")
     return OvoModel(pair_models, classes, vocab_filter)
 
 

@@ -44,6 +44,7 @@ from pathlib import Path
 
 from .corpus import Recipe
 from .errors import ConfigError, DataError
+from .tsv import read_rows, write_lines
 
 TokenStream = list[str]
 
@@ -117,29 +118,20 @@ def default_french_numbers(limit: int = 1000) -> dict[int, str]:
 
 def builtin_abbreviations() -> dict[str, str]:
     """The abbreviation table shipped with the package."""
-    text = resources.files("recipetext").joinpath("data/abbreviations.tsv").read_text("utf-8")
-    return _parse_abbrev_tsv(text.splitlines())
+    with resources.as_file(resources.files("recipetext") / "data/abbreviations.tsv") as path:
+        return load_abbrev_table(path)
 
 
 def load_abbrev_table(path: str | Path) -> dict[str, str]:
     """Load a ``short<TAB>long`` abbreviation table from a TSV file."""
-    with open(path, encoding="utf-8") as handle:
-        return _parse_abbrev_tsv(handle)
-
-
-def _parse_abbrev_tsv(lines) -> dict[str, str]:
     table = {}
-    for lineno, line in enumerate(lines, start=1):
-        line = line.rstrip("\n")
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2 or not parts[0] or not parts[1]:
-            raise DataError(f"abbreviation table line {lineno}: expected 'short<TAB>long'")
-        short = parts[0]
+    for row in read_rows(path, error=DataError, comments=True):
+        if len(row) != 2 or not row[0] or not row[1]:
+            raise row.fail("expected 'short<TAB>long'")
+        short = row[0]
         if short != short.lower() or any(ch.isspace() for ch in short):
-            raise DataError(f"abbreviation key {short!r} must be lowercase and whitespace-free")
-        table[short] = parts[1]
+            raise row.fail(f"abbreviation key {short!r} must be lowercase and whitespace-free")
+        table[short] = row[1]
     return table
 
 
@@ -349,16 +341,11 @@ def ngrams(stream: TokenStream, max_n: int) -> Counter:
 
 
 def save_agglutination_model(model: AgglutinationModel, path: str | Path) -> None:
-    lines = sorted(" ".join(gram) for gram in model)
-    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    write_lines(path, sorted(" ".join(gram) for gram in model))
 
 
 def load_agglutination_model(path: str | Path) -> AgglutinationModel:
-    grams = set()
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if line.strip():
-            grams.add(tuple(line.split()))
-    return frozenset(grams)
+    return frozenset(tuple(row[0].split()) for row in read_rows(path))
 
 
 __all__ = [

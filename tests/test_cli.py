@@ -1,10 +1,11 @@
 import json
+import shutil
 import sys
 from pathlib import Path
 
 import pytest
 
-from recipetext import textnorm
+from recipetext import cli, textnorm
 from recipetext.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -109,6 +110,16 @@ class TestClassify:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:model-mismatch:")
 
+    def test_missing_model_file_rejected(self, tmp_path, pipeline, capsys):
+        src, _ = pipeline
+        config = _config(tmp_path)
+        shutil.copytree(src / "models", tmp_path / "models")
+        (tmp_path / "models" / "stats.tsv").unlink()
+        assert main(["--config", str(config), "classify"]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:model-mismatch:")
+        assert "stats.tsv" in err[0]
+
     def test_each_recipe_normalized_once_per_field(self, tmp_path, pipeline, monkeypatch):
         # two normalize calls per test recipe (title, body), plus one per
         # extracted ingredient for the boost features
@@ -181,6 +192,18 @@ class TestExtractAndEvaluate:
         assert out.startswith("map\t")
         assert 0.0 <= float(out.split("\t")[1]) <= 1.0
 
+    def test_extract_checks_hashes_not_task(self, pipeline, tmp_path, capsys):
+        src, _ = pipeline
+        config = _config(tmp_path, task="T4")
+        shutil.copytree(src / "models", tmp_path / "models")
+        assert main(["--config", str(config), "extract"]) == 0
+        with open(tmp_path / "models" / "agglutination.txt", "a", encoding="utf-8") as f:
+            f.write("pâte brisée maison\n")
+        capsys.readouterr()
+        assert main(["--config", str(config), "extract"]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "agglutination.txt" in err[0]
+
     def test_t4_train_extract_evaluate(self, tmp_path, capsys):
         config = _config(tmp_path, task="T4")
         assert main(["--config", str(config), "train"]) == 0
@@ -238,6 +261,13 @@ class TestErrorCodes:
         (models / "boost.model").write_text("#boost\tv999\n", encoding="utf-8")
         assert main(["--config", str(config), "classify"]) == 4
         assert capsys.readouterr().err.startswith("error:model-mismatch:")
+
+    def test_unexpected_exception_is_one_internal_line(self, monkeypatch, capsys):
+        def broken(config):
+            raise RuntimeError("boom")
+        monkeypatch.setattr(cli, "cmd_train", broken)
+        assert main(["train"]) == 1
+        assert capsys.readouterr().err == "error:internal: RuntimeError: boom\n"
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         payload = {"task": "T2", "mystery_knob": 1}

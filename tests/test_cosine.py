@@ -13,7 +13,6 @@ from recipetext.cosine import (
     load_hierarchical,
     load_hierarchy_spec,
     save_hierarchical,
-    save_hierarchy_spec,
     score_cosine,
     train_cosine,
     train_hierarchical,
@@ -188,7 +187,10 @@ class TestHierarchy:
     def test_spec_file_roundtrip(self, tmp_path):
         spec = default_hierarchy("T2")
         path = tmp_path / "hier.tsv"
-        save_hierarchy_spec(spec, path)
+        path.write_text(
+            "stage\talpha=0.5\tDessert=DESSERT\tEntree=AUTRE\tPlatPrincipal=AUTRE\n"
+            "stage\talpha=0.5\tDessert=Dessert\tEntree=Entree\tPlatPrincipal=PlatPrincipal\n",
+            encoding="utf-8")
         reloaded = load_hierarchy_spec(path)
         assert reloaded == spec
 

@@ -2,7 +2,8 @@ import pytest
 
 from oracles import ap_oracle, map_oracle, mean_distance_oracle, prf_oracle
 
-from recipetext.corpus import Corpus, Difficulty, LabelKind, Recipe
+from recipetext import evaluation
+from recipetext.corpus import Corpus, Difficulty, LabelKind, Recipe, load_corpus
 from recipetext.errors import DataError
 from recipetext.evaluation import (
     QrelSet,
@@ -12,8 +13,8 @@ from recipetext.evaluation import (
     mean_average_precision,
     qrels_from_corpus,
     report_from_pairs,
-    save_qrels,
 )
+from recipetext.extraction import canonical_form
 from recipetext.rng import SplitMix64
 from recipetext.textnorm import NormConfig
 
@@ -176,8 +177,27 @@ class TestQrelIo:
     def test_roundtrip(self, tmp_path):
         qrels = QrelSet({"r1": {"oeuf", "sucre"}, "r2": {"sel"}})
         path = tmp_path / "qrels.tsv"
-        save_qrels(qrels, path)
+        path.write_text("r1\t0\toeuf\t1\nr1\t0\tsucre\t1\nr2\t0\tsel\t1\n",
+                        encoding="utf-8")
         assert load_qrels(path).gold == qrels.gold
+
+    def test_from_corpus_canonicalizes_each_item_once(self, fixtures_dir, monkeypatch):
+        corpus = load_corpus(fixtures_dir / "golden60.xml")
+        norm = NormConfig(agglutinate=True)
+        items = [item for r in corpus for item in r.gold_ingredients or []]
+        expected = {r.id: {canonical_form(i, norm) for i in r.gold_ingredients or []} - {""}
+                    for r in corpus}
+        calls = []
+
+        def counting(item, config):
+            calls.append(item)
+            assert not config.agglutinate  # the plain config is built once, up front
+            return canonical_form(item, config)
+
+        monkeypatch.setattr(evaluation, "canonical_form", counting)
+        assert qrels_from_corpus(corpus, norm).gold == expected
+        assert len(items) > len(set(items))
+        assert sorted(calls) == sorted(set(items))
 
     def test_from_corpus(self, mini6_dish):
         config = NormConfig()
