@@ -20,7 +20,23 @@ and takes its absent block as the complement (Schapire & Singer,
 1999), so a round costs O(sum of present-block sizes) rather than
 O(candidates * documents). Candidates that mark the same documents
 would score the same Z bit for bit, so only the first of them in sort
-order is kept.
+order is kept. Each candidate's present block, and the full document
+range, are split once per fit into per-class index lists (docs with
+the class, docs without it), so a block sum is one loop over a weight
+column.
+
+With smoothed votes Z has a closed form: exp(-v) = r with
+r = sqrt((W- + eps)/(W+ + eps)), so each block and class adds
+W+*r + W-/r, one ``sqrt`` instead of a ``log`` and two ``exp``. That
+closed form is only a filter. A round walks the candidates in sort
+order with a cutoff, the smallest closed-form Z so far times
+(1 + 1e-9); a candidate above the cutoff is skipped, and the others
+get the exact Z (the log/exp formula below) and compete on
+(Z, sort key). Both forms are sums of non-negative terms that agree to
+a few ulps, far inside the 1e-9 slack, so the exact argmin, and every
+candidate tied with it, always passes the cutoff: the filter changes
+no pick and no bit of the model. Ranking on the closed form itself
+would, since it can order a near-tie the other way.
 
 Everything is accumulated in a documented deterministic order (totals
 over docs ascending, the present block over docs ascending, the absent
@@ -40,11 +56,14 @@ from .corpus import Corpus
 from .errors import ConfigError, DataError, ModelMismatchError
 from .features import NUMERIC_FIELDS, numeric_features
 from .scores import ScoreVector
+from .summation import ordered_sum
 from .textnorm import Analysis, ngrams
 from .tsv import Header, read_rows, write_lines
 
 TEXT_FIELDS = [("title", 3), ("body", 4), ("ingredients", 1)]
 FIELD_ORDER = [name for name, _ in TEXT_FIELDS] + NUMERIC_FIELDS
+# closed-form and exact Z differ by a few ulps; see the module docstring
+_Z_SLACK = 1.0 + 1e-9
 
 
 @dataclass
@@ -159,28 +178,35 @@ def _candidates(ids, feats: dict[str, BoostFeatures]) -> list[_Candidate]:
     return out
 
 
-def _block_weights(indices, dist, y, n_classes):
-    w_plus = [0.0] * n_classes
-    w_minus = [0.0] * n_classes
-    for i in indices:
-        row_d = dist[i]
-        row_y = y[i]
-        for ci in range(n_classes):
-            if row_y[ci] > 0:
-                w_plus[ci] += row_d[ci]
-            else:
-                w_minus[ci] += row_d[ci]
-    return w_plus, w_minus
+def _class_split(docs, label_of, k):
+    """Per class, the ascending docs labelled with it and the ascending
+    docs that are not."""
+    return [([i for i in docs if label_of[i] == ci], [i for i in docs if label_of[i] != ci])
+            for ci in range(k)]
+
+
+def _block_sums(split, cols, totals):
+    """Per-class (W+, W-) of a present block and of its absent block.
+
+    ``split`` is the block's _class_split, ``cols[c][i]`` is doc i's
+    weight for class c and ``totals`` holds the per-class (W+, W-) over
+    all documents. Each present sum adds its docs in ascending order; an
+    absent weight is total - present, 0.0 unless positive (rounding can
+    push it below 0.0).
+    """
+    w1p, w1m, w0p, w0m = [], [], [], []
+    for (pos, neg), col, (tp, tm) in zip(split, cols, totals):
+        wp = ordered_sum(map(col.__getitem__, pos))
+        wm = ordered_sum(map(col.__getitem__, neg))
+        w1p.append(wp)
+        w1m.append(wm)
+        w0p.append(max(0.0, tp - wp))
+        w0m.append(max(0.0, tm - wm))
+    return w1p, w1m, w0p, w0m
 
 
 def _votes(w_plus, w_minus, eps):
     return [0.5 * math.log((wp + eps) / (wm + eps)) for wp, wm in zip(w_plus, w_minus)]
-
-
-def _complement(total, block):
-    """Per-class weights outside a block: total - block, clamped at 0.0
-    against rounding."""
-    return [max(0.0, t - w) for t, w in zip(total, block)]
 
 
 def train_boost(train: Corpus, dev: Corpus | None, features: dict[str, BoostFeatures],
@@ -205,12 +231,16 @@ def train_boost(train: Corpus, dev: Corpus | None, features: dict[str, BoostFeat
         if rid not in features:
             raise DataError(f"no features supplied for training recipe {rid!r}")
 
-    y = [[1 if class_index[labels[rid]] == ci else -1 for ci in range(k)] for rid in ids]
+    label_of = [class_index[labels[rid]] for rid in ids]
+    y = [[1 if label_of[i] == ci else -1 for ci in range(k)] for i in range(n)]
     dist = [[1.0 / (n * k)] * k for _ in range(n)]
     candidates = _candidates(ids, features)
     if not candidates:
         raise DataError("no candidate weak hypotheses (corpus too small or uniform)")
+    everyone = _class_split(range(n), label_of, k)
+    splits = [_class_split(cand.present, label_of, k) for cand in candidates]
     eps = config.smoothing_epsilon
+    sqrt = math.sqrt
 
     dev_ids = [r.id for r in dev.recipes] if dev is not None else []
     for rid in dev_ids:
@@ -223,13 +253,36 @@ def train_boost(train: Corpus, dev: Corpus | None, features: dict[str, BoostFeat
     best_round = 0
 
     for round_no in range(1, config.max_rounds + 1):
+        cols = list(zip(*dist))
+        totals = [(ordered_sum(map(col.__getitem__, pos)),
+                   ordered_sum(map(col.__getitem__, neg)))
+                  for (pos, neg), col in zip(everyone, cols)]
         best_key = None
-        best_cand = None
-        best_votes = None
-        total_p, total_m = _block_weights(range(n), dist, y, k)
-        for cand in candidates:
-            w1p, w1m = _block_weights(cand.present, dist, y, k)
-            w0p, w0m = _complement(total_p, w1p), _complement(total_m, w1m)
+        cutoff = math.inf
+        for cand, split in zip(candidates, splits):
+            # closed-form Z, a filter only (see the module docstring); the
+            # block sums are _block_sums', inlined
+            fz = 0.0
+            for (pos, neg), col, (tp, tm) in zip(split, cols, totals):
+                wp = 0.0
+                for i in pos:
+                    wp += col[i]
+                wm = 0.0
+                for i in neg:
+                    wm += col[i]
+                ap = tp - wp
+                if not ap > 0.0:
+                    ap = 0.0
+                am = tm - wm
+                if not am > 0.0:
+                    am = 0.0
+                r = sqrt((wm + eps) / (wp + eps))
+                r0 = sqrt((am + eps) / (ap + eps))
+                fz += wp * r + wm / r + ap * r0 + am / r0
+            if fz > cutoff:
+                continue
+            cutoff = min(cutoff, fz * _Z_SLACK)
+            w1p, w1m, w0p, w0m = _block_sums(split, cols, totals)
             vp = _votes(w1p, w1m, eps)
             va = _votes(w0p, w0m, eps)
             z = 0.0
@@ -371,7 +424,7 @@ def load_boost(path: str | Path) -> BoostModel:
         kind = row[0]
         if kind not in ("text", "numeric"):
             raise row.fail(f"unknown row kind {kind!r}")
-        votes = [row.float(i) for i in range(3, 3 + 2 * k)]
+        votes = row.floats(3, 3 + 2 * k)
         rounds.append(WeakHypothesis(
             kind=kind,
             field=row[1],

@@ -174,7 +174,7 @@ def _analyze_corpus(corpus: Corpus, norm: NormConfig):
     None). The model is fitted on the plain streams, which are then
     merged without being normalized again."""
     plain = without_agglutination(norm)
-    analyses = {r.id: analyze(r, plain) for r in corpus}
+    analyses = {r.id: analyze(r, plain, intern_tokens=True) for r in corpus}
     if not norm.agglutinate:
         return analyses, None
     agglut = fit_agglutinator(analyses, norm)
@@ -315,7 +315,7 @@ def _save_score_tsv(vectors: list[ScoreVector], classes: list[str], method: str,
 def _load_score_tsv(path: Path) -> list[ScoreVector]:
     header, rows = Header.split(read_rows(path, "#scores\tv1"), path)
     method, classes = header["method"][1], header["classes"][1].split(",")
-    return [ScoreVector(row[0], method, {c: row.float(i) for i, c in enumerate(classes, 1)})
+    return [ScoreVector(row[0], method, dict(zip(classes, row.floats(1, 1 + len(classes)))))
             for row in rows]
 
 

@@ -185,6 +185,16 @@ class HierarchySpec:
     def leaves(self) -> list[str]:
         return sorted(self.stages[0].grouping)
 
+    def contexts(self) -> dict[tuple[int, str], list[str]]:
+        """(stage index, context) -> the sorted groups the context's
+        leaves go to at that stage, keys in sorted order."""
+        groups: dict[tuple[int, str], set[str]] = {}
+        for stage_idx, stage in enumerate(self.stages):
+            for leaf in self.leaves():
+                key = (stage_idx, _context_of(self, stage_idx, leaf))
+                groups.setdefault(key, set()).add(stage.grouping[leaf])
+        return {key: sorted(groups[key]) for key in sorted(groups)}
+
 
 def default_hierarchy(task: str) -> HierarchySpec:
     """The shipped two-stage hierarchies.
@@ -245,25 +255,23 @@ def train_hierarchical(train: Corpus, full: Corpus, spec: HierarchySpec,
         raise DataError(f"training labels {missing} absent from the hierarchy spec")
 
     stage_models: dict[tuple[int, str], dict[Feed, CosineModel]] = {}
-    for stage_idx, stage in enumerate(spec.stages):
-        contexts = sorted({_context_of(spec, stage_idx, leaf) for leaf in spec.leaves()})
-        for context in contexts:
-            member_leaves = {leaf for leaf in spec.leaves()
-                             if _context_of(spec, stage_idx, leaf) == context}
-            groups = sorted({stage.grouping[leaf] for leaf in member_leaves})
-            if len(groups) < 2:
-                continue
-            subset_ids = {rid for rid, leaf in leaf_labels.items() if leaf in member_leaves}
-            subset = Corpus([r for r in train.recipes if r.id in subset_ids],
-                            train.label_kind)
-            group_labels = {rid: stage.grouping[leaf_labels[rid]] for rid in subset_ids}
-            per_feed = {}
-            for feed in (Feed.TITLE_ONLY, Feed.TITLE_AND_BODY):
-                stats = build_stats(subset, full, analyses, feed=feed,
-                                    labels=group_labels)
-                per_feed[feed] = train_cosine(subset, stats, gini_threshold, mode,
-                                              labels=group_labels)
-            stage_models[(stage_idx, context)] = per_feed
+    for (stage_idx, context), groups in spec.contexts().items():
+        if len(groups) < 2:
+            continue
+        stage = spec.stages[stage_idx]
+        member_leaves = {leaf for leaf in spec.leaves()
+                         if _context_of(spec, stage_idx, leaf) == context}
+        subset_ids = {rid for rid, leaf in leaf_labels.items() if leaf in member_leaves}
+        subset = Corpus([r for r in train.recipes if r.id in subset_ids],
+                        train.label_kind)
+        group_labels = {rid: stage.grouping[leaf_labels[rid]] for rid in subset_ids}
+        per_feed = {}
+        for feed in (Feed.TITLE_ONLY, Feed.TITLE_AND_BODY):
+            stats = build_stats(subset, full, analyses, feed=feed,
+                                labels=group_labels)
+            per_feed[feed] = train_cosine(subset, stats, gini_threshold, mode,
+                                          labels=group_labels)
+        stage_models[(stage_idx, context)] = per_feed
     return HierarchicalCosineModel(spec, stage_models)
 
 
@@ -318,6 +326,17 @@ def _scalar_lines(magic: str, threshold: float, mode: str, method_id: str) -> li
             f"#method_id\t{method_id}"]
 
 
+def _scalars(header: Header) -> tuple[float, str, str]:
+    """The threshold, mode and method id on a model file's _scalar_lines."""
+    threshold = header["threshold"].float(1)
+    if not 0.0 <= threshold <= 1.0:
+        raise header["threshold"].fail(f"threshold {threshold!r} outside [0, 1]")
+    mode = header["mode"][1]
+    if mode not in (STANDARD, LITERAL):
+        raise header["mode"].fail(f"unknown denominator mode {mode!r}")
+    return threshold, mode, header["method_id"][1]
+
+
 def save_cosine(model: CosineModel, path: str | Path,
                 class_boosts: dict[tuple[str, str], int] | None = None) -> None:
     lines = _scalar_lines("#cosine\tv1", model.gini_threshold, model.denominator_mode,
@@ -337,9 +356,9 @@ def load_cosine(path: str | Path, stats: LexiconStats) -> CosineModel:
             raise row.fail(f"unknown row kind {row[0]!r}")
         row.put(boosts, (row[1], row[2]), row.int(3))
     classes = header["classes"][1].split(",")
-    threshold = header["threshold"].float(1)
+    threshold, mode, method_id = _scalars(header)
     vectors = build_class_vectors(stats, classes, threshold, boosts or None)
-    return CosineModel(vectors, stats, threshold, header["mode"][1], header["method_id"][1])
+    return CosineModel(vectors, stats, threshold, mode, method_id)
 
 
 def save_hierarchical(model: HierarchicalCosineModel, path: str | Path) -> None:
@@ -365,29 +384,40 @@ def load_hierarchical(path: str | Path) -> HierarchicalCosineModel:
     contexts: list[tuple[Row, list[Row]]] = []  # (#begin_context row, its stats rows)
     block = None
     for row in read_rows(path, "#cosine_hier\tv1"):
-        if row[0] == "#begin_context":
+        tag = row[0]
+        if tag == "#begin_context":
             block = []
             contexts.append((row, block))
-        elif row[0] == "#end_context":
+        elif tag == "#end_context":
             block = None
         elif block is not None:
             block.append(row)
-        elif row[0] == "#stage":
+        elif tag == "#stage":
             stages.append(_parse_stage(row))
-        elif row[0].startswith("#"):
+        elif tag.startswith("#"):
             header.put(row)
         else:
             raise row.fail("row outside a #begin_context block")
-    threshold = header["threshold"].float(1)
-    mode, method_id = header["mode"][1], header["method_id"][1]
+    threshold, mode, method_id = _scalars(header)
+    try:
+        spec = HierarchySpec(tuple(stages))
+    except ConfigError as exc:
+        raise ModelMismatchError(f"{path}: #stage lines: {exc}") from None
+    expected = {key: groups for key, groups in spec.contexts().items() if len(groups) > 1}
     stage_models: dict[tuple[int, str], dict[Feed, CosineModel]] = {}
     for begin, rows in contexts:
         stats = stats_from_rows(rows, f"{path}:{begin.lineno}")
-        vectors = build_class_vectors(stats, begin[4].split(","), threshold)
-        per_feed = stage_models.setdefault((begin.int(1), begin[2]), {})
-        begin.put(per_feed, begin.parse(3, Feed),
+        key, classes = (begin.int(1), begin[2]), begin[4].split(",")
+        if classes != expected.get(key) or stats.classes != classes:
+            raise begin.fail(f"context classes {classes} do not match the #stage "
+                             f"groups {expected.get(key)}")
+        vectors = build_class_vectors(stats, classes, threshold)
+        begin.put(stage_models.setdefault(key, {}), begin.parse(3, Feed),
                   CosineModel(vectors, stats, threshold, mode, method_id))
-    return HierarchicalCosineModel(HierarchySpec(tuple(stages)), stage_models, method_id)
+    missing = [key for key in expected if len(stage_models.get(key, ())) < 2]
+    if missing:
+        raise ModelMismatchError(f"{path}: no title and title_body models for {missing}")
+    return HierarchicalCosineModel(spec, stage_models, method_id)
 
 
 # --------------------------------------------------------------------

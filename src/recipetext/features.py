@@ -301,10 +301,11 @@ def stats_from_rows(rows: list[Row], where) -> LexiconStats:
     if len(sizes) != len(classes):
         raise header["class_sizes"].fail(f"expected one size per class {classes}")
     terms: dict[str, TermStats] = {}
+    width = 3 + len(classes)
     for row in body:
-        counts = [row.int(i) for i in range(1, 3 + len(classes))]
-        df_class = {cls: n for cls, n in zip(classes, counts[2:]) if n > 0}
-        row.put(terms, row[0], TermStats(df=counts[0], df_train=counts[1], df_class=df_class))
+        df, df_train, *per_class = row.ints(1, width)
+        df_class = {cls: n for cls, n in zip(classes, per_class) if n > 0}
+        row.put(terms, row[0], TermStats(df=df, df_train=df_train, df_class=df_class))
     return LexiconStats(
         corpus_size=header["corpus_size"].int(1),
         train_size=header["train_size"].int(1),

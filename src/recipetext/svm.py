@@ -83,9 +83,12 @@ def train_pair(docs: list[tuple[str, SparseVector, int]], config: SvmConfig,
     bias follows violations unregularized.
     """
     lam = config.regularization
-    weights: SparseVector = {}
+    # w is held as slot[term] -> index into vals, slots in first-use order
+    slot: dict[str, int] = {}
+    vals: list[float] = []
     bias = 0.0
     rng = SplitMix64(pair_seed)
+    items = [(sorted(vector.items()), y) for _, vector, y in docs]
     order = list(range(len(docs)))
     t = 0
     for _ in range(config.epochs):
@@ -93,21 +96,26 @@ def train_pair(docs: list[tuple[str, SparseVector, int]], config: SvmConfig,
         for idx in order:
             t += 1
             eta = 1.0 / (lam * t)
-            _, vector, y = docs[idx]
+            terms, y = items[idx]
             total = 0.0
-            for term in sorted(vector):
-                w = weights.get(term)
-                if w is not None:
-                    total += w * vector[term]
+            for term, x in terms:
+                j = slot.get(term)
+                if j is not None:
+                    total += vals[j] * x
             violated = y * (total + bias) < 1.0
             decay = 1.0 - eta * lam
-            for term in list(weights):
-                weights[term] *= decay
+            vals = [w * decay for w in vals]
             if violated:
-                for term in sorted(vector):
-                    weights[term] = weights.get(term, 0.0) + eta * y * vector[term]
-                bias += eta * y
-    weights = {t_: w for t_, w in weights.items() if w != 0.0}
+                step = eta * y
+                for term, x in terms:
+                    j = slot.get(term)
+                    if j is None:
+                        slot[term] = len(vals)
+                        vals.append(0.0 + step * x)
+                    else:
+                        vals[j] += step * x
+                bias += step
+    weights = {term: vals[j] for term, j in slot.items() if vals[j] != 0.0}
     return PairModel(pair, weights, bias)
 
 

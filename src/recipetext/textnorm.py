@@ -29,7 +29,9 @@ stream followed by the plain body stream because "\n" is a hard
 boundary for every step before merging: no token pattern matches
 across it, NFC composes no mark onto it, ``lower()`` reads no
 final-sigma context through it, and abbreviations and numbers are
-rewritten token by token.
+rewritten token by token. Merged n-grams are interned, and so are the
+plain tokens when ``analyze`` is asked to, so that the analyses of a
+corpus held in memory share one string per distinct token.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
+from sys import intern
 
 from .corpus import Recipe
 from .errors import ConfigError, DataError
@@ -208,7 +211,7 @@ def _merge_ngrams(tokens: Sequence[str], model: AgglutinationModel, max_n: int) 
         merged = False
         for n in range(max_n, 1, -1):
             if i + n <= len(tokens) and tuple(tokens[i:i + n]) in model:
-                out.append("_".join(tokens[i:i + n]))
+                out.append(intern("_".join(tokens[i:i + n])))
                 i += n
                 merged = True
                 break
@@ -263,15 +266,21 @@ class Analysis:
 
 
 def analyze(recipe: Recipe, config: NormConfig,
-            agglutination_model: AgglutinationModel | None = None) -> Analysis:
+            agglutination_model: AgglutinationModel | None = None, *,
+            intern_tokens: bool = False) -> Analysis:
     """Normalize a recipe's title and body once into every token view.
 
     With ``config.agglutinate`` a fitted model (see fit_agglutinator)
-    must be supplied.
+    must be supplied. ``intern_tokens`` interns the plain tokens, which
+    pays off when a whole corpus's analyses are kept together; a caller
+    that drops each analysis after one recipe would only pay for it.
     """
     plain_config = without_agglutination(config)
-    title = tuple(normalize(recipe.title, plain_config))
-    body = tuple(normalize(recipe.body, plain_config))
+    title = normalize(recipe.title, plain_config)
+    body = normalize(recipe.body, plain_config)
+    if intern_tokens:
+        title, body = map(intern, title), map(intern, body)
+    title, body = tuple(title), tuple(body)
     joined = title + body
     analysis = Analysis(recipe, joined, len(title), title, body, joined)
     if config.agglutinate:

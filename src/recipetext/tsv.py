@@ -53,6 +53,30 @@ class Row(list):
             raise self.fail(f"bad cell {index + 1}: {value!r}")
         return value
 
+    def floats(self, start: int, stop: int | None = None) -> list[float]:
+        """Cells ``start`` up to ``stop`` (default: the last) as finite floats."""
+        cells = self._cells(start, stop)
+        try:
+            values = list(map(float, cells))
+            if all(map(math.isfinite, values)):
+                return values
+        except ValueError:
+            pass
+        return [self.float(i) for i in range(start, start + len(cells))]  # names the bad cell
+
+    def ints(self, start: int, stop: int | None = None) -> list[int]:
+        """Cells ``start`` up to ``stop`` (default: the last) as ints."""
+        cells = self._cells(start, stop)
+        try:
+            return list(map(int, cells))
+        except ValueError:
+            return [self.int(i) for i in range(start, start + len(cells))]  # names the bad cell
+
+    def _cells(self, start: int, stop: int | None) -> list[str]:
+        if stop is not None and len(self) < stop:
+            raise self.fail(f"expected at least {stop} cells, got {len(self)}")
+        return list.__getitem__(self, slice(start, stop))
+
     def put(self, table: dict, key, value) -> None:
         """``table[key] = value``; a repeated key names the row."""
         if key in table:

@@ -8,6 +8,8 @@ the manifest check stops it first, so the artifact loaders are also
 called directly on each faulted file.
 """
 
+import hashlib
+import json
 import re
 import shutil
 from pathlib import Path
@@ -158,6 +160,64 @@ def test_loader_rejects_faulted_artifact(models, tmp_path, fault, name):
         _load(path, models)
     if fault in ROW_FAULTS:
         assert re.search(re.escape(str(path)) + r":\d+: ", str(info.value))
+
+
+def _replace_line(prefix, new):
+    """Replace the first line starting with ``prefix`` by ``new``."""
+    def edit(lines):
+        i = next(i for i, line in enumerate(lines) if line.startswith(prefix))
+        return lines[:i] + [new] + lines[i + 1:]
+    return edit
+
+
+def _drop_last_context(lines):
+    start = _last(lines, lambda line: line.startswith("#begin_context\t"))
+    end = lines.index("#end_context", start)
+    return lines[:start] + lines[end + 1:]
+
+
+# Well-formed cosine models whose parts disagree with each other or lie
+# out of range; the manifest is re-hashed, so only the loader can catch them.
+INCONSISTENT = {
+    "swapped_stage_groups": ("cosine_hier.model", _replace_line(
+        "#stage\t", "#stage\talpha=0.5\tDessert=AUTRE\tEntree=DESSERT\tPlatPrincipal=AUTRE")),
+    "final_stage_not_leaves": ("cosine_hier.model", _replace_line(
+        "#stage\talpha=0.5\tDessert=Dessert",
+        "#stage\talpha=0.5\tDessert=Dessert\tEntree=PlatPrincipal\tPlatPrincipal=PlatPrincipal")),
+    "stage_missing_leaf": ("cosine_hier.model", _replace_line(
+        "#stage\talpha=0.5\tDessert=Dessert",
+        "#stage\talpha=0.5\tDessert=Dessert\tEntree=Entree")),
+    "context_classes": ("cosine_hier.model", _replace_line(
+        "#begin_context\t0\t__root__\ttitle\t",
+        "#begin_context\t0\t__root__\ttitle\tAUTRE,DESSERT,Entree")),
+    "missing_context": ("cosine_hier.model", _drop_last_context),
+    "hier_threshold_above_one": ("cosine_hier.model", _replace_line("#threshold\t",
+                                                                    "#threshold\t1.5")),
+    "flat_threshold_negative": ("cosine_flat.model", _replace_line("#threshold\t",
+                                                                   "#threshold\t-0.25")),
+    "flat_unknown_mode": ("cosine_flat.model", _replace_line("#mode\t", "#mode\tcosine")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INCONSISTENT))
+def test_classify_rejects_inconsistent_cosine_model(models, tmp_path, capsys, case):
+    name, edit = INCONSISTENT[case]
+    faulted = tmp_path / "models"
+    shutil.copytree(models, faulted)
+    lines = edit((faulted / name).read_text(encoding="utf-8").splitlines())
+    (faulted / name).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    manifest = json.loads((faulted / "manifest.json").read_text(encoding="utf-8"))
+    manifest["files"][name] = hashlib.sha256((faulted / name).read_bytes()).hexdigest()
+    (faulted / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    with pytest.raises(ModelMismatchError, match=re.escape(str(faulted / name))):
+        _load(faulted / name, models)
+    capsys.readouterr()
+    code = main(_argv(faulted, "--run-dir", str(tmp_path / "runs"), "classify"))
+    err = capsys.readouterr().err
+    assert code == 4
+    assert len(err.splitlines()) == 1 and err.startswith("error:model-mismatch:")
+    assert name in err and "Traceback" not in err
+    assert not list(tmp_path.glob("runs/scores_*.tsv"))
 
 
 def test_intact_artifacts_load(models):

@@ -4,13 +4,14 @@ import pytest
 
 from oracles import adaboost_oracle
 
+import recipetext.boost as boost_mod
 from recipetext.boost import (
     NUMERIC_FIELDS,
     TEXT_FIELDS,
     BoostConfig,
-    _block_weights,
+    _block_sums,
     _candidates,
-    _complement,
+    _class_split,
     _votes,
     load_boost,
     margins,
@@ -19,7 +20,7 @@ from recipetext.boost import (
     score_boost,
     train_boost,
 )
-from recipetext.corpus import Corpus, DishType, LabelKind, Recipe
+from recipetext.corpus import Corpus, DishType, LabelKind, Recipe, load_corpus
 from recipetext.errors import DataError, ModelMismatchError
 from recipetext.textnorm import NormConfig, analyze, normalize
 
@@ -159,6 +160,100 @@ class TestTrainBoost:
         assert p1.read_bytes() == p2.read_bytes()
 
 
+def _mirror_tie():
+    """Two title words, "poivre" and "sucre", each in two desserts and one
+    starter; every other word is in every recipe or in one recipe only,
+    and all numeric features are equal. The two stumps have the same
+    block sizes, so in round one their block sums, and so their exact Z,
+    are equal bit for bit."""
+    words = ["poivre", "poivre", "sucre", "sucre", "poivre", "sucre", "miel", "thym"]
+    return Corpus([Recipe(f"r{i}", word, "melanger le tout.",
+                          dish_type=DishType.Dessert if i < 4 else DishType.Entree)
+                   for i, word in enumerate(words)], LabelKind.DISH_TYPE)
+
+
+def _exact_z(present, labels, classes, eps):
+    """Round-one Z of a stump, straight from its definition."""
+    n, k = len(labels), len(classes)
+    z = 0.0
+    for block in (present, [i for i in range(n) if i not in present]):
+        for cls in classes:
+            wp = sum(1.0 / (n * k) for i in block if labels[i] == cls)
+            wm = sum(1.0 / (n * k) for i in block if labels[i] != cls)
+            v = 0.5 * math.log((wp + eps) / (wm + eps))
+            z += wp * math.exp(-v) + wm * math.exp(v)
+    return z
+
+
+def _golden60_fit(fixtures_dir, kind):
+    corpus = load_corpus(fixtures_dir / "golden60.xml", kind)
+    feats = _features_for(corpus)
+    return corpus, feats, train_boost(corpus, None, feats, BoostConfig(max_rounds=30))
+
+
+class TestRoundKernel:
+    def test_exact_z_tie_picks_the_smaller_sort_key(self):
+        corpus = _mirror_tie()
+        feats = _features_for(corpus)
+        ids = [r.id for r in corpus.recipes]
+        labels = [corpus.labels()[rid] for rid in ids]
+        title = {c.ngram: c for c in _candidates(ids, feats) if c.field == "title"}
+        assert set(title) == {"poivre", "sucre"}
+        first, second = title["poivre"], title["sucre"]
+        assert first.sort_key < second.sort_key and first.present != second.present
+        z = {gram: _exact_z(c.present, labels, sorted(set(labels)), 1e-3)
+             for gram, c in title.items()}
+        assert z["poivre"] == z["sucre"]
+        model = train_boost(corpus, None, feats, BoostConfig(max_rounds=1))
+        assert (model.rounds[0].field, model.rounds[0].ngram) == ("title", "poivre")
+        assert model.history[0].z < 1.0
+
+    def test_slack_keeps_the_exact_winner_of_a_near_tie(self, monkeypatch):
+        # "body_words > 2" has the smaller exact Z here, by a few ulps,
+        # but the larger closed-form Z than the earlier "title_words > 2.5"
+        rows = [("creme farine lait", "beurre.", DishType.Entree),
+                ("creme beurre", "thym miel sucre.", DishType.PlatPrincipal),
+                ("thym", "poivre sucre miel oeuf.", DishType.Dessert),
+                ("thym oeuf miel", "oeuf sel thym.", DishType.Dessert),
+                ("thym", "lait sucre sel thym.", DishType.PlatPrincipal),
+                ("miel sel sucre", "oeuf.", DishType.Entree),
+                ("creme", "farine.", DishType.PlatPrincipal),
+                ("oeuf lait", "beurre sel farine poivre.", DishType.Dessert)]
+        corpus = Corpus([Recipe(f"r{i}", title, body, dish_type=dish)
+                         for i, (title, body, dish) in enumerate(rows)], LabelKind.DISH_TYPE)
+        feats = _features_for(corpus)
+
+        def first_pick():
+            hyp = train_boost(corpus, None, feats, BoostConfig(max_rounds=1)).rounds[0]
+            return hyp.field, hyp.threshold
+
+        assert first_pick() == ("body_words", 2.0)
+        monkeypatch.setattr(boost_mod, "_Z_SLACK", math.inf)
+        assert first_pick() == ("body_words", 2.0)
+        monkeypatch.setattr(boost_mod, "_Z_SLACK", 1.0)
+        assert first_pick() == ("title_words", 2.5)
+
+    def test_golden60_picks_match_oracle(self, fixtures_dir):
+        corpus, feats, model = _golden60_fit(fixtures_dir, LabelKind.DISH_TYPE)
+        ids, doc_features, candidates = _oracle_inputs(corpus, feats)
+        labels = [corpus.labels()[rid] for rid in ids]
+        picked, _, _, _ = adaboost_oracle(doc_features, labels, model.classes,
+                                          candidates, 30, 1e-3)
+        assert len(model.rounds) == len(picked) == 30
+        assert ([(h.kind, h.field, h.ngram, h.threshold) for h in model.rounds]
+                == [p[:4] for p in picked])
+
+    @pytest.mark.parametrize("kind", [LabelKind.DIFFICULTY, LabelKind.DISH_TYPE])
+    def test_filter_never_changes_a_pick(self, fixtures_dir, monkeypatch, kind):
+        # an infinite slack lets every candidate through to its exact Z
+        _, _, filtered = _golden60_fit(fixtures_dir, kind)
+        monkeypatch.setattr(boost_mod, "_Z_SLACK", math.inf)
+        _, _, unfiltered = _golden60_fit(fixtures_dir, kind)
+        assert len(filtered.rounds) == 30
+        assert filtered.rounds == unfiltered.rounds
+        assert filtered.history == unfiltered.history
+
+
 class TestCandidates:
     def test_one_candidate_per_document_set(self, boost40):
         feats = _features_for(boost40)
@@ -202,13 +297,14 @@ class TestCandidates:
                       if c.present == list(range(n))]
         assert [c.ngram for c in everywhere] == ["plat"]
         k = 2
-        y = [[1, -1] if i % 2 == 0 else [-1, 1] for i in range(n)]
+        label_of = [i % 2 for i in range(n)]
         raw = [[1.0 / (3 + i + 7 * ci) for ci in range(k)] for i in range(n)]
         scale = sum(sum(row) for row in raw)
-        dist = [[w / scale for w in row] for row in raw]
-        total_p, total_m = _block_weights(range(n), dist, y, k)
-        w1p, w1m = _block_weights(everywhere[0].present, dist, y, k)
-        w0p, w0m = _complement(total_p, w1p), _complement(total_m, w1m)
+        cols = list(zip(*[[w / scale for w in row] for row in raw]))
+        total_p, total_m, _, _ = _block_sums(_class_split(range(n), label_of, k), cols,
+                                             [(0.0, 0.0)] * k)
+        w1p, w1m, w0p, w0m = _block_sums(_class_split(everywhere[0].present, label_of, k),
+                                         cols, list(zip(total_p, total_m)))
         assert w0p == [0.0] * k and w0m == [0.0] * k
         votes = _votes(w0p, w0m, 1e-3) + _votes(w1p, w1m, 1e-3)
         assert all(math.isfinite(v) for v in votes)

@@ -161,6 +161,17 @@ class TestAnalysis:
         assert analysis.plain == tuple(normalize(title + "\n" + body, config))
         assert analysis.plain[:analysis.title_end] == tuple(normalize(title, config))
 
+    def test_views_share_one_string_per_token(self):
+        config = NormConfig(agglutinate=True)
+        model = frozenset({("four", "chaud")})
+        first = analyze(Recipe("a", "Gratin au four", "four chaud."), config, model,
+                        intern_tokens=True)
+        second = analyze(Recipe("b", "Four chaud", "gratin."), config, model,
+                         intern_tokens=True)
+        assert first.title[0] is second.body[0] == "gratin"
+        assert first.title[2] is first.plain[3] is second.plain[0] == "four"
+        assert first.body[0] is first.title_body[3] is second.title[0] == "four_chaud"
+
     def test_ngram_spanning_the_boundary_merges_in_title_body_only(self):
         config = NormConfig(agglutinate=True)
         model = frozenset({("four", "chaud")})

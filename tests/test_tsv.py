@@ -48,6 +48,9 @@ class TestRow:
     def test_typed_cells(self, tmp_path):
         _, (row,) = _rows(tmp_path, "k\t7\t-0.5\t1e-3\n")
         assert (row[0], row.int(1), row.float(2), row.float(3)) == ("k", 7, -0.5, 1e-3)
+        assert row.floats(1) == [7.0, -0.5, 1e-3] and row.floats(2, 3) == [-0.5]
+        _, (row,) = _rows(tmp_path, "k\t7\t-2\t0\n")
+        assert row.ints(1) == [7, -2, 0] and row.ints(1, 3) == [7, -2] and row.ints(4) == []
 
     @pytest.mark.parametrize("cells,call", [
         ("k", lambda row: row[1]),
@@ -56,11 +59,23 @@ class TestRow:
         ("k\tnan", lambda row: row.float(1)),
         ("k\t-inf", lambda row: row.float(1)),
         ("k\t2.5", lambda row: row.int(1)),
+        ("k\t1\t2", lambda row: row.ints(1, 4)),
+        ("k\t1\tx\t3", lambda row: row.ints(1)),
+        ("k\t0.5", lambda row: row.floats(1, 3)),
+        ("k\t0.5\t1.2.3", lambda row: row.floats(1)),
+        ("k\t0.5\tinf\t1", lambda row: row.floats(1, 4)),
     ])
     def test_bad_cell_names_file_and_line(self, tmp_path, cells, call):
         path, (_, row) = _rows(tmp_path, f"first\n{cells}\n", error=DataError)
         with pytest.raises(DataError, match="^" + re.escape(f"{path}:2: ")):
             call(row)
+
+    def test_bulk_parse_names_the_first_bad_cell(self, tmp_path):
+        path, (row,) = _rows(tmp_path, "k\t1\tnan\tx\n")
+        with pytest.raises(ModelMismatchError, match=re.escape(f"{path}:1: bad cell 3: nan")):
+            row.floats(1)
+        with pytest.raises(ModelMismatchError, match=re.escape(f"{path}:1: bad cell 3: 'nan'")):
+            row.ints(1)
 
     def test_put_rejects_a_repeated_key(self, tmp_path):
         path, (row,) = _rows(tmp_path, "k\t1\n")
