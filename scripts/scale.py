@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Scaling curve of `train` and `classify` over corpus size.
 
-For each n in --sizes, one size at a time, this generates a training
+For each n in SIZES, one size at a time, this generates a training
 corpus of n recipes and a test corpus of n/2 with perfbench's corpus
-generator, then runs `train` and `classify` with perfbench's T2 golden
-settings (GOLDEN_T2). Each command runs once, as its own
-`python -m recipetext.cli` child process, so its wall time and peak RSS
-(ru_maxrss, from wait4) are its own. The result goes to
+generator at seed SEED, then runs `train` and `classify` with
+perfbench's T2 golden settings (GOLDEN_T2). Each command runs once, as
+its own `python -m recipetext.cli` child process, so its wall time and
+peak RSS (ru_maxrss, from wait4) are its own. The result goes to
 BENCH_scale_<label>.json in --out-dir, with the sha256 of the corpora
 and of every model file.
 
@@ -16,8 +16,8 @@ and of every model file.
 --src picks the package the commands run (default: this checkout's
 src/); corpora always come from this checkout's generator, so two
 labels see the same bytes. After writing, the script compares the
-model hashes with every other BENCH_scale_*.json in --out-dir, size by
-size, and exits 1 if a model file differs on the same corpus.
+corpus and model hashes with every other BENCH_scale_*.json in
+--out-dir, size by size, and exits 1 if any of them differs.
 """
 
 from __future__ import annotations
@@ -39,6 +39,8 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import corpusgen  # noqa: E402
 from workloads import GOLDEN_T2  # noqa: E402
 
+SIZES = (300, 1200, 4800)
+SEED = 7
 COMMANDS = ("train", "classify")
 COMPARED = ("boost.model", "svm.model", "manifest.json")
 
@@ -63,11 +65,11 @@ def _run(src: Path, argv: list[str]) -> dict:
     return {"wall_s": round(wall, 3), "maxrss_mb": round(usage.ru_maxrss / 1024, 1)}
 
 
-def measure(n: int, seed: int, src: Path, work: Path) -> dict:
+def measure(n: int, src: Path, work: Path) -> dict:
     size_dir = work / f"n{n}"
     size_dir.mkdir(parents=True)
-    train_xml = corpusgen.write(ROOT, seed, "tr", n, size_dir / "train.xml")
-    test_xml = corpusgen.write(ROOT, seed, "te", n // 2, size_dir / "test.xml")
+    train_xml = corpusgen.write(ROOT, SEED, "tr", n, size_dir / "train.xml")
+    test_xml = corpusgen.write(ROOT, SEED, "te", n // 2, size_dir / "test.xml")
     config = size_dir / "config.json"
     config.write_text(json.dumps(GOLDEN_T2), encoding="utf-8")
     model_dir = size_dir / "models"
@@ -83,15 +85,16 @@ def measure(n: int, seed: int, src: Path, work: Path) -> dict:
 
 
 def compare(report: dict, out_dir: Path, own: Path) -> list[str]:
-    """Model files that differ from another label's on the same corpus."""
+    """Corpora and model files that differ from another label's."""
     problems = []
     for other_path in sorted(out_dir.glob("BENCH_scale_*.json")):
         if other_path == own:
             continue
         other = json.loads(other_path.read_text(encoding="utf-8"))
         for size, mine in report["sizes"].items():
-            theirs = other.get("sizes", {}).get(size)
-            if theirs is None or theirs["corpus_sha256"] != mine["corpus_sha256"]:
+            theirs = other["sizes"][size]
+            if theirs["corpus_sha256"] != mine["corpus_sha256"]:
+                problems.append(f"n={size}: corpora differ from {other_path.name}")
                 continue
             for name in COMPARED:
                 same = mine["models"].get(name) == theirs["models"].get(name)
@@ -106,16 +109,14 @@ def main() -> int:
     parser.add_argument("--label", required=True)
     parser.add_argument("--src", type=Path, default=ROOT / "src",
                         help="directory holding the recipetext package to run")
-    parser.add_argument("--sizes", type=int, nargs="+", default=[300, 1200, 4800])
-    parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--out-dir", type=Path, default=ROOT)
     args = parser.parse_args()
 
-    report = {"label": args.label, "seed": args.seed, "config": GOLDEN_T2,
+    report = {"label": args.label, "seed": SEED, "config": GOLDEN_T2,
               "python": platform.python_version(), "cpus": os.cpu_count(), "sizes": {}}
     with tempfile.TemporaryDirectory(prefix="recipetext-scale-") as tmp:
-        for n in args.sizes:
-            report["sizes"][str(n)] = measure(n, args.seed, args.src.resolve(), Path(tmp))
+        for n in SIZES:
+            report["sizes"][str(n)] = measure(n, args.src.resolve(), Path(tmp))
     path = args.out_dir / f"BENCH_scale_{args.label}.json"
     path.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {path}")

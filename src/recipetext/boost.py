@@ -185,26 +185,6 @@ def _class_split(docs, label_of, k):
             for ci in range(k)]
 
 
-def _block_sums(split, cols, totals):
-    """Per-class (W+, W-) of a present block and of its absent block.
-
-    ``split`` is the block's _class_split, ``cols[c][i]`` is doc i's
-    weight for class c and ``totals`` holds the per-class (W+, W-) over
-    all documents. Each present sum adds its docs in ascending order; an
-    absent weight is total - present, 0.0 unless positive (rounding can
-    push it below 0.0).
-    """
-    w1p, w1m, w0p, w0m = [], [], [], []
-    for (pos, neg), col, (tp, tm) in zip(split, cols, totals):
-        wp = ordered_sum(map(col.__getitem__, pos))
-        wm = ordered_sum(map(col.__getitem__, neg))
-        w1p.append(wp)
-        w1m.append(wm)
-        w0p.append(max(0.0, tp - wp))
-        w0m.append(max(0.0, tm - wm))
-    return w1p, w1m, w0p, w0m
-
-
 def _votes(w_plus, w_minus, eps):
     return [0.5 * math.log((wp + eps) / (wm + eps)) for wp, wm in zip(w_plus, w_minus)]
 
@@ -232,7 +212,6 @@ def train_boost(train: Corpus, dev: Corpus | None, features: dict[str, BoostFeat
             raise DataError(f"no features supplied for training recipe {rid!r}")
 
     label_of = [class_index[labels[rid]] for rid in ids]
-    y = [[1 if label_of[i] == ci else -1 for ci in range(k)] for i in range(n)]
     dist = [[1.0 / (n * k)] * k for _ in range(n)]
     candidates = _candidates(ids, features)
     if not candidates:
@@ -260,8 +239,11 @@ def train_boost(train: Corpus, dev: Corpus | None, features: dict[str, BoostFeat
         best_key = None
         cutoff = math.inf
         for cand, split in zip(candidates, splits):
-            # closed-form Z, a filter only (see the module docstring); the
-            # block sums are _block_sums', inlined
+            # Per class, (W+, W-) of the present block (its docs added in
+            # ascending order) and of the absent block (total - present,
+            # 0.0 unless positive: rounding can push it below 0.0), and
+            # the closed-form Z, a filter only (see the module docstring).
+            w1p, w1m, w0p, w0m = [], [], [], []
             fz = 0.0
             for (pos, neg), col, (tp, tm) in zip(split, cols, totals):
                 wp = 0.0
@@ -276,13 +258,16 @@ def train_boost(train: Corpus, dev: Corpus | None, features: dict[str, BoostFeat
                 am = tm - wm
                 if not am > 0.0:
                     am = 0.0
+                w1p.append(wp)
+                w1m.append(wm)
+                w0p.append(ap)
+                w0m.append(am)
                 r = sqrt((wm + eps) / (wp + eps))
                 r0 = sqrt((am + eps) / (ap + eps))
                 fz += wp * r + wm / r + ap * r0 + am / r0
             if fz > cutoff:
                 continue
             cutoff = min(cutoff, fz * _Z_SLACK)
-            w1p, w1m, w0p, w0m = _block_sums(split, cols, totals)
             vp = _votes(w1p, w1m, eps)
             va = _votes(w0p, w0m, eps)
             z = 0.0
@@ -325,8 +310,9 @@ def train_boost(train: Corpus, dev: Corpus | None, features: dict[str, BoostFeat
         for i in range(n):
             votes = vp if i in present else va
             row = dist[i]
+            li = label_of[i]
             for ci in range(k):
-                row[ci] *= math.exp(-y[i][ci] * votes[ci])
+                row[ci] *= math.exp(-votes[ci] if ci == li else votes[ci])
                 z_actual += row[ci]
         for i in range(n):
             for ci in range(k):

@@ -174,7 +174,7 @@ def _analyze_corpus(corpus: Corpus, norm: NormConfig):
     None). The model is fitted on the plain streams, which are then
     merged without being normalized again."""
     plain = without_agglutination(norm)
-    analyses = {r.id: analyze(r, plain, intern_tokens=True) for r in corpus}
+    analyses = {r.id: analyze(r, plain) for r in corpus}
     if not norm.agglutinate:
         return analyses, None
     agglut = fit_agglutinator(analyses, norm)

@@ -185,15 +185,19 @@ class HierarchySpec:
     def leaves(self) -> list[str]:
         return sorted(self.stages[0].grouping)
 
-    def contexts(self) -> dict[tuple[int, str], list[str]]:
-        """(stage index, context) -> the sorted groups the context's
-        leaves go to at that stage, keys in sorted order."""
-        groups: dict[tuple[int, str], set[str]] = {}
-        for stage_idx, stage in enumerate(self.stages):
+    def contexts(self) -> dict[tuple[int, str], tuple[list[str], list[str]]]:
+        """(stage index, context) -> the sorted leaves inside the context
+        and the sorted groups they go to at that stage, keys in sorted
+        order."""
+        leaves: dict[tuple[int, str], list[str]] = {}
+        for stage_idx in range(len(self.stages)):
             for leaf in self.leaves():
-                key = (stage_idx, _context_of(self, stage_idx, leaf))
-                groups.setdefault(key, set()).add(stage.grouping[leaf])
-        return {key: sorted(groups[key]) for key in sorted(groups)}
+                leaves.setdefault((stage_idx, _context_of(self, stage_idx, leaf)), []).append(leaf)
+        out = {}
+        for (stage_idx, context), members in sorted(leaves.items()):
+            grouping = self.stages[stage_idx].grouping
+            out[(stage_idx, context)] = (members, sorted({grouping[leaf] for leaf in members}))
+        return out
 
 
 def default_hierarchy(task: str) -> HierarchySpec:
@@ -255,12 +259,10 @@ def train_hierarchical(train: Corpus, full: Corpus, spec: HierarchySpec,
         raise DataError(f"training labels {missing} absent from the hierarchy spec")
 
     stage_models: dict[tuple[int, str], dict[Feed, CosineModel]] = {}
-    for (stage_idx, context), groups in spec.contexts().items():
+    for (stage_idx, context), (member_leaves, groups) in spec.contexts().items():
         if len(groups) < 2:
             continue
         stage = spec.stages[stage_idx]
-        member_leaves = {leaf for leaf in spec.leaves()
-                         if _context_of(spec, stage_idx, leaf) == context}
         subset_ids = {rid for rid, leaf in leaf_labels.items() if leaf in member_leaves}
         subset = Corpus([r for r in train.recipes if r.id in subset_ids],
                         train.label_kind)
@@ -294,6 +296,7 @@ def classify_hierarchical(model: HierarchicalCosineModel,
     """Full leaf distribution: each leaf scores the product of its own
     path's mixed stage scores."""
     spec = model.spec
+    contexts = spec.contexts()
     leaf_scores = {}
     distributions: dict[tuple[int, str], dict[str, float]] = {}
     for leaf in spec.leaves():
@@ -302,9 +305,7 @@ def classify_hierarchical(model: HierarchicalCosineModel,
             context = _context_of(spec, stage_idx, leaf)
             key = (stage_idx, context)
             if key not in distributions:
-                member_leaves = {l for l in spec.leaves()
-                                 if _context_of(spec, stage_idx, l) == context}
-                groups = sorted({stage.grouping[l] for l in member_leaves})
+                _, groups = contexts[key]
                 if len(groups) > 1 and key not in model.stage_models:
                     raise ModelMismatchError(
                         f"hierarchical model lacks stage {stage_idx} context {context!r}")
@@ -403,7 +404,8 @@ def load_hierarchical(path: str | Path) -> HierarchicalCosineModel:
         spec = HierarchySpec(tuple(stages))
     except ConfigError as exc:
         raise ModelMismatchError(f"{path}: #stage lines: {exc}") from None
-    expected = {key: groups for key, groups in spec.contexts().items() if len(groups) > 1}
+    expected = {key: groups for key, (_, groups) in spec.contexts().items()
+                if len(groups) > 1}
     stage_models: dict[tuple[int, str], dict[Feed, CosineModel]] = {}
     for begin, rows in contexts:
         stats = stats_from_rows(rows, f"{path}:{begin.lineno}")

@@ -29,9 +29,9 @@ stream followed by the plain body stream because "\n" is a hard
 boundary for every step before merging: no token pattern matches
 across it, NFC composes no mark onto it, ``lower()`` reads no
 final-sigma context through it, and abbreviations and numbers are
-rewritten token by token. Merged n-grams are interned, and so are the
-plain tokens when ``analyze`` is asked to, so that the analyses of a
-corpus held in memory share one string per distinct token.
+rewritten token by token. The plain tokens and the merged n-grams are
+interned, so that the analyses of a corpus held in memory share one
+string per distinct token.
 """
 
 from __future__ import annotations
@@ -266,21 +266,15 @@ class Analysis:
 
 
 def analyze(recipe: Recipe, config: NormConfig,
-            agglutination_model: AgglutinationModel | None = None, *,
-            intern_tokens: bool = False) -> Analysis:
+            agglutination_model: AgglutinationModel | None = None) -> Analysis:
     """Normalize a recipe's title and body once into every token view.
 
     With ``config.agglutinate`` a fitted model (see fit_agglutinator)
-    must be supplied. ``intern_tokens`` interns the plain tokens, which
-    pays off when a whole corpus's analyses are kept together; a caller
-    that drops each analysis after one recipe would only pay for it.
+    must be supplied. The plain tokens are interned.
     """
     plain_config = without_agglutination(config)
-    title = normalize(recipe.title, plain_config)
-    body = normalize(recipe.body, plain_config)
-    if intern_tokens:
-        title, body = map(intern, title), map(intern, body)
-    title, body = tuple(title), tuple(body)
+    title = tuple(map(intern, normalize(recipe.title, plain_config)))
+    body = tuple(map(intern, normalize(recipe.body, plain_config)))
     joined = title + body
     analysis = Analysis(recipe, joined, len(title), title, body, joined)
     if config.agglutinate:

@@ -9,9 +9,7 @@ from recipetext.boost import (
     NUMERIC_FIELDS,
     TEXT_FIELDS,
     BoostConfig,
-    _block_sums,
     _candidates,
-    _class_split,
     _votes,
     load_boost,
     margins,
@@ -296,18 +294,18 @@ class TestCandidates:
         everywhere = [c for c in _candidates([r.id for r in corpus], feats)
                       if c.present == list(range(n))]
         assert [c.ngram for c in everywhere] == ["plat"]
-        k = 2
-        label_of = [i % 2 for i in range(n)]
-        raw = [[1.0 / (3 + i + 7 * ci) for ci in range(k)] for i in range(n)]
-        scale = sum(sum(row) for row in raw)
-        cols = list(zip(*[[w / scale for w in row] for row in raw]))
-        total_p, total_m, _, _ = _block_sums(_class_split(range(n), label_of, k), cols,
-                                             [(0.0, 0.0)] * k)
-        w1p, w1m, w0p, w0m = _block_sums(_class_split(everywhere[0].present, label_of, k),
-                                         cols, list(zip(total_p, total_m)))
-        assert w0p == [0.0] * k and w0m == [0.0] * k
-        votes = _votes(w0p, w0m, 1e-3) + _votes(w1p, w1m, 1e-3)
-        assert all(math.isfinite(v) for v in votes)
+        # a corpus whose only candidate is present everywhere picks it,
+        # with an absent block of exactly 0.0 weight and neutral votes
+        same = Corpus([Recipe(f"r{i}", "plat", "preparation.",
+                              dish_type=DishType.Entree if i == 0 else DishType.Dessert)
+                       for i in range(4)], LabelKind.DISH_TYPE)
+        same_feats = _features_for(same)
+        assert [c.present for c in _candidates([r.id for r in same], same_feats)] == [
+            [0, 1, 2, 3]]
+        hyp = train_boost(same, None, same_feats, BoostConfig(max_rounds=1)).rounds[0]
+        assert hyp.ngram == "plat"
+        assert set(hyp.votes_absent.values()) == {0.0}
+        assert all(math.isfinite(v) for v in hyp.votes_present.values())
 
 
 class TestScoreBoost:

@@ -12,6 +12,8 @@ def test_adds_left_to_right_without_compensation():
 
 def test_empty_and_generator_inputs():
     assert ordered_sum([]) == 0.0
+    assert math.copysign(1.0, ordered_sum([])) == 1.0
+    assert math.copysign(1.0, ordered_sum([-0.0])) == 1.0
     assert ordered_sum(x / 4 for x in range(4)) == 1.5
 
 
@@ -20,12 +22,6 @@ def _loop_sum(values):
     for value in values:
         total += value
     return total
-
-
-def test_empty_input_is_positive_zero():
-    total = ordered_sum([])
-    assert total == 0.0 and math.copysign(1.0, total) == 1.0
-    assert math.copysign(1.0, ordered_sum([-0.0])) == 1.0
 
 
 def test_cancelling_sequence_matches_the_explicit_loop_bit_for_bit():

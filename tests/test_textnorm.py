@@ -164,10 +164,8 @@ class TestAnalysis:
     def test_views_share_one_string_per_token(self):
         config = NormConfig(agglutinate=True)
         model = frozenset({("four", "chaud")})
-        first = analyze(Recipe("a", "Gratin au four", "four chaud."), config, model,
-                        intern_tokens=True)
-        second = analyze(Recipe("b", "Four chaud", "gratin."), config, model,
-                         intern_tokens=True)
+        first = analyze(Recipe("a", "Gratin au four", "four chaud."), config, model)
+        second = analyze(Recipe("b", "Four chaud", "gratin."), config, model)
         assert first.title[0] is second.body[0] == "gratin"
         assert first.title[2] is first.plain[3] is second.plain[0] == "four"
         assert first.body[0] is first.title_body[3] is second.title[0] == "four_chaud"
