@@ -61,7 +61,8 @@ from .textnorm import Analysis, ngrams
 from .tsv import Header, read_rows, write_lines
 
 TEXT_FIELDS = [("title", 3), ("body", 4), ("ingredients", 1)]
-FIELD_ORDER = [name for name, _ in TEXT_FIELDS] + NUMERIC_FIELDS
+# the #field lines of boost.model: text field -> max n, numeric field -> 0
+_FIELD_SCHEMA = dict(TEXT_FIELDS) | dict.fromkeys(NUMERIC_FIELDS, 0)
 # closed-form and exact Z differ by a few ulps; see the module docstring
 _Z_SLACK = 1.0 + 1e-9
 
@@ -123,14 +124,7 @@ class RoundInfo:
 class BoostModel:
     rounds: list[WeakHypothesis]
     classes: list[str]
-    feature_schema: dict[str, int]  # text field -> max n; numeric fields -> 0
     history: list[RoundInfo] = dc_field(default_factory=list)
-
-
-def _default_schema() -> dict[str, int]:
-    schema = {name: max_n for name, max_n in TEXT_FIELDS}
-    schema.update({name: 0 for name in NUMERIC_FIELDS})
-    return schema
 
 
 @dataclass
@@ -227,7 +221,7 @@ def train_boost(train: Corpus, dev: Corpus | None, features: dict[str, BoostFeat
             raise DataError(f"no features supplied for dev recipe {rid!r}")
     dev_margins = {rid: [0.0] * k for rid in dev_ids}
 
-    model = BoostModel([], classes, _default_schema())
+    model = BoostModel([], classes)
     best_dev_f = -1.0
     best_round = 0
 
@@ -349,11 +343,7 @@ def train_boost(train: Corpus, dev: Corpus | None, features: dict[str, BoostFeat
 def _is_present(feats: BoostFeatures, kind: str, field_name: str,
                 gram: str | None, theta: float | None) -> bool:
     if kind == "text":
-        if field_name not in feats.text:
-            raise ModelMismatchError(f"features lack text field {field_name!r}")
         return gram in feats.text[field_name]
-    if field_name not in feats.numeric:
-        raise ModelMismatchError(f"features lack numeric field {field_name!r}")
     return feats.numeric[field_name] > theta
 
 
@@ -386,8 +376,7 @@ def score_boost(model: BoostModel, feats: BoostFeatures,
 
 def save_boost(model: BoostModel, path: str | Path) -> None:
     lines = ["#boost\tv1", "#classes\t" + ",".join(model.classes)]
-    for name in FIELD_ORDER:
-        lines.append(f"#field\t{name}\t{model.feature_schema[name]}")
+    lines += [f"#field\t{name}\t{max_n}" for name, max_n in _FIELD_SCHEMA.items()]
     for hyp in model.rounds:
         if hyp.kind == "text":
             cells = ["text", hyp.field, hyp.ngram]
@@ -401,7 +390,9 @@ def save_boost(model: BoostModel, path: str | Path) -> None:
 
 def load_boost(path: str | Path) -> BoostModel:
     rows = read_rows(path, "#boost\tv1")
-    schema = {row[1]: row.int(2) for row in rows if row[0] == "#field"}
+    fields = [row[1:] for row in rows if row[0] == "#field"]
+    if fields != [[name, str(max_n)] for name, max_n in _FIELD_SCHEMA.items()]:
+        raise ModelMismatchError(f"{path}: #field lines differ from {_FIELD_SCHEMA}")
     header, body = Header.split((row for row in rows if row[0] != "#field"), path)
     classes = header["classes"][1].split(",")
     k = len(classes)
@@ -410,6 +401,8 @@ def load_boost(path: str | Path) -> BoostModel:
         kind = row[0]
         if kind not in ("text", "numeric"):
             raise row.fail(f"unknown row kind {kind!r}")
+        if row[1] not in _FIELD_SCHEMA or (_FIELD_SCHEMA[row[1]] > 0) != (kind == "text"):
+            raise row.fail(f"{row[1]!r} is not a {kind} field")
         votes = row.floats(3, 3 + 2 * k)
         rounds.append(WeakHypothesis(
             kind=kind,
@@ -421,7 +414,7 @@ def load_boost(path: str | Path) -> BoostModel:
         ))
     if not rounds:
         raise ModelMismatchError(f"{path}: model has no rounds")
-    return BoostModel(rounds, classes, schema)
+    return BoostModel(rounds, classes)
 
 
 __all__ = [

@@ -12,7 +12,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import boost as boost_mod
@@ -90,6 +90,8 @@ class PipelineConfig:
     def __post_init__(self):
         if self.task not in TASK_LABEL_KIND:
             raise ConfigError(f"unknown task {self.task!r} (expected T1, T2 or T4)")
+        if type(self.seed) is not int:
+            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
 
     def norm_config(self) -> NormConfig:
         if self.abbreviations_tsv is not None:
@@ -128,8 +130,6 @@ def _apply_overrides(config: PipelineConfig, args) -> PipelineConfig:
         value = getattr(args, flag, None)
         if value is not None:
             setattr(config, attr, value)
-    if config.task not in TASK_LABEL_KIND:
-        raise ConfigError(f"unknown task {config.task!r} (expected T1, T2 or T4)")
     return config
 
 
@@ -201,9 +201,22 @@ def _boost_features(analysis: Analysis, ingredients: list[str], norm: NormConfig
 
 def cmd_train(config: PipelineConfig) -> int:
     train_path = _require_file(config.train_xml, "training corpus")
+    norm = config.norm_config()
+    try:  # an unknown option, or a value of the wrong type
+        boost_cfg = boost_mod.BoostConfig(**config.boost)
+        svm_cfg = svm_mod.SvmConfig(seed=config.seed, **config.svm)
+    except TypeError as exc:
+        raise ConfigError(f"boost or svm options: {exc}") from None
+    cosine_opts = dict(config.cosine)
+    threshold = cosine_opts.pop("gini_threshold", 0.45)
+    if type(threshold) not in (int, float) or not 0.0 <= threshold <= 1.0:
+        raise ConfigError(f"cosine gini_threshold {threshold!r} is not a number in [0, 1]")
+    mode = cosine_opts.pop("denominator_mode", cosine_mod.STANDARD)
+    alpha = cosine_opts.pop("alpha", None)
+    if cosine_opts:
+        raise ConfigError(f"unknown cosine options: {sorted(cosine_opts)}")
     model_dir = Path(config.model_dir)
     model_dir.mkdir(parents=True, exist_ok=True)
-    norm = config.norm_config()
 
     label_kind = TASK_LABEL_KIND[config.task]
     full = load_corpus(train_path, label_kind)
@@ -235,23 +248,14 @@ def cmd_train(config: PipelineConfig) -> int:
 
     feats = {rid: _boost_features(a, _ingredients(a, lexicon), norm, agglut)
              for rid, a in analyses.items()}
-    boost_cfg = boost_mod.BoostConfig(**config.boost)
     boost_model = boost_mod.train_boost(train, dev, feats, boost_cfg)
     boost_mod.save_boost(boost_model, model_dir / "boost.model")
 
     vocab_filter = None
     if config.task == "T2" and config.mi_k:
         vocab_filter = frozenset(mutual_information_select(stats, config.mi_k))
-    svm_cfg = svm_mod.SvmConfig(seed=config.seed, **config.svm)
     svm_model = svm_mod.train_ovo(train, analyses, stats, svm_cfg, vocab_filter)
     svm_mod.save_ovo(svm_model, model_dir / "svm.model")
-
-    cosine_opts = dict(config.cosine)
-    threshold = cosine_opts.pop("gini_threshold", 0.45)
-    mode = cosine_opts.pop("denominator_mode", cosine_mod.STANDARD)
-    alpha = cosine_opts.pop("alpha", None)
-    if cosine_opts:
-        raise ConfigError(f"unknown cosine options: {sorted(cosine_opts)}")
 
     if config.task == "T2":
         boosts = _class_boosts(config)
@@ -333,6 +337,9 @@ def cmd_classify(config: PipelineConfig) -> int:
     agglut = None
     if norm.agglutinate:
         agglut = load_agglutination_model(model_dir / "agglutination.txt")
+    elif "agglutination.txt" in manifest["files"]:
+        raise ModelMismatchError(f"{model_dir / 'agglutination.txt'}: the models were "
+                                 "trained with norm.agglutinate, the config turns it off")
     lexicon = None
     if "lexicon.tsv" in manifest["files"]:
         lexicon = extraction_mod.load_lexicon(model_dir / "lexicon.tsv")
@@ -341,9 +348,18 @@ def cmd_classify(config: PipelineConfig) -> int:
     boost_model = boost_mod.load_boost(model_dir / "boost.model")
     svm_model = svm_mod.load_ovo(model_dir / "svm.model")
     hier_model = cosine_mod.load_hierarchical(model_dir / "cosine_hier.model")
+    loaded = {"svm.model": svm_model.classes, "stats.tsv": stats.classes,
+              "cosine_hier.model": hier_model.spec.leaves()}
     flat_model = None
     if "cosine_flat" in methods:
         flat_model = cosine_mod.load_cosine(model_dir / "cosine_flat.model", stats)
+        loaded["cosine_flat.model"] = flat_model.classes()
+    # every method scores the classes of boost.model, or nothing is scored
+    classes = sorted(boost_model.classes)
+    for name, model_classes in loaded.items():
+        if sorted(model_classes) != classes:
+            raise ModelMismatchError(f"{model_dir / name}: classes {sorted(model_classes)} "
+                                     f"differ from {classes} in boost.model")
     run_dir = Path(config.run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     test = load_corpus(test_path, LabelKind.NONE)
@@ -360,13 +376,7 @@ def cmd_classify(config: PipelineConfig) -> int:
         if flat_model is not None:
             per_method["cosine_flat"].append(cosine_mod.score_cosine(flat_model, analysis))
 
-    classes = sorted(per_method["boost"][0].scores)
     for method in methods:
-        for v in per_method[method]:
-            if sorted(v.scores) != classes:
-                raise ModelMismatchError(
-                    f"method {method!r} emits classes {sorted(v.scores)}, "
-                    f"expected {classes}")
         _save_score_tsv(per_method[method], classes, method,
                         run_dir / f"scores_{method}.tsv")
     print(f"wrote {len(methods)} score files for {len(test)} recipes -> {run_dir}")
@@ -544,10 +554,10 @@ def cmd_sweep(config: PipelineConfig, param: str, start: float, stop: float,
         methods = TASK_METHODS[config.task]
         by_method, ids = _load_score_files(Path(config.run_dir), methods)
         gold = load_corpus(_require_file(config.test_xml, "test corpus"), label_kind)
+        base = _electre_params(config, methods)
         print("concordance_threshold\tmicro_f")
         for sc in values:
-            params = ElectreParams.uniform(methods, sc, config.fusion.get(
-                "veto", DEFAULT_VETO))
+            params = replace(base, concordance_threshold=sc)
             predicted = {}
             for rid in ids:
                 vectors = [normalize_scores(by_method[m][rid]) for m in methods]

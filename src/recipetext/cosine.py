@@ -155,8 +155,8 @@ class HierarchyStage:
     alpha: float = 0.5        # weight of the title-only feed
 
     def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ConfigError("feed mix alpha must lie in [0, 1]")
+        if type(self.alpha) not in (int, float) or not 0.0 <= self.alpha <= 1.0:
+            raise ConfigError(f"feed mix alpha {self.alpha!r} is not a number in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -277,41 +277,27 @@ def train_hierarchical(train: Corpus, full: Corpus, spec: HierarchySpec,
     return HierarchicalCosineModel(spec, stage_models)
 
 
-def _stage_distribution(model: HierarchicalCosineModel, stage_idx: int,
-                        context: str, groups: list[str], alpha: float,
-                        analysis: Analysis) -> dict[str, float]:
-    if len(groups) == 1:
-        return {groups[0]: 1.0}
-    per_feed = model.stage_models[(stage_idx, context)]
-    mixed = {}
-    title = normalize_scores(score_cosine(per_feed[Feed.TITLE_ONLY], analysis))
-    both = normalize_scores(score_cosine(per_feed[Feed.TITLE_AND_BODY], analysis))
-    for group in groups:
-        mixed[group] = alpha * title.scores[group] + (1.0 - alpha) * both.scores[group]
-    return mixed
-
-
 def classify_hierarchical(model: HierarchicalCosineModel,
                           analysis: Analysis) -> ScoreVector:
     """Full leaf distribution: each leaf scores the product of its own
-    path's mixed stage scores."""
+    path's mixed stage scores. The two feeds are mixed once per modelled
+    context; a context with a single group has no model and contributes
+    1.0."""
     spec = model.spec
-    contexts = spec.contexts()
+    mixed: dict[tuple[int, str], dict[str, float]] = {}
+    for (stage_idx, context), per_feed in model.stage_models.items():
+        alpha = spec.stages[stage_idx].alpha
+        title = normalize_scores(score_cosine(per_feed[Feed.TITLE_ONLY], analysis)).scores
+        both = normalize_scores(score_cosine(per_feed[Feed.TITLE_AND_BODY], analysis)).scores
+        mixed[(stage_idx, context)] = {
+            group: alpha * title[group] + (1.0 - alpha) * both[group] for group in title}
     leaf_scores = {}
-    distributions: dict[tuple[int, str], dict[str, float]] = {}
     for leaf in spec.leaves():
         product = 1.0
         for stage_idx, stage in enumerate(spec.stages):
-            context = _context_of(spec, stage_idx, leaf)
-            key = (stage_idx, context)
-            if key not in distributions:
-                _, groups = contexts[key]
-                if len(groups) > 1 and key not in model.stage_models:
-                    raise ModelMismatchError(
-                        f"hierarchical model lacks stage {stage_idx} context {context!r}")
-                distributions[key] = _stage_distribution(
-                    model, stage_idx, context, groups, stage.alpha, analysis)
-            product *= distributions[key][stage.grouping[leaf]]
+            scores = mixed.get((stage_idx, _context_of(spec, stage_idx, leaf)))
+            if scores is not None:
+                product *= scores[stage.grouping[leaf]]
         leaf_scores[leaf] = product
     return ScoreVector(analysis.recipe.id, model.method_id, leaf_scores)
 

@@ -172,25 +172,17 @@ def resolve_generics(candidates: CandidateList, generics_found: frozenset[str],
     candidate items, the training recipes whose gold lists hold both.
     A generic whose best specific has zero unsmoothed count is dropped.
     """
-    base_items = list(candidates.items)  # evidence is the extracted list only
     items = list(candidates.items)
     present = {c.ingredient for c in items}
     for generic in sorted(generics_found):
-        specifics = sorted(lexicon.specializations.get(generic, {}))
-        if not specifics:
+        # the evidence is the extracted list only, never an injected specific
+        counts, denom = _generic_counts(generic, candidates, lexicon)
+        if not counts:
             continue
-        counts = {}
-        for x in specifics:
-            row = lexicon.pair_counts.get(x, {})
-            counts[x] = sum(row.get(c.ingredient, 0) for c in base_items)
-        denom = sum(counts[x] for x in specifics) + len(specifics)
-        best = min(specifics, key=lambda x: (-counts[x], x))
-        if counts[best] == 0:
+        best = min(counts, key=lambda x: (-counts[x], x))
+        if counts[best] == 0 or best in present:
             continue
-        if best in present:
-            continue
-        posterior = (counts[best] + 1) / denom
-        items.append(Candidate(best, posterior))
+        items.append(Candidate(best, (counts[best] + 1) / denom))
         present.add(best)
     return CandidateList(items)
 
@@ -204,15 +196,19 @@ def extract(analysis: Analysis, lexicon: IngredientLexicon) -> CandidateList:
 def generic_posteriors(generic: str, candidates: CandidateList,
                        lexicon: IngredientLexicon) -> dict[str, float]:
     """The full smoothed posterior over a generic's specifics (sums to 1)."""
-    specifics = sorted(lexicon.specializations.get(generic, {}))
-    if not specifics:
-        return {}
+    counts, denom = _generic_counts(generic, candidates, lexicon)
+    return {x: (count + 1) / denom for x, count in counts.items()}
+
+
+def _generic_counts(generic: str, candidates: CandidateList,
+                    lexicon: IngredientLexicon) -> tuple[dict[str, int], int]:
+    """count(x) for each of the generic's specifics in sorted order, and
+    the add-one denominator sum_x count(x) + #specifics."""
     counts = {}
-    for x in specifics:
+    for x in sorted(lexicon.specializations.get(generic, {})):
         row = lexicon.pair_counts.get(x, {})
         counts[x] = sum(row.get(c.ingredient, 0) for c in candidates.items)
-    denom = sum(counts[x] for x in specifics) + len(specifics)
-    return {x: (counts[x] + 1) / denom for x in specifics}
+    return counts, sum(counts.values()) + len(counts)
 
 
 def save_lexicon(lexicon: IngredientLexicon, path: str | Path) -> None:

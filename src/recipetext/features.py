@@ -84,9 +84,6 @@ class LexiconStats:
         """G(t) in [1/|C|, 1], or None for terms unseen in training."""
         return self._gini.get(term)
 
-    def vocabulary(self) -> list[str]:
-        return sorted(self.terms)
-
 
 def build_stats(train: Corpus, full: Corpus, analyses: Mapping[str, Analysis],
                 feed: Feed = Feed.TITLE_AND_BODY,

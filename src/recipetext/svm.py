@@ -49,12 +49,6 @@ class OvoModel:
     classes: list[str]
     vocab_filter: frozenset[str] | None = None
 
-    def pair(self, first: str, second: str) -> PairModel:
-        for model in self.pair_models:
-            if model.class_pair == (first, second):
-                return model
-        raise ModelMismatchError(f"no pair model for ({first!r}, {second!r})")
-
 
 def _restrict(vector: SparseVector, vocab: frozenset[str] | None) -> SparseVector:
     if vocab is None:

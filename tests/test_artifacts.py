@@ -87,9 +87,10 @@ ROW_FAULTS = {"truncate_row", "nan_cell", "bad_number", "duplicate_row"}
 
 # Edits that leave a well-formed file, so only the manifest's sha256
 # catches them: a changed count is still a count, agglutination.txt is a
-# free list of n-grams, and boosting may pick the same stump twice.
+# free list of n-grams, and boosting may pick the same stump twice. The
+# last count of boost.model is on a #field line, which its loader checks.
 PARSE_BLIND = {(fault, "agglutination.txt") for fault in FAULTS}
-PARSE_BLIND |= {("flip_count", name) for name in ARTIFACTS}
+PARSE_BLIND |= {("flip_count", name) for name in ARTIFACTS if name != "boost.model"}
 PARSE_BLIND.add(("duplicate_row", "boost.model"))
 
 
@@ -119,6 +120,17 @@ def _faulted_text(models, name, fault):
 PAIRS = [(fault, name) for fault in FAULTS for name in ARTIFACTS]
 
 
+def _assert_classify_refuses(model_dir, tmp_path, capsys, name, *argv):
+    """classify exits 4 with one line naming ``name`` and writes no score file."""
+    capsys.readouterr()
+    code = main(_argv(model_dir, *argv, "--run-dir", str(tmp_path / "runs"), "classify"))
+    err = capsys.readouterr().err
+    assert code == 4
+    assert len(err.splitlines()) == 1 and err.startswith("error:model-mismatch:")
+    assert name in err and "Traceback" not in err
+    assert not list(tmp_path.glob("runs/scores_*.tsv"))
+
+
 @pytest.mark.parametrize("fault,name", PAIRS)
 def test_classify_rejects_faulted_artifact(models, tmp_path, capsys, fault, name):
     text = _faulted_text(models, name, fault)
@@ -127,13 +139,7 @@ def test_classify_rejects_faulted_artifact(models, tmp_path, capsys, fault, name
     faulted = tmp_path / "models"
     shutil.copytree(models, faulted)
     (faulted / name).write_text(text, encoding="utf-8")
-    capsys.readouterr()
-    code = main(_argv(faulted, "--run-dir", str(tmp_path / "runs"), "classify"))
-    err = capsys.readouterr().err
-    assert code == 4
-    assert len(err.splitlines()) == 1 and err.startswith("error:model-mismatch:")
-    assert name in err and "Traceback" not in err
-    assert not list(tmp_path.glob("runs/scores_*.tsv"))
+    _assert_classify_refuses(faulted, tmp_path, capsys, name)
 
 
 def _load(path, models):
@@ -170,15 +176,29 @@ def _replace_line(prefix, new):
     return edit
 
 
+def _replace_prefix(prefix, new):
+    """Replace ``prefix`` by ``new`` on the first line starting with it."""
+    def edit(lines):
+        i = next(i for i, line in enumerate(lines) if line.startswith(prefix))
+        return lines[:i] + [new + lines[i][len(prefix):]] + lines[i + 1:]
+    return edit
+
+
 def _drop_last_context(lines):
     start = _last(lines, lambda line: line.startswith("#begin_context\t"))
     end = lines.index("#end_context", start)
     return lines[:start] + lines[end + 1:]
 
 
-# Well-formed cosine models whose parts disagree with each other or lie
-# out of range; the manifest is re-hashed, so only the loader can catch them.
+# Well-formed models whose parts disagree with each other, lie out of
+# range or name fields the boost features lack; the manifest is
+# re-hashed, so only the loader can catch them.
 INCONSISTENT = {
+    "boost_text_round_unknown_field": ("boost.model", _replace_prefix("text\ttitle\t",
+                                                                      "text\ttitre\t")),
+    "boost_numeric_round_text_field": ("boost.model", _replace_prefix("numeric\tbody_words\t",
+                                                                      "numeric\ttitle\t")),
+    "boost_field_line": ("boost.model", _replace_line("#field\tbody\t", "#field\tbody\t3")),
     "swapped_stage_groups": ("cosine_hier.model", _replace_line(
         "#stage\t", "#stage\talpha=0.5\tDessert=AUTRE\tEntree=DESSERT\tPlatPrincipal=AUTRE")),
     "final_stage_not_leaves": ("cosine_hier.model", _replace_line(
@@ -199,9 +219,9 @@ INCONSISTENT = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(INCONSISTENT))
-def test_classify_rejects_inconsistent_cosine_model(models, tmp_path, capsys, case):
-    name, edit = INCONSISTENT[case]
+def _rehashed_copy(models, tmp_path, name, edit):
+    """A copy of the model directory with ``edit`` applied to the lines
+    of ``name`` and the manifest hash updated to match."""
     faulted = tmp_path / "models"
     shutil.copytree(models, faulted)
     lines = edit((faulted / name).read_text(encoding="utf-8").splitlines())
@@ -209,15 +229,32 @@ def test_classify_rejects_inconsistent_cosine_model(models, tmp_path, capsys, ca
     manifest = json.loads((faulted / "manifest.json").read_text(encoding="utf-8"))
     manifest["files"][name] = hashlib.sha256((faulted / name).read_bytes()).hexdigest()
     (faulted / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    return faulted
+
+
+@pytest.mark.parametrize("case", sorted(INCONSISTENT))
+def test_classify_rejects_inconsistent_cosine_model(models, tmp_path, capsys, case):
+    name, edit = INCONSISTENT[case]
+    faulted = _rehashed_copy(models, tmp_path, name, edit)
     with pytest.raises(ModelMismatchError, match=re.escape(str(faulted / name))):
         _load(faulted / name, models)
-    capsys.readouterr()
-    code = main(_argv(faulted, "--run-dir", str(tmp_path / "runs"), "classify"))
-    err = capsys.readouterr().err
-    assert code == 4
-    assert len(err.splitlines()) == 1 and err.startswith("error:model-mismatch:")
-    assert name in err and "Traceback" not in err
-    assert not list(tmp_path.glob("runs/scores_*.tsv"))
+    _assert_classify_refuses(faulted, tmp_path, capsys, name)
+
+
+def test_classify_rejects_classes_that_differ_across_models(models, tmp_path, capsys):
+    # svm.model is consistent on its own: only the cross-file check sees it
+    faulted = _rehashed_copy(models, tmp_path, "svm.model",
+                             lambda lines: [line.replace("Entree", "Starter") for line in lines])
+    assert svm.load_ovo(faulted / "svm.model").classes == ["Dessert", "Starter", "PlatPrincipal"]
+    _assert_classify_refuses(faulted, tmp_path, capsys, "svm.model")
+
+
+def test_classify_rejects_agglutinated_models_without_agglutination(models, tmp_path, capsys):
+    config = json.loads((FIXTURES / "golden_config_t2.json").read_text(encoding="utf-8"))
+    assert config.pop("norm")["agglutinate"]
+    plain = tmp_path / "plain.json"
+    plain.write_text(json.dumps(config), encoding="utf-8")
+    _assert_classify_refuses(models, tmp_path, capsys, "agglutination.txt", "--config", str(plain))
 
 
 def test_intact_artifacts_load(models):

@@ -238,8 +238,44 @@ class TestSweep:
         assert lines[0] == "gini_threshold\tdev_macro_f"
         assert len(lines) == 4  # header + 0.30, 0.45, 0.60
 
+    def test_concordance_sweep_uses_fusion_config(self, pipeline, tmp_path, capsys):
+        src, _ = pipeline
+        shutil.copytree(src / "runs", tmp_path / "runs")
+        # with equal weights the sweep would give 0.983333 at 0.5, fuse 0.966667
+        fusion = {"method_weights": {"boost": 5.0, "cosine_flat": 1.0, "cosine_hier": 1.5,
+                                     "svm": 0.5},
+                  "veto": {"boost": 0.9, "cosine_flat": 0.8, "cosine_hier": 0.9, "svm": 0.85}}
+        config = _config(tmp_path, fusion=fusion)
+        capsys.readouterr()
+        assert main(["--config", str(config), "sweep", "--param", "concordance_threshold",
+                     "--start", "0.5", "--stop", "0.7", "--step", "0.2"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "concordance_threshold\tmicro_f" and len(lines) == 3
+        for line in lines[1:]:
+            sc, micro_f = line.split("\t")
+            config = _config(tmp_path, fusion={**fusion, "concordance_threshold": float(sc)})
+            assert main(["--config", str(config), "fuse"]) == 0
+            assert main(["--config", str(config), "evaluate",
+                         str(tmp_path / "runs" / "fused_electre.tsv")]) == 0
+            assert f"micro_f\t{micro_f}\n" in capsys.readouterr().out
+
 
 class TestErrorCodes:
+    @pytest.mark.parametrize("extra", [
+        {"boost": {"rounds": 3}},
+        {"svm": {"seed": 3}},
+        {"cosine": {"gini_threshold": "x"}},
+        {"seed": "abc"},
+        {"cosine": {"gini_threshold": 1.5}},
+        {"cosine": {"alpha": "x"}},
+    ], ids=["boost_unknown_option", "svm_seed", "gini_threshold_string", "seed_string",
+            "gini_threshold_above_one", "alpha_string"])
+    def test_bad_config_value_is_config_error(self, tmp_path, capsys, extra):
+        config = _config(tmp_path, **extra)
+        assert main(["--config", str(config), "train"]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error:config:")
+
     def test_missing_config_file(self, capsys):
         assert main(["--config", "/nonexistent/conf.json", "train"]) == 2
         assert capsys.readouterr().err.startswith("error:config:")
