@@ -38,6 +38,11 @@ candidate tied with it, always passes the cutoff: the filter changes
 no pick and no bit of the model. Ranking on the closed form itself
 would, since it can order a near-tie the other way.
 
+Scoring reads only the model's n-grams: ``presence_index`` maps each
+text field's first tokens to the lengths of the model n-grams they
+start, and a recipe's scoring view holds only the windows that could
+be one of them (see recipe_boost_features).
+
 Everything is accumulated in a documented deterministic order (totals
 over docs ascending, the present block over docs ascending, the absent
 block as total - present clamped at 0.0, classes in sorted order) and
@@ -74,18 +79,45 @@ class BoostFeatures:
     numeric: dict[str, float]
 
 
+# text field -> first token -> the token counts of the model n-grams on
+# that field that it starts (see presence_index)
+PresenceIndex = dict[str, dict[str, tuple[int, ...]]]
+
+
 def recipe_boost_features(analysis: Analysis, ingredients: list[list[str]],
-                          ) -> BoostFeatures:
+                          index: PresenceIndex | None = None) -> BoostFeatures:
     """Extract the boosting feature view of one recipe; ``ingredients``
     holds each ingredient item's token stream, normalized like the
-    recipe text."""
-    text = {
-        "title": frozenset(ngrams(analysis.title, 3)),
-        "body": frozenset(ngrams(analysis.body, 4)),
-        "ingredients": frozenset(tok for item in ingredients for tok in item),
-    }
+    recipe text.
+
+    Fitting needs every candidate n-gram. Scoring only asks whether the
+    model's n-grams are present: with the model's ``presence_index``
+    each text field holds only the windows that start at a model
+    n-gram's first token and are as long as one, which gives every
+    model n-gram the same answer as the full view."""
+    if index is None:
+        text = {
+            "title": frozenset(ngrams(analysis.title, 3)),
+            "body": frozenset(ngrams(analysis.body, 4)),
+            "ingredients": frozenset(tok for item in ingredients for tok in item),
+        }
+    else:
+        streams = {"title": [analysis.title], "body": [analysis.body],
+                   "ingredients": ingredients}
+        text = {name: _indexed_ngrams(streams[name], index[name]) for name, _ in TEXT_FIELDS}
     numbers = numeric_features(analysis, ingredients)
     return BoostFeatures(analysis.recipe.id, text, numbers.as_mapping())
+
+
+def _indexed_ngrams(streams, lengths: dict[str, tuple[int, ...]]) -> frozenset[str]:
+    grams = set()
+    for stream in streams:
+        end = len(stream)
+        for i, token in enumerate(stream):
+            for n in lengths.get(token, ()):
+                if i + n <= end:
+                    grams.add(" ".join(stream[i:i + n]))
+    return frozenset(grams)
 
 
 @dataclass(frozen=True)
@@ -358,6 +390,21 @@ def margins(model: BoostModel, feats: BoostFeatures) -> dict[str, float]:
     return totals
 
 
+def presence_index(model: BoostModel) -> PresenceIndex:
+    """Per text field, first token -> the token counts of the model's
+    n-grams on that field that start with it. An n-gram longer than
+    the field's max n is left out: no feature view ever holds it."""
+    max_n = dict(TEXT_FIELDS)
+    lengths: dict[str, dict[str, set[int]]] = {name: {} for name in max_n}
+    for hyp in model.rounds:
+        if hyp.kind == "text":
+            tokens = hyp.ngram.split(" ")
+            if len(tokens) <= max_n[hyp.field]:
+                lengths[hyp.field].setdefault(tokens[0], set()).add(len(tokens))
+    return {name: {first: tuple(sorted(ns)) for first, ns in by_first.items()}
+            for name, by_first in lengths.items()}
+
+
 def _confidence(margin: float) -> float:
     # logistic of twice the margin, overflow-safe
     if margin >= 0.0:
@@ -421,10 +468,12 @@ __all__ = [
     "BoostConfig",
     "BoostFeatures",
     "BoostModel",
+    "PresenceIndex",
     "RoundInfo",
     "WeakHypothesis",
     "load_boost",
     "margins",
+    "presence_index",
     "recipe_boost_features",
     "save_boost",
     "score_boost",

@@ -88,10 +88,28 @@ class PipelineConfig:
     fusion: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        optional = ("train_xml", "test_xml", "abbreviations_tsv", "hierarchy_spec",
+                    "class_boosts_tsv")
+        for name in ("task", "model_dir", "run_dir") + optional:
+            value = getattr(self, name)
+            if type(value) is not str and not (value is None and name in optional):
+                raise ConfigError(f"{name} must be a string, got {value!r}")
         if self.task not in TASK_LABEL_KIND:
             raise ConfigError(f"unknown task {self.task!r} (expected T1, T2 or T4)")
         if type(self.seed) is not int:
             raise ConfigError(f"seed must be an integer, got {self.seed!r}")
+        if not _is_number(self.dev_fraction) or not 0.0 < self.dev_fraction < 1.0:
+            raise ConfigError(f"dev_fraction {self.dev_fraction!r} is not a number in (0, 1)")
+        if self.mi_k is not None and (type(self.mi_k) is not int or self.mi_k < 0):
+            raise ConfigError(f"mi_k {self.mi_k!r} is not a count (0 or null: no MI filter)")
+        for name in ("norm", "boost", "svm", "cosine", "fusion"):
+            if type(getattr(self, name)) is not dict:
+                raise ConfigError(f"{name} options must be a JSON object")
+        veto = self.fusion.get("veto", DEFAULT_VETO)
+        vetoes = veto.values() if type(veto) is dict else [veto]
+        if not all(_is_number(v) for v in vetoes):
+            raise ConfigError(f"fusion veto {veto!r} is not a number or a "
+                              "method -> number object")
 
     def norm_config(self) -> NormConfig:
         if self.abbreviations_tsv is not None:
@@ -105,6 +123,10 @@ class PipelineConfig:
         if unknown:
             raise ConfigError(f"unknown norm options: {sorted(unknown)}")
         return NormConfig(**base, **self.norm)
+
+
+def _is_number(value) -> bool:
+    return type(value) in (int, float)
 
 
 def load_config(path: str | Path) -> PipelineConfig:
@@ -123,14 +145,11 @@ def load_config(path: str | Path) -> PipelineConfig:
 
 
 def _apply_overrides(config: PipelineConfig, args) -> PipelineConfig:
-    for attr, flag in (("task", "task"), ("seed", "seed"),
-                       ("train_xml", "train_xml"), ("test_xml", "test_xml"),
-                       ("model_dir", "model_dir"), ("run_dir", "run_dir"),
-                       ("dev_fraction", "dev_fraction")):
-        value = getattr(args, flag, None)
-        if value is not None:
-            setattr(config, attr, value)
-    return config
+    """The config with every flag given on the command line, validated again."""
+    flags = ("task", "seed", "train_xml", "test_xml", "model_dir", "run_dir", "dev_fraction")
+    overrides = {flag: getattr(args, flag) for flag in flags
+                 if getattr(args, flag, None) is not None}
+    return replace(config, **overrides)
 
 
 def _require_file(path: str | Path | None, what: str) -> Path:
@@ -181,18 +200,16 @@ def _analyze_corpus(corpus: Corpus, norm: NormConfig):
     return {rid: with_agglutination(a, norm, agglut) for rid, a in analyses.items()}, agglut
 
 
-def _ingredients(analysis: Analysis, lexicon) -> list[str]:
-    """The recipe's extracted ingredient list (empty without a lexicon)."""
-    if lexicon is None:
-        return []
-    return extraction_mod.extract(analysis, lexicon).ingredients()
-
-
-def _boost_features(analysis: Analysis, ingredients: list[str], norm: NormConfig,
-                    agglut) -> boost_mod.BoostFeatures:
-    """Boost features, each ingredient item normalized like the recipe text."""
-    items = [normalize(item, norm, agglut) for item in ingredients]
-    return boost_mod.recipe_boost_features(analysis, items)
+def _boost_features(analysis: Analysis, lexicon, norm: NormConfig, agglut,
+                    index: boost_mod.PresenceIndex | None = None) -> boost_mod.BoostFeatures:
+    """Boost features over the recipe's extracted ingredients (none without
+    a lexicon), each item normalized like the recipe text; ``index``
+    restricts the text fields to a model's n-grams."""
+    items = []
+    if lexicon is not None:
+        items = [normalize(item, norm, agglut)
+                 for item in extraction_mod.extract(analysis, lexicon).ingredients()]
+    return boost_mod.recipe_boost_features(analysis, items, index)
 
 
 # --------------------------------------------------------------------
@@ -246,8 +263,7 @@ def cmd_train(config: PipelineConfig) -> int:
     stats = build_stats(train, full, analyses, feed=Feed.TITLE_AND_BODY)
     save_stats(stats, model_dir / "stats.tsv")
 
-    feats = {rid: _boost_features(a, _ingredients(a, lexicon), norm, agglut)
-             for rid, a in analyses.items()}
+    feats = {rid: _boost_features(a, lexicon, norm, agglut) for rid, a in analyses.items()}
     boost_model = boost_mod.train_boost(train, dev, feats, boost_cfg)
     boost_mod.save_boost(boost_model, model_dir / "boost.model")
 
@@ -366,9 +382,10 @@ def cmd_classify(config: PipelineConfig) -> int:
 
     # Recipe-major: each analysis is dropped once every method has scored it.
     per_method: dict[str, list[ScoreVector]] = {m: [] for m in methods}
+    boost_index = boost_mod.presence_index(boost_model)
     for recipe in test:
         analysis = analyze(recipe, norm, agglut)
-        feats = _boost_features(analysis, _ingredients(analysis, lexicon), norm, agglut)
+        feats = _boost_features(analysis, lexicon, norm, agglut, boost_index)
         per_method["boost"].append(boost_mod.score_boost(boost_model, feats))
         per_method["svm"].append(svm_mod.score_ovo(svm_model, analysis, stats))
         per_method["cosine_hier"].append(
@@ -474,11 +491,11 @@ def cmd_extract(config: PipelineConfig) -> int:
     _verified_manifest(model_dir)
     # every task's model directory carries the lexicon, the only file read
     lexicon = extraction_mod.load_lexicon(model_dir / "lexicon.tsv")
+    # extraction reads only the plain view
+    plain = without_agglutination(config.norm_config())
     run_dir = Path(config.run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     test = load_corpus(test_path, LabelKind.NONE)
-    # extraction reads only the plain view
-    plain = without_agglutination(config.norm_config())
     run = {r.id: extraction_mod.extract(analyze(r, plain), lexicon) for r in test}
     extraction_mod.save_run(run, run_dir / "ingredients.tsv")
     total = sum(len(cl.items) for cl in run.values())

@@ -19,6 +19,7 @@ scores, so a full distribution over leaves comes out.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -52,16 +53,18 @@ class CosineModel:
     gini_threshold: float
     denominator_mode: str = STANDARD
     method_id: str = "cosine"
-    # ||v_c|| per class, summed over the vector's terms in sorted order
+    # ||v_c|| per class, classes in sorted order, each summed over the
+    # vector's terms in sorted order
     class_norms: dict[str, float] = field(init=False, repr=False)
 
     def __post_init__(self):
+        vectors = self.class_vectors
         self.class_norms = {
-            cls: math.sqrt(ordered_sum(w * w for _, w in sorted(vector.items())))
-            for cls, vector in self.class_vectors.items()}
+            cls: math.sqrt(ordered_sum(w * w for _, w in sorted(vectors[cls].items())))
+            for cls in sorted(vectors)}
 
     def classes(self) -> list[str]:
-        return sorted(self.class_vectors)
+        return list(self.class_norms)
 
 
 def build_class_vectors(stats: LexiconStats, classes: list[str], gini_threshold: float,
@@ -110,15 +113,17 @@ def train_cosine(train: Corpus, stats: LexiconStats, gini_threshold: float,
 
 def _recipe_vector(model: CosineModel, analysis: Analysis) -> SparseVector:
     stats = model.stats
+    gini, idf = stats._gini, stats._idf
+    threshold = model.gini_threshold
     vector: SparseVector = {}
-    counts: dict[str, int] = {}
-    for token in stats.tokenize(analysis):
-        counts[token] = counts.get(token, 0) + 1
-    for term, tf in counts.items():
-        g = stats.gini(term)
-        if g is None or g < model.gini_threshold:
+    for term, tf in Counter(stats.tokenize(analysis)).items():
+        g = gini.get(term)
+        if g is None or g < threshold:
             continue
-        weight = tf * stats.idf(term) * g
+        idf_t = idf.get(term)
+        if idf_t is None:
+            stats.idf(term)  # raises: a training term that no document holds
+        weight = tf * idf_t * g
         if weight != 0.0:
             vector[term] = weight
     return vector
@@ -130,7 +135,7 @@ def score_cosine(model: CosineModel, analysis: Analysis) -> ScoreVector:
     terms = sorted(v_r)
     norm_r = math.sqrt(ordered_sum(v_r[t] * v_r[t] for t in terms))
     scores = {}
-    for cls in model.classes():
+    for cls, norm_c in model.class_norms.items():
         v_c = model.class_vectors[cls]
         shared = [t for t in terms if t in v_c]
         numerator = ordered_sum(v_r[t] * v_c[t] for t in shared)
@@ -138,7 +143,7 @@ def score_cosine(model: CosineModel, analysis: Analysis) -> ScoreVector:
             scores[cls] = 0.0
             continue
         if model.denominator_mode == STANDARD:
-            denominator = norm_r * model.class_norms[cls]
+            denominator = norm_r * norm_c
         else:
             denominator = math.sqrt(ordered_sum((v_r[t] * v_c[t]) ** 2 for t in shared))
         scores[cls] = numerator / denominator if denominator != 0.0 else 0.0

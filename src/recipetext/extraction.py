@@ -3,7 +3,10 @@
 The extractor intersects the recipe's normalized tokens with a lexicon
 built from training gold lists (longest match first over 1-3 token
 windows, so multi-word entries like "crème fraîche" come out as one
-candidate). Generic tokens found in the text ("viande", "fromage",
+candidate). The lexicon indexes its entries by first token, so the
+scan joins and looks up only the windows that could match an entry
+and walks past every other token at the cost of one dict lookup.
+Generic tokens found in the text ("viande", "fromage",
 "poisson") are not emitted directly: each is resolved to the specific
 ingredient most probable given the candidate list, estimated from
 gold-list co-occurrence counts with add-one smoothing, and injected
@@ -20,7 +23,7 @@ regardless of the agglutination model used elsewhere in the pipeline.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .corpus import Corpus
@@ -52,6 +55,18 @@ class IngredientLexicon:
     generic_terms: frozenset[str]
     specializations: dict[str, dict[str, int]]         # generic -> specific -> count
     pair_counts: dict[str, dict[str, int]]             # specific -> candidate -> count
+    # first token -> the token counts of the entries it starts, descending,
+    # for the entries the scan's windows can match (see extract_candidates);
+    # built from ``entries`` at construction
+    starts: dict[str, tuple[int, ...]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        widths: dict[str, set[int]] = {}
+        for entry in self.entries:
+            tokens = entry.split(" ")
+            if len(tokens) <= _MAX_WINDOW:
+                widths.setdefault(tokens[0], set()).add(len(tokens))
+        self.starts = {first: tuple(sorted(w, reverse=True)) for first, w in widths.items()}
 
 
 def build_lexicon(train: Corpus, analyses: Mapping[str, Analysis], norm: NormConfig,
@@ -135,26 +150,31 @@ def extract_candidates(analysis: Analysis, lexicon: IngredientLexicon,
     and the set of generic tokens seen (carried forward, not emitted).
 
     The scan walks the folded token stream left to right trying 3-, 2-
-    then 1-token windows; the matched window is consumed whole. The
-    base confidence is min(1, tf/2 + 0.5) on the matched form's
-    occurrence count.
+    then 1-token windows; the matched window is consumed whole. Only the
+    windows as long as an entry that starts with the position's token
+    are joined and looked up, which finds the same longest match: an
+    entry can match a window only if its first token is the window's
+    first token. The base confidence is min(1, tf/2 + 0.5) on the
+    matched form's occurrence count.
     """
     tokens = [fold_token(t) for t in analysis.plain]
+    entries, starts = lexicon.entries, lexicon.starts
     counts: dict[str, int] = {}
     generics_found = set()
     i = 0
-    while i < len(tokens):
-        matched = False
-        for width in range(_MAX_WINDOW, 0, -1):
-            if i + width > len(tokens):
+    end = len(tokens)
+    while i < end:
+        for width in starts.get(tokens[i], ()):
+            if i + width > end:
                 continue
             form = " ".join(tokens[i:i + width])
-            if form in lexicon.entries:
+            if form in entries:
                 counts[form] = counts.get(form, 0) + 1
                 i += width
-                matched = True
                 break
-        if not matched:
+        else:
+            # generics count only where no entry matched: "fromage" inside
+            # the entry "fromage blanc" is not one
             if tokens[i] in lexicon.generic_terms:
                 generics_found.add(tokens[i])
             i += 1

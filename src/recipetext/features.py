@@ -10,6 +10,7 @@ index G(t) = sum_c (df_c(t)/df_T(t))^2.
 from __future__ import annotations
 
 import math
+import re
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -238,6 +239,7 @@ class NumericFeatures:
 NUMERIC_FIELDS = ["title_words", "body_words", "sentences", "separators", "ingredient_count"]
 
 _SEPARATORS = ".,:;!?"
+_TERMINATORS = re.compile(r"[.!?]")
 
 
 def numeric_features(analysis: Analysis, ingredients: list) -> NumericFeatures:
@@ -245,26 +247,17 @@ def numeric_features(analysis: Analysis, ingredients: list) -> NumericFeatures:
     and body, sentence and separator counts on the raw body, and the
     number of ingredient items.
 
-    Sentences are the maximal body segments ended by '.', '!' or '?';
-    a trailing segment without terminator counts as one sentence.
+    Sentences are the body segments between '.', '!' and '?' that hold
+    a non-whitespace character, so a trailing segment without
+    terminator counts as one sentence and runs like "?!." add none.
     """
     recipe = analysis.recipe
     title_words = len(analysis.title)
     body_words = len(analysis.body)
 
-    sentences = 0
-    segment_has_content = False
-    for ch in recipe.body:
-        if ch in ".!?":
-            if segment_has_content:
-                sentences += 1
-            segment_has_content = False
-        elif not ch.isspace():
-            segment_has_content = True
-    if segment_has_content:
-        sentences += 1
-
-    separators = sum(1 for ch in recipe.body if ch in _SEPARATORS)
+    sentences = sum(1 for segment in _TERMINATORS.split(recipe.body)
+                    if segment and not segment.isspace())
+    separators = sum(map(recipe.body.count, _SEPARATORS))
     return NumericFeatures(title_words, body_words, sentences, separators, len(ingredients))
 
 

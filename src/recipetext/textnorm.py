@@ -9,7 +9,12 @@ Normalization applies four steps in order:
 3. digit sequences are rewritten as French words ("3" -> "trois",
    "3,5" -> "trois virgule cinq"); cardinals above 999 pass through;
 4. frequent word n-grams are merged into composite tokens joined with
-   "_" ("il y a" -> "il_y_a"), using a fitted agglutination model.
+   "_" ("il y a" -> "il_y_a"), using a fitted agglutination model,
+   longest match first, left to right. Every model n-gram has two
+   tokens or more, and the model indexes its n-grams by first token ->
+   second tokens once (``AgglutinationModel.starts``), so windows are
+   looked up only where the next two tokens start a model n-gram; the
+   other positions cost one dict lookup.
 
 Diacritics are preserved throughout: de-accenting recipe text creates
 ambiguities ("pâte"/"pâté") that cost more than it saves.
@@ -40,7 +45,8 @@ import re
 import unicodedata
 from collections import Counter
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 from sys import intern
@@ -148,6 +154,12 @@ class NormConfig:
     language_digits: dict[int, str] = field(default_factory=default_french_numbers)
 
     def __post_init__(self):
+        for name in ("number_conversion", "agglutinate"):
+            if type(getattr(self, name)) is not bool:
+                raise ConfigError(f"{name} must be true or false, got {getattr(self, name)!r}")
+        for name in ("agglutination_min_count", "agglutination_max_n"):
+            if type(getattr(self, name)) is not int:
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.agglutination_min_count < 2:
             raise ConfigError("agglutination_min_count must be >= 2")
         if not 2 <= self.agglutination_max_n <= 4:
@@ -156,8 +168,23 @@ class NormConfig:
             if key != key.lower() or any(ch.isspace() for ch in key):
                 raise ConfigError(f"abbreviation key {key!r} must be lowercase, no whitespace")
 
+    @cached_property
+    def _plain(self) -> NormConfig:
+        # built once per config: every analyze and canonical_form call asks
+        return replace(self, agglutinate=False)
 
-AgglutinationModel = frozenset  # of token tuples, 2 <= len <= max_n
+
+class AgglutinationModel(frozenset):
+    """The fitted n-grams: a frozenset of token tuples, 2 <= len <= max_n."""
+
+    @cached_property
+    def starts(self) -> dict[str, frozenset[str]]:
+        """First token -> the second tokens of the n-grams it starts."""
+        seconds: dict[str, set[str]] = {}
+        for gram in self:
+            if len(gram) >= 2:
+                seconds.setdefault(gram[0], set()).add(gram[1])
+        return {first: frozenset(nexts) for first, nexts in seconds.items()}
 
 
 def _base_tokens(text: str) -> TokenStream:
@@ -204,20 +231,25 @@ def _apply_numbers(tokens: TokenStream, words: dict[int, str]) -> TokenStream:
     return out
 
 
-def _merge_ngrams(tokens: Sequence[str], model: AgglutinationModel, max_n: int) -> TokenStream:
+def _merge_ngrams(tokens: Sequence[str], model: frozenset, max_n: int) -> TokenStream:
+    if not isinstance(model, AgglutinationModel):
+        model = AgglutinationModel(model)
+    index = model.starts
     out: TokenStream = []
     i = 0
-    while i < len(tokens):
-        merged = False
-        for n in range(max_n, 1, -1):
-            if i + n <= len(tokens) and tuple(tokens[i:i + n]) in model:
-                out.append(intern("_".join(tokens[i:i + n])))
-                i += n
-                merged = True
-                break
-        if not merged:
+    end = len(tokens)
+    while i < end:
+        width = 1
+        if i + 1 < end and tokens[i + 1] in index.get(tokens[i], ()):
+            for n in range(min(max_n, end - i), 1, -1):
+                if tuple(tokens[i:i + n]) in model:
+                    width = n
+                    break
+        if width == 1:
             out.append(tokens[i])
-            i += 1
+        else:
+            out.append(intern("_".join(tokens[i:i + width])))
+        i += width
     return out
 
 
@@ -243,14 +275,7 @@ def without_agglutination(config: NormConfig) -> NormConfig:
     """The same normalization with step 4 turned off."""
     if not config.agglutinate:
         return config
-    return NormConfig(
-        abbrev_table=config.abbrev_table,
-        number_conversion=config.number_conversion,
-        agglutinate=False,
-        agglutination_min_count=config.agglutination_min_count,
-        agglutination_max_n=config.agglutination_max_n,
-        language_digits=config.language_digits,
-    )
+    return config._plain
 
 
 @dataclass(frozen=True)
@@ -329,7 +354,7 @@ def fit_agglutinator(analyses: Mapping[str, Analysis],
                 shorter = longer[i:i + span]
                 if shorter in candidates and counts[shorter] <= counts[longer]:
                     subsumed.add(shorter)
-    return frozenset(candidates - subsumed)
+    return AgglutinationModel(candidates - subsumed)
 
 
 def ngrams(stream: TokenStream, max_n: int) -> Counter:
@@ -348,7 +373,7 @@ def save_agglutination_model(model: AgglutinationModel, path: str | Path) -> Non
 
 
 def load_agglutination_model(path: str | Path) -> AgglutinationModel:
-    return frozenset(tuple(row[0].split()) for row in read_rows(path))
+    return AgglutinationModel(tuple(row[0].split()) for row in read_rows(path))
 
 
 __all__ = [

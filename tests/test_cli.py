@@ -276,6 +276,46 @@ class TestErrorCodes:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("error:config:")
 
+    @pytest.mark.parametrize("extra", [
+        {"dev_fraction": "x"},
+        {"dev_fraction": 1.5},
+        {"mi_k": "x"},
+        {"mi_k": -1},
+        {"norm": {"agglutinate": True, "agglutination_min_count": "x"}},
+        {"norm": {"agglutinate": True, "agglutination_max_n": 2.5}},
+        {"norm": {"number_conversion": "x"}},
+        {"fusion": {"veto": "x"}},
+        {"fusion": {"veto": {"svm": "x"}}},
+        {"fusion": "x"},
+        {"model_dir": 5},
+        {"task": ["T2"]},
+        {"hierarchy_spec": 1},
+    ], ids=["dev_fraction_string", "dev_fraction_above_one", "mi_k_string", "mi_k_negative",
+            "agglutination_min_count_string", "agglutination_max_n_float",
+            "number_conversion_string", "veto_string", "veto_dict_string", "fusion_string",
+            "model_dir_number", "task_list", "hierarchy_spec_number"])
+    def test_wrong_type_is_config_error_before_any_output(self, tmp_path, capsys, extra):
+        config = _config(tmp_path, **extra)
+        assert main(["--config", str(config), "train"]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error:config:")
+        assert not (tmp_path / "models").exists() and not (tmp_path / "runs").exists()
+
+    def test_bad_norm_option_writes_no_run_dir(self, tmp_path, pipeline, capsys):
+        src, _ = pipeline
+        config = _config(tmp_path, model_dir=str(src / "models"),
+                         norm={"agglutinate": True, "agglutination_min_count": "x"})
+        for command in ("classify", "extract"):
+            assert main(["--config", str(config), command]) == 2
+        assert capsys.readouterr().err.count("error:config:") == 2
+        assert not (tmp_path / "runs").exists()
+
+    def test_bad_flag_value_is_config_error(self, tmp_path, capsys):
+        config = _config(tmp_path)
+        assert main(["--config", str(config), "--dev-fraction", "0", "train"]) == 2
+        assert capsys.readouterr().err.startswith("error:config: dev_fraction")
+        assert not (tmp_path / "models").exists()
+
     def test_missing_config_file(self, capsys):
         assert main(["--config", "/nonexistent/conf.json", "train"]) == 2
         assert capsys.readouterr().err.startswith("error:config:")
