@@ -58,7 +58,7 @@ from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
 from .corpus import Corpus
-from .errors import ConfigError, DataError, ModelMismatchError
+from .errors import ConfigError, DataError, ModelMismatchError, check_types
 from .features import NUMERIC_FIELDS, numeric_features
 from .scores import ScoreVector
 from .summation import ordered_sum
@@ -105,8 +105,7 @@ def recipe_boost_features(analysis: Analysis, ingredients: list[list[str]],
         streams = {"title": [analysis.title], "body": [analysis.body],
                    "ingredients": ingredients}
         text = {name: _indexed_ngrams(streams[name], index[name]) for name, _ in TEXT_FIELDS}
-    numbers = numeric_features(analysis, ingredients)
-    return BoostFeatures(analysis.recipe.id, text, numbers.as_mapping())
+    return BoostFeatures(analysis.recipe.id, text, numeric_features(analysis, ingredients))
 
 
 def _indexed_ngrams(streams, lengths: dict[str, tuple[int, ...]]) -> frozenset[str]:
@@ -127,6 +126,7 @@ class BoostConfig:
     dev_patience: int = 10
 
     def __post_init__(self):
+        check_types(self)
         if self.max_rounds < 1:
             raise ConfigError("max_rounds must be >= 1")
         if self.smoothing_epsilon <= 0:
@@ -216,14 +216,11 @@ def _votes(w_plus, w_minus, eps):
 
 
 def train_boost(train: Corpus, dev: Corpus | None, features: dict[str, BoostFeatures],
-                config: BoostConfig, labels: dict[str, str] | None = None,
-                dev_labels: dict[str, str] | None = None) -> BoostModel:
+                config: BoostConfig) -> BoostModel:
     """Fit the boosted model; the returned round list is truncated to
     the dev-best round when a dev corpus is given."""
-    if labels is None:
-        labels = train.labels()
-    if dev is not None and dev_labels is None:
-        dev_labels = dev.labels()
+    labels = train.labels()
+    dev_labels = dev.labels() if dev is not None else None
 
     ids = [r.id for r in train.recipes]
     if not ids:
@@ -413,11 +410,10 @@ def _confidence(margin: float) -> float:
     return e / (1.0 + e)
 
 
-def score_boost(model: BoostModel, feats: BoostFeatures,
-                method_id: str = "boost") -> ScoreVector:
+def score_boost(model: BoostModel, feats: BoostFeatures) -> ScoreVector:
     """Per-class confidence in [0, 1], strictly monotone in the margin."""
     totals = margins(model, feats)
-    return ScoreVector(feats.recipe_id, method_id,
+    return ScoreVector(feats.recipe_id, "boost",
                        {c: _confidence(m) for c, m in totals.items()})
 
 

@@ -12,7 +12,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from . import boost as boost_mod
@@ -20,7 +20,7 @@ from . import cosine as cosine_mod
 from . import extraction as extraction_mod
 from . import svm as svm_mod
 from .corpus import Corpus, LabelKind, SplitSpec, load_corpus, stratified_split
-from .errors import ConfigError, DataError, ModelMismatchError
+from .errors import ConfigError, DataError, ModelMismatchError, check_types, is_number
 from .evaluation import (
     classification_report,
     load_qrels,
@@ -41,13 +41,14 @@ from .textnorm import (
     Analysis,
     NormConfig,
     analyze,
+    builtin_abbreviations,
     fit_agglutinator,
     load_abbrev_table,
     load_agglutination_model,
+    merge_ngrams,
     normalize,
     save_agglutination_model,
     with_agglutination,
-    without_agglutination,
 )
 from .tsv import Header, read_rows, write_lines
 
@@ -86,47 +87,57 @@ class PipelineConfig:
     cosine: dict = field(default_factory=dict)
     mi_k: int | None = 10000
     fusion: dict = field(default_factory=dict)
+    # built from the option objects above, so every command checks them
+    boost_config: boost_mod.BoostConfig = field(init=False, repr=False)
+    svm_config: svm_mod.SvmConfig = field(init=False, repr=False)
+    electre: ElectreParams | None = field(init=False, repr=False)  # None for T4
 
     def __post_init__(self):
-        optional = ("train_xml", "test_xml", "abbreviations_tsv", "hierarchy_spec",
-                    "class_boosts_tsv")
-        for name in ("task", "model_dir", "run_dir") + optional:
-            value = getattr(self, name)
-            if type(value) is not str and not (value is None and name in optional):
-                raise ConfigError(f"{name} must be a string, got {value!r}")
+        check_types(self)
         if self.task not in TASK_LABEL_KIND:
             raise ConfigError(f"unknown task {self.task!r} (expected T1, T2 or T4)")
-        if type(self.seed) is not int:
-            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
-        if not _is_number(self.dev_fraction) or not 0.0 < self.dev_fraction < 1.0:
+        if not 0.0 < self.dev_fraction < 1.0:
             raise ConfigError(f"dev_fraction {self.dev_fraction!r} is not a number in (0, 1)")
-        if self.mi_k is not None and (type(self.mi_k) is not int or self.mi_k < 0):
+        if self.mi_k is not None and self.mi_k < 0:
             raise ConfigError(f"mi_k {self.mi_k!r} is not a count (0 or null: no MI filter)")
-        for name in ("norm", "boost", "svm", "cosine", "fusion"):
-            if type(getattr(self, name)) is not dict:
-                raise ConfigError(f"{name} options must be a JSON object")
-        veto = self.fusion.get("veto", DEFAULT_VETO)
-        vetoes = veto.values() if type(veto) is dict else [veto]
-        if not all(_is_number(v) for v in vetoes):
-            raise ConfigError(f"fusion veto {veto!r} is not a number or a "
-                              "method -> number object")
+        self.boost_config = _options(boost_mod.BoostConfig, self.boost, "boost")
+        self.svm_config = _options(svm_mod.SvmConfig, self.svm, "svm", seed=self.seed)
+        self.electre = None if self.task == "T4" else _electre_params(self.task, self.fusion)
 
     def norm_config(self) -> NormConfig:
-        if self.abbreviations_tsv is not None:
-            table = load_abbrev_table(_require_file(self.abbreviations_tsv, "abbreviation file"))
-            base = {"abbrev_table": table}
+        if self.abbreviations_tsv is None:
+            table = builtin_abbreviations()
         else:
-            base = {}
-        known = {"number_conversion", "agglutinate", "agglutination_min_count",
-                 "agglutination_max_n"}
-        unknown = set(self.norm) - known
-        if unknown:
-            raise ConfigError(f"unknown norm options: {sorted(unknown)}")
-        return NormConfig(**base, **self.norm)
+            table = load_abbrev_table(_require_file(self.abbreviations_tsv, "abbreviation file"))
+        return _options(NormConfig, self.norm, "norm", abbrev_table=table)
 
 
-def _is_number(value) -> bool:
-    return type(value) in (int, float)
+def _options(cls, options: dict, section: str, **fixed):
+    """``cls`` built from a config section; ``fixed`` fields are not options."""
+    unknown = set(options) - ({f.name for f in fields(cls)} - set(fixed))
+    if unknown:
+        raise ConfigError(f"unknown {section} options: {sorted(unknown)}")
+    return cls(**fixed, **options)
+
+
+def _electre_params(task: str, fusion: dict) -> ElectreParams:
+    methods = TASK_METHODS[task]
+    options = dict(fusion)
+    sc = options.pop("concordance_threshold", None)
+    veto = options.pop("veto", DEFAULT_VETO)
+    weights = options.pop("method_weights", None)
+    if options:
+        raise ConfigError(f"unknown fusion options: {sorted(options)}")
+    if weights is None:
+        weights = dict.fromkeys(methods, 1.0)
+    if type(weights) is not dict:
+        raise ConfigError(f"fusion method_weights {weights!r} is not a JSON object")
+    vetoes = dict(veto) if type(veto) is dict else dict.fromkeys(methods, veto)
+    missing = [m for m in methods if m not in weights or m not in vetoes]
+    if missing:
+        raise ConfigError(f"fusion weights or vetoes missing methods {missing}")
+    return ElectreParams(method_weights=weights, veto_values=vetoes,
+                         concordance_threshold=DEFAULT_CONCORDANCE[task] if sc is None else sc)
 
 
 def load_config(path: str | Path) -> PipelineConfig:
@@ -137,7 +148,7 @@ def load_config(path: str | Path) -> PipelineConfig:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-    known = {f for f in PipelineConfig.__dataclass_fields__}
+    known = {f.name for f in fields(PipelineConfig) if f.init}
     unknown = set(raw) - known
     if unknown:
         raise ConfigError(f"{path}: unknown config keys {sorted(unknown)}")
@@ -192,8 +203,7 @@ def _analyze_corpus(corpus: Corpus, norm: NormConfig):
     """Every recipe's analysis by id, and the agglutination model (or
     None). The model is fitted on the plain streams, which are then
     merged without being normalized again."""
-    plain = without_agglutination(norm)
-    analyses = {r.id: analyze(r, plain) for r in corpus}
+    analyses = {r.id: analyze(r, norm) for r in corpus}
     if not norm.agglutinate:
         return analyses, None
     agglut = fit_agglutinator(analyses, norm)
@@ -207,7 +217,7 @@ def _boost_features(analysis: Analysis, lexicon, norm: NormConfig, agglut,
     restricts the text fields to a model's n-grams."""
     items = []
     if lexicon is not None:
-        items = [normalize(item, norm, agglut)
+        items = [merge_ngrams(normalize(item, norm), agglut, norm.agglutination_max_n)
                  for item in extraction_mod.extract(analysis, lexicon).ingredients()]
     return boost_mod.recipe_boost_features(analysis, items, index)
 
@@ -219,14 +229,9 @@ def _boost_features(analysis: Analysis, lexicon, norm: NormConfig, agglut,
 def cmd_train(config: PipelineConfig) -> int:
     train_path = _require_file(config.train_xml, "training corpus")
     norm = config.norm_config()
-    try:  # an unknown option, or a value of the wrong type
-        boost_cfg = boost_mod.BoostConfig(**config.boost)
-        svm_cfg = svm_mod.SvmConfig(seed=config.seed, **config.svm)
-    except TypeError as exc:
-        raise ConfigError(f"boost or svm options: {exc}") from None
     cosine_opts = dict(config.cosine)
     threshold = cosine_opts.pop("gini_threshold", 0.45)
-    if type(threshold) not in (int, float) or not 0.0 <= threshold <= 1.0:
+    if not is_number(threshold) or not 0.0 <= threshold <= 1.0:
         raise ConfigError(f"cosine gini_threshold {threshold!r} is not a number in [0, 1]")
     mode = cosine_opts.pop("denominator_mode", cosine_mod.STANDARD)
     alpha = cosine_opts.pop("alpha", None)
@@ -264,13 +269,13 @@ def cmd_train(config: PipelineConfig) -> int:
     save_stats(stats, model_dir / "stats.tsv")
 
     feats = {rid: _boost_features(a, lexicon, norm, agglut) for rid, a in analyses.items()}
-    boost_model = boost_mod.train_boost(train, dev, feats, boost_cfg)
+    boost_model = boost_mod.train_boost(train, dev, feats, config.boost_config)
     boost_mod.save_boost(boost_model, model_dir / "boost.model")
 
     vocab_filter = None
     if config.task == "T2" and config.mi_k:
         vocab_filter = frozenset(mutual_information_select(stats, config.mi_k))
-    svm_model = svm_mod.train_ovo(train, analyses, stats, svm_cfg, vocab_filter)
+    svm_model = svm_mod.train_ovo(train, analyses, stats, config.svm_config, vocab_filter)
     svm_mod.save_ovo(svm_model, model_dir / "svm.model")
 
     if config.task == "T2":
@@ -404,25 +409,6 @@ def cmd_classify(config: PipelineConfig) -> int:
 # fuse
 # --------------------------------------------------------------------
 
-def _electre_params(config: PipelineConfig, methods: list[str]) -> ElectreParams:
-    fusion_opts = dict(config.fusion)
-    sc = fusion_opts.pop("concordance_threshold", None)
-    if sc is None:
-        sc = DEFAULT_CONCORDANCE.get(config.task, 0.7)
-    veto = fusion_opts.pop("veto", DEFAULT_VETO)
-    weights = fusion_opts.pop("method_weights", None)
-    if fusion_opts:
-        raise ConfigError(f"unknown fusion options: {sorted(fusion_opts)}")
-    if weights is None:
-        weights = {m: 1.0 for m in methods}
-    missing = [m for m in methods if m not in weights]
-    if missing:
-        raise ConfigError(f"fusion weights missing methods {missing}")
-    vetoes = {m: veto for m in methods} if isinstance(veto, (int, float)) else dict(veto)
-    return ElectreParams(method_weights=weights, concordance_threshold=sc,
-                         veto_values=vetoes)
-
-
 def _load_score_files(run_dir: Path, methods: list[str]):
     """Each method's score vectors by recipe id, and the sorted recipe
     ids, which every score file must share."""
@@ -443,7 +429,6 @@ def cmd_fuse(config: PipelineConfig, runs_preset: str | None) -> int:
     run_dir = Path(config.run_dir)
     methods = TASK_METHODS[config.task]
     by_method, ids = _load_score_files(run_dir, methods)
-    params = _electre_params(config, methods)
     normalized = {
         rid: [normalize_scores(by_method[m][rid]) for m in methods] for rid in ids}
 
@@ -451,7 +436,7 @@ def cmd_fuse(config: PipelineConfig, runs_preset: str | None) -> int:
     for rid in ids:
         vectors = normalized[rid]
         linear_winner, _ = fuse_linear(vectors)
-        electre_winner, relation = fuse_electre(vectors, params)
+        electre_winner, relation = fuse_electre(vectors, config.electre)
         linear_rows.append(f"{rid}\t{linear_winner}")
         electre_rows.append(f"{rid}\t{electre_winner}")
         cells = [rid]
@@ -492,11 +477,11 @@ def cmd_extract(config: PipelineConfig) -> int:
     # every task's model directory carries the lexicon, the only file read
     lexicon = extraction_mod.load_lexicon(model_dir / "lexicon.tsv")
     # extraction reads only the plain view
-    plain = without_agglutination(config.norm_config())
+    norm = config.norm_config()
     run_dir = Path(config.run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     test = load_corpus(test_path, LabelKind.NONE)
-    run = {r.id: extraction_mod.extract(analyze(r, plain), lexicon) for r in test}
+    run = {r.id: extraction_mod.extract(analyze(r, norm), lexicon) for r in test}
     extraction_mod.save_run(run, run_dir / "ingredients.tsv")
     total = sum(len(cl.items) for cl in run.values())
     print(f"extracted {total} candidates over {len(test)} recipes -> {run_dir}")
@@ -571,10 +556,9 @@ def cmd_sweep(config: PipelineConfig, param: str, start: float, stop: float,
         methods = TASK_METHODS[config.task]
         by_method, ids = _load_score_files(Path(config.run_dir), methods)
         gold = load_corpus(_require_file(config.test_xml, "test corpus"), label_kind)
-        base = _electre_params(config, methods)
         print("concordance_threshold\tmicro_f")
         for sc in values:
-            params = replace(base, concordance_threshold=sc)
+            params = replace(config.electre, concordance_threshold=sc)
             predicted = {}
             for rid in ids:
                 vectors = [normalize_scores(by_method[m][rid]) for m in methods]

@@ -18,7 +18,7 @@ from .corpus import Corpus, Difficulty, LabelKind
 from .errors import DataError
 from .extraction import canonical_form
 from .summation import ordered_sum
-from .textnorm import NormConfig, without_agglutination
+from .textnorm import NormConfig
 from .tsv import read_rows
 
 
@@ -131,11 +131,9 @@ def _deaccent(text: str) -> str:
 def _canonicalizer(norm: NormConfig | None, deaccent: bool = False):
     """item -> the form it is matched by, each distinct item computed
     once (items repeat across recipes)."""
-    plain = without_agglutination(norm) if norm is not None else None
-
     @functools.cache
     def canon(item: str) -> str:
-        form = canonical_form(item, plain) if plain is not None else item
+        form = canonical_form(item, norm) if norm is not None else item
         return _deaccent(form) if deaccent else form
     return canon
 

@@ -28,7 +28,7 @@ from pathlib import Path
 
 from .corpus import Corpus
 from .errors import DataError
-from .textnorm import Analysis, NormConfig, normalize, without_agglutination
+from .textnorm import Analysis, NormConfig, normalize
 from .tsv import Header, read_rows, write_lines
 
 GENERIC_TERMS = ("fromage", "poisson", "viande")
@@ -45,8 +45,7 @@ def fold_token(token: str) -> str:
 
 def canonical_form(text: str, config: NormConfig) -> str:
     """Normalized (steps 1-3), plural-folded, space-joined surface form."""
-    tokens = normalize(text, without_agglutination(config))
-    return " ".join(fold_token(tok) for tok in tokens)
+    return " ".join(fold_token(tok) for tok in normalize(text, config))
 
 
 @dataclass
@@ -69,8 +68,8 @@ class IngredientLexicon:
         self.starts = {first: tuple(sorted(w, reverse=True)) for first, w in widths.items()}
 
 
-def build_lexicon(train: Corpus, analyses: Mapping[str, Analysis], norm: NormConfig,
-                  generic_terms=GENERIC_TERMS) -> IngredientLexicon:
+def build_lexicon(train: Corpus, analyses: Mapping[str, Analysis],
+                  norm: NormConfig) -> IngredientLexicon:
     """Collect entry forms and co-occurrence tables from gold lists.
 
     ``analyses`` maps each training recipe id to its analysis; ``norm``
@@ -81,8 +80,7 @@ def build_lexicon(train: Corpus, analyses: Mapping[str, Analysis], norm: NormCon
     counts training recipes whose gold list holds both x and l (the
     evidence the generic resolver sums over).
     """
-    norm = without_agglutination(norm)
-    generics = frozenset(fold_token(g) for g in generic_terms)
+    generics = frozenset(fold_token(g) for g in GENERIC_TERMS)
     entries: set[str] = set()
     gold_sets: list[tuple[set[str], set[str]]] = []  # (gold canonical set, text tokens)
     for recipe in train:

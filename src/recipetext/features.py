@@ -218,47 +218,27 @@ def mutual_information_select(stats: LexiconStats, k: int) -> list[str]:
     return [term for _, term in scored[:k]]
 
 
-@dataclass(frozen=True)
-class NumericFeatures:
-    title_word_count: int
-    body_word_count: int
-    sentence_count: int
-    separator_count: int
-    ingredient_list_size: int
-
-    def as_mapping(self) -> dict[str, float]:
-        return {
-            "title_words": float(self.title_word_count),
-            "body_words": float(self.body_word_count),
-            "sentences": float(self.sentence_count),
-            "separators": float(self.separator_count),
-            "ingredient_count": float(self.ingredient_list_size),
-        }
-
-
 NUMERIC_FIELDS = ["title_words", "body_words", "sentences", "separators", "ingredient_count"]
 
 _SEPARATORS = ".,:;!?"
 _TERMINATORS = re.compile(r"[.!?]")
 
 
-def numeric_features(analysis: Analysis, ingredients: list) -> NumericFeatures:
+def numeric_features(analysis: Analysis, ingredients: list) -> dict[str, float]:
     """The five continuous features: word counts on the analyzed title
     and body, sentence and separator counts on the raw body, and the
-    number of ingredient items.
+    number of ingredient items; keyed by NUMERIC_FIELDS, in its order.
 
     Sentences are the body segments between '.', '!' and '?' that hold
     a non-whitespace character, so a trailing segment without
     terminator counts as one sentence and runs like "?!." add none.
     """
-    recipe = analysis.recipe
-    title_words = len(analysis.title)
-    body_words = len(analysis.body)
-
-    sentences = sum(1 for segment in _TERMINATORS.split(recipe.body)
+    body = analysis.recipe.body
+    sentences = sum(1 for segment in _TERMINATORS.split(body)
                     if segment and not segment.isspace())
-    separators = sum(map(recipe.body.count, _SEPARATORS))
-    return NumericFeatures(title_words, body_words, sentences, separators, len(ingredients))
+    separators = sum(map(body.count, _SEPARATORS))
+    counts = (len(analysis.title), len(analysis.body), sentences, separators, len(ingredients))
+    return dict(zip(NUMERIC_FIELDS, map(float, counts)))
 
 
 def stats_lines(stats: LexiconStats) -> list[str]:
@@ -317,7 +297,6 @@ def load_stats(path: str | Path) -> LexiconStats:
 __all__ = [
     "Feed",
     "LexiconStats",
-    "NumericFeatures",
     "NUMERIC_FIELDS",
     "SparseVector",
     "TermStats",

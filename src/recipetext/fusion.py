@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, is_number
 from .scores import ScoreVector
 from .summation import ordered_sum
 
@@ -68,13 +68,16 @@ class ElectreParams:
         if not self.method_weights:
             raise ConfigError("ELECTRE needs at least one method weight")
         for method, weight in self.method_weights.items():
-            if weight <= 0:
-                raise ConfigError(f"method weight for {method!r} must be > 0")
-        if not 0.0 <= self.concordance_threshold <= 1.0:
-            raise ConfigError("concordance threshold must lie in [0, 1]")
+            if not is_number(weight) or weight <= 0:
+                raise ConfigError(f"method weight for {method!r} must be a number > 0, "
+                                  f"got {weight!r}")
+        sc = self.concordance_threshold
+        if not is_number(sc) or not 0.0 <= sc <= 1.0:
+            raise ConfigError(f"concordance threshold {sc!r} is not a number in [0, 1]")
         for method, veto in self.veto_values.items():
-            if not 0.0 <= veto <= 1.0:
-                raise ConfigError(f"veto value for {method!r} must lie in [0, 1]")
+            if not is_number(veto) or not 0.0 <= veto <= 1.0:
+                raise ConfigError(f"veto value for {method!r} must be a number in [0, 1], "
+                                  f"got {veto!r}")
 
     @classmethod
     def uniform(cls, methods: list[str], concordance_threshold: float,

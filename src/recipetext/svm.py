@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .corpus import Corpus
-from .errors import ConfigError, DataError, ModelMismatchError
+from .errors import ConfigError, DataError, ModelMismatchError, check_types
 from .features import LexiconStats, SparseVector, tfidf_vector
 from .rng import SplitMix64, mix64
 from .scores import ScoreVector
@@ -30,6 +30,7 @@ class SvmConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_types(self)
         if self.regularization <= 0:
             raise ConfigError("regularization must be > 0")
         if self.epochs < 1:
@@ -114,12 +115,10 @@ def train_pair(docs: list[tuple[str, SparseVector, int]], config: SvmConfig,
 
 
 def train_ovo(train: Corpus, analyses: Mapping[str, Analysis], stats: LexiconStats,
-              config: SvmConfig, vocab_filter: frozenset[str] | None = None,
-              labels: dict[str, str] | None = None) -> OvoModel:
+              config: SvmConfig, vocab_filter: frozenset[str] | None = None) -> OvoModel:
     """One PairModel per unordered class pair, classes in sorted order;
     ``analyses`` maps each training recipe id to its analysis."""
-    if labels is None:
-        labels = train.labels()
+    labels = train.labels()
     classes = sorted(set(labels.values()))
     if len(classes) < 2:
         raise DataError("one-vs-one training needs at least 2 classes")
@@ -150,8 +149,7 @@ def train_ovo(train: Corpus, analyses: Mapping[str, Analysis], stats: LexiconSta
     return OvoModel(pair_models, classes, vocab_filter)
 
 
-def score_ovo(model: OvoModel, analysis: Analysis, stats: LexiconStats,
-              method_id: str = "svm") -> ScoreVector:
+def score_ovo(model: OvoModel, analysis: Analysis, stats: LexiconStats) -> ScoreVector:
     """Aggregate margins: each pair's margin counts positively for its
     first class and negatively for its second."""
     vector = _restrict(tfidf_vector(analysis, stats), model.vocab_filter)
@@ -161,7 +159,7 @@ def score_ovo(model: OvoModel, analysis: Analysis, stats: LexiconStats,
         m = margin(pair_model, vector)
         scores[first] += m
         scores[second] -= m
-    return ScoreVector(analysis.recipe.id, method_id, scores)
+    return ScoreVector(analysis.recipe.id, "svm", scores)
 
 
 def save_ovo(model: OvoModel, path: str | Path) -> None:

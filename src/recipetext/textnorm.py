@@ -16,6 +16,10 @@ Normalization applies four steps in order:
    looked up only where the next two tokens start a model n-gram; the
    other positions cost one dict lookup.
 
+``normalize`` applies steps 1-3. Step 4 is ``merge_ngrams`` and runs
+only where a model is given; ``NormConfig.agglutinate`` tells the CLI
+to fit (``train``) or load (``classify``) the model it then passes.
+
 Diacritics are preserved throughout: de-accenting recipe text creates
 ambiguities ("pâte"/"pâté") that cost more than it saves.
 
@@ -27,7 +31,7 @@ token view it needs from the resulting ``Analysis``:
 * ``title``, ``body``, ``title_body`` -- steps 1-4, the last merged
   over the joined plain stream (never the merged title followed by the
   merged body: an agglutinated n-gram can span the boundary). Without
-  agglutination they are the plain title, the plain body and ``plain``.
+  a model they are the plain title, the plain body and ``plain``.
 
 Steps 1-3 run once per field. The joined stream is the plain title
 stream followed by the plain body stream because "\n" is a hard
@@ -45,14 +49,14 @@ import re
 import unicodedata
 from collections import Counter
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
 from sys import intern
 
 from .corpus import Recipe
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_types
 from .tsv import read_rows, write_lines
 
 TokenStream = list[str]
@@ -70,22 +74,17 @@ _DIGITS_RE = re.compile(r"^[0-9]+$")
 _DECIMAL_RE = re.compile(r"^([0-9]+),([0-9]+)$")
 
 
-def _french_units() -> dict[int, str]:
+def default_french_numbers() -> dict[int, str]:
+    """French cardinal words for 0..999, fully hyphenated.
+
+    Uses the 1990 rectified orthography (hyphens everywhere) so every
+    number renders as a single whitespace-free token.
+    """
     units = {
         0: "zéro", 1: "un", 2: "deux", 3: "trois", 4: "quatre", 5: "cinq",
         6: "six", 7: "sept", 8: "huit", 9: "neuf", 10: "dix", 11: "onze",
         12: "douze", 13: "treize", 14: "quatorze", 15: "quinze", 16: "seize",
     }
-    return units
-
-
-def default_french_numbers(limit: int = 1000) -> dict[int, str]:
-    """French cardinal words for 0..limit-1, fully hyphenated.
-
-    Uses the 1990 rectified orthography (hyphens everywhere) so every
-    number renders as a single whitespace-free token.
-    """
-    units = _french_units()
     tens = {20: "vingt", 30: "trente", 40: "quarante", 50: "cinquante", 60: "soixante"}
 
     def below_hundred(n: int) -> str:
@@ -112,7 +111,7 @@ def default_french_numbers(limit: int = 1000) -> dict[int, str]:
         raise ValueError(n)
 
     words = {}
-    for n in range(min(limit, 1000)):
+    for n in range(1000):
         if n < 100:
             words[n] = below_hundred(n)
             continue
@@ -123,6 +122,9 @@ def default_french_numbers(limit: int = 1000) -> dict[int, str]:
         else:
             words[n] = head + "-" + below_hundred(rest)
     return words
+
+
+_FRENCH_NUMBERS = default_french_numbers()
 
 
 def builtin_abbreviations() -> dict[str, str]:
@@ -151,27 +153,13 @@ class NormConfig:
     agglutinate: bool = False
     agglutination_min_count: int = 3
     agglutination_max_n: int = 3
-    language_digits: dict[int, str] = field(default_factory=default_french_numbers)
 
     def __post_init__(self):
-        for name in ("number_conversion", "agglutinate"):
-            if type(getattr(self, name)) is not bool:
-                raise ConfigError(f"{name} must be true or false, got {getattr(self, name)!r}")
-        for name in ("agglutination_min_count", "agglutination_max_n"):
-            if type(getattr(self, name)) is not int:
-                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        check_types(self)
         if self.agglutination_min_count < 2:
             raise ConfigError("agglutination_min_count must be >= 2")
         if not 2 <= self.agglutination_max_n <= 4:
             raise ConfigError("agglutination_max_n must lie in [2, 4]")
-        for key in self.abbrev_table:
-            if key != key.lower() or any(ch.isspace() for ch in key):
-                raise ConfigError(f"abbreviation key {key!r} must be lowercase, no whitespace")
-
-    @cached_property
-    def _plain(self) -> NormConfig:
-        # built once per config: every analyze and canonical_form call asks
-        return replace(self, agglutinate=False)
 
 
 class AgglutinationModel(frozenset):
@@ -231,9 +219,12 @@ def _apply_numbers(tokens: TokenStream, words: dict[int, str]) -> TokenStream:
     return out
 
 
-def _merge_ngrams(tokens: Sequence[str], model: frozenset, max_n: int) -> TokenStream:
-    if not isinstance(model, AgglutinationModel):
-        model = AgglutinationModel(model)
+def merge_ngrams(tokens: Sequence[str], model: AgglutinationModel | None,
+                 max_n: int) -> TokenStream:
+    """Step 4: merge the model's n-grams of at most ``max_n`` tokens,
+    longest match first, left to right; no model merges nothing."""
+    if model is None:
+        return list(tokens)
     index = model.starts
     out: TokenStream = []
     i = 0
@@ -253,29 +244,12 @@ def _merge_ngrams(tokens: Sequence[str], model: frozenset, max_n: int) -> TokenS
     return out
 
 
-def normalize(text: str, config: NormConfig,
-              agglutination_model: AgglutinationModel | None = None) -> TokenStream:
-    """Apply the four normalization steps to a text; total on strings.
-
-    With ``config.agglutinate`` a fitted model (see fit_agglutinator)
-    must be supplied.
-    """
-    tokens = _base_tokens(text)
-    tokens = _apply_abbrev(tokens, config.abbrev_table)
+def normalize(text: str, config: NormConfig) -> TokenStream:
+    """Apply normalization steps 1-3 to a text; total on strings."""
+    tokens = _apply_abbrev(_base_tokens(text), config.abbrev_table)
     if config.number_conversion:
-        tokens = _apply_numbers(tokens, config.language_digits)
-    if config.agglutinate:
-        if agglutination_model is None:
-            raise ConfigError("agglutinate=True requires a fitted agglutination model")
-        tokens = _merge_ngrams(tokens, agglutination_model, config.agglutination_max_n)
+        tokens = _apply_numbers(tokens, _FRENCH_NUMBERS)
     return tokens
-
-
-def without_agglutination(config: NormConfig) -> NormConfig:
-    """The same normalization with step 4 turned off."""
-    if not config.agglutinate:
-        return config
-    return config._plain
 
 
 @dataclass(frozen=True)
@@ -292,34 +266,30 @@ class Analysis:
 
 def analyze(recipe: Recipe, config: NormConfig,
             agglutination_model: AgglutinationModel | None = None) -> Analysis:
-    """Normalize a recipe's title and body once into every token view.
-
-    With ``config.agglutinate`` a fitted model (see fit_agglutinator)
-    must be supplied. The plain tokens are interned.
+    """Normalize a recipe's title and body once into every token view,
+    merged by ``agglutination_model`` when one is given. The plain
+    tokens are interned.
     """
-    plain_config = without_agglutination(config)
-    title = tuple(map(intern, normalize(recipe.title, plain_config)))
-    body = tuple(map(intern, normalize(recipe.body, plain_config)))
+    title = tuple(map(intern, normalize(recipe.title, config)))
+    body = tuple(map(intern, normalize(recipe.body, config)))
     joined = title + body
     analysis = Analysis(recipe, joined, len(title), title, body, joined)
-    if config.agglutinate:
-        return with_agglutination(analysis, config, agglutination_model)
-    return analysis
+    if agglutination_model is None:
+        return analysis
+    return with_agglutination(analysis, config, agglutination_model)
 
 
 def with_agglutination(analysis: Analysis, config: NormConfig,
-                       agglutination_model: AgglutinationModel | None) -> Analysis:
+                       agglutination_model: AgglutinationModel) -> Analysis:
     """The analysis with step 4 applied to its plain streams, which are
     not normalized again (``analyze`` = this over a plain analysis)."""
-    if agglutination_model is None:
-        raise ConfigError("agglutinate=True requires a fitted agglutination model")
     max_n = config.agglutination_max_n
     plain, cut = analysis.plain, analysis.title_end
     return Analysis(
         analysis.recipe, plain, cut,
-        tuple(_merge_ngrams(plain[:cut], agglutination_model, max_n)),
-        tuple(_merge_ngrams(plain[cut:], agglutination_model, max_n)),
-        tuple(_merge_ngrams(plain, agglutination_model, max_n)),
+        tuple(merge_ngrams(plain[:cut], agglutination_model, max_n)),
+        tuple(merge_ngrams(plain[cut:], agglutination_model, max_n)),
+        tuple(merge_ngrams(plain, agglutination_model, max_n)),
     )
 
 
@@ -333,7 +303,7 @@ def fit_agglutinator(analyses: Mapping[str, Analysis],
     its own. A shorter candidate contained in a
     longer one survives only if it also occurs outside it, i.e. its
     frequency strictly exceeds the longer candidate's; otherwise the
-    longer n-gram subsumes it. Merging at normalize() time is then
+    longer n-gram subsumes it. ``merge_ngrams`` then merges
     longest-match-first, left to right.
     """
     if not analyses:
@@ -387,9 +357,9 @@ __all__ = [
     "fit_agglutinator",
     "load_abbrev_table",
     "load_agglutination_model",
+    "merge_ngrams",
     "ngrams",
     "normalize",
     "save_agglutination_model",
     "with_agglutination",
-    "without_agglutination",
 ]

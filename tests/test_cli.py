@@ -301,6 +301,25 @@ class TestErrorCodes:
         assert len(err.splitlines()) == 1 and err.startswith("error:config:")
         assert not (tmp_path / "models").exists() and not (tmp_path / "runs").exists()
 
+    @pytest.mark.parametrize("extra", [
+        {"boost": {"max_rounds": 3.5}},
+        {"svm": {"epochs": 2.5}},
+        {"fusion": {"concordance_threshold": "x"}},
+        {"fusion": {"method_weights": {"boost": "x", "cosine_flat": 1, "cosine_hier": 1,
+                                       "svm": 1}}},
+        {"fusion": {"bogus": 1}},
+    ], ids=["max_rounds_float", "epochs_float", "concordance_string", "method_weight_string",
+            "fusion_unknown_option"])
+    def test_bad_option_is_config_error_when_the_config_is_read(self, tmp_path, capsys,
+                                                                 extra):
+        # classify would exit 4 on the missing models if the config were accepted
+        config = _config(tmp_path, **extra)
+        for command in ("train", "classify"):
+            assert main(["--config", str(config), command]) == 2
+            err = capsys.readouterr().err
+            assert len(err.splitlines()) == 1 and err.startswith("error:config:")
+        assert not (tmp_path / "models").exists() and not (tmp_path / "runs").exists()
+
     def test_bad_norm_option_writes_no_run_dir(self, tmp_path, pipeline, capsys):
         src, _ = pipeline
         config = _config(tmp_path, model_dir=str(src / "models"),

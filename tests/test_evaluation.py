@@ -191,7 +191,6 @@ class TestQrelIo:
 
         def counting(item, config):
             calls.append(item)
-            assert not config.agglutinate  # the plain config is built once, up front
             return canonical_form(item, config)
 
         monkeypatch.setattr(evaluation, "canonical_form", counting)

@@ -244,34 +244,34 @@ class TestNumericFeatures:
     def test_sentence_and_separator_counts(self):
         recipe = Recipe("x", "Titre", "A. B. C.")
         feats = numeric_features(analyze(recipe, NormConfig()), [])
-        assert feats.sentence_count == 3
-        assert feats.separator_count == 3
+        assert feats["sentences"] == 3
+        assert feats["separators"] == 3
 
     def test_trailing_segment_counts(self):
         recipe = Recipe("x", "Titre", "Premier point. ensuite sans point final")
-        assert numeric_features(analyze(recipe, NormConfig()), []).sentence_count == 2
+        assert numeric_features(analyze(recipe, NormConfig()), [])["sentences"] == 2
 
     def test_empty_ingredient_list(self):
         analysis = analyze(Recipe("x", "T", "B."), NormConfig())
         feats = numeric_features(analysis, [])
-        assert feats.ingredient_list_size == 0
-        assert numeric_features(analysis, ["a", "b"]).ingredient_list_size == 2
+        assert feats["ingredient_count"] == 0
+        assert numeric_features(analysis, ["a", "b"])["ingredient_count"] == 2
 
     def test_fixture_recipe_counts(self, mini6_dish, plain_norm):
         recipe = mini6_dish.by_id("r2")
         feats = numeric_features(analyze(recipe, plain_norm), ["chocolat", "beurre"])
-        assert feats.title_word_count == len(normalize(recipe.title, plain_norm))
-        assert feats.body_word_count == len(normalize(recipe.body, plain_norm))
+        assert feats["title_words"] == len(normalize(recipe.title, plain_norm))
+        assert feats["body_words"] == len(normalize(recipe.body, plain_norm))
         # hand-count on the r2 body: three '.'-terminated sentences
-        assert feats.sentence_count == 3
-        assert feats.separator_count == recipe.body.count(".") + recipe.body.count(",")
-        assert feats.ingredient_list_size == 2
+        assert feats["sentences"] == 3
+        assert feats["separators"] == recipe.body.count(".") + recipe.body.count(",")
+        assert feats["ingredient_count"] == 2
 
     def test_all_non_negative(self, mini6_dish):
         for recipe in mini6_dish:
             feats = numeric_features(analyze(recipe, NormConfig()),
                                      recipe.gold_ingredients or [])
-            assert min(feats.as_mapping().values()) >= 0
+            assert min(feats.values()) >= 0
 
 
 class TestFeeds:

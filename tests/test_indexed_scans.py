@@ -26,14 +26,14 @@ from recipetext.extraction import (
 from recipetext.features import numeric_features
 from recipetext.rng import SplitMix64
 from recipetext.textnorm import (
+    AgglutinationModel,
     Analysis,
     NormConfig,
-    _merge_ngrams,
     analyze,
     load_agglutination_model,
+    merge_ngrams,
     save_agglutination_model,
     with_agglutination,
-    without_agglutination,
 )
 
 WORDS = ["il", "y", "a", "du", "sel", "poivre", "four"]
@@ -69,7 +69,7 @@ def _reference_merge(tokens, model, max_n):
 
 
 # overlapping 2- and 3-grams, two sharing their first token, one 4-gram
-AGGLUTINATION = frozenset({
+AGGLUTINATION = AgglutinationModel({
     ("il", "y"), ("il", "y", "a"), ("y", "a"), ("a", "du"), ("y", "a", "du"),
     ("du", "sel"), ("sel", "poivre"), ("il", "y", "a", "du"),
 })
@@ -81,19 +81,22 @@ class TestMergeNgrams:
         rng = SplitMix64(max_n)
         for _ in range(300):
             tokens = _stream(rng)
-            assert _merge_ngrams(tokens, AGGLUTINATION, max_n) == _reference_merge(
+            assert merge_ngrams(tokens, AGGLUTINATION, max_n) == _reference_merge(
                 tokens, AGGLUTINATION, max_n)
 
     def test_ngram_at_the_end_of_the_stream(self):
         for tokens in [("four", "il", "y"), ("four", "il", "y", "a"), ("il",), ("y", "a")]:
-            assert _merge_ngrams(tokens, AGGLUTINATION, 3) == _reference_merge(
+            assert merge_ngrams(tokens, AGGLUTINATION, 3) == _reference_merge(
                 tokens, AGGLUTINATION, 3)
-        assert _merge_ngrams(("four", "il", "y", "a"), AGGLUTINATION, 3) == ["four", "il_y_a"]
+        assert merge_ngrams(("four", "il", "y", "a"), AGGLUTINATION, 3) == ["four", "il_y_a"]
 
     def test_model_with_a_single_token_gram(self):
-        model = AGGLUTINATION | {("sel",)}
+        model = AgglutinationModel(AGGLUTINATION | {("sel",)})
         tokens = ("sel", "poivre", "sel")
-        assert _merge_ngrams(tokens, model, 3) == _reference_merge(tokens, model, 3)
+        assert merge_ngrams(tokens, model, 3) == _reference_merge(tokens, model, 3)
+
+    def test_no_model_merges_nothing(self):
+        assert merge_ngrams(("il", "y", "a"), None, 3) == ["il", "y", "a"]
 
     def test_loaded_model_keeps_its_index(self, tmp_path):
         save_agglutination_model(AGGLUTINATION, tmp_path / "agglutination.txt")
@@ -104,7 +107,7 @@ class TestMergeNgrams:
 
     def test_merge_across_the_title_body_joint(self):
         config = NormConfig(agglutinate=True, agglutination_max_n=3)
-        plain = analyze(Recipe("r", "Il y", "a du sel."), without_agglutination(config))
+        plain = analyze(Recipe("r", "Il y", "a du sel."), config)
         merged = with_agglutination(plain, config, AGGLUTINATION)
         assert merged.title == ("il_y",)
         assert merged.body == ("a_du", "sel")
@@ -120,15 +123,6 @@ class TestMergeNgrams:
             for view, stream in ((merged.title, plain.title), (merged.body, plain.body),
                                  (merged.title_body, plain.plain)):
                 assert list(view) == _reference_merge(stream, AGGLUTINATION, 3)
-
-
-def test_plain_config_built_once():
-    config = NormConfig(agglutinate=True)
-    plain = without_agglutination(config)
-    assert not plain.agglutinate
-    assert without_agglutination(config) is plain
-    assert without_agglutination(plain) is plain
-    assert plain == NormConfig(agglutinate=False)
 
 
 # --------------------------------------------------------------------
@@ -279,4 +273,4 @@ def _reference_counts(body: str) -> tuple[int, int]:
 ])
 def test_numeric_counts_match_the_character_loop(body):
     features = numeric_features(_analysis((), (), body_text=body), [])
-    assert (features.sentence_count, features.separator_count) == _reference_counts(body)
+    assert (features["sentences"], features["separators"]) == _reference_counts(body)

@@ -6,22 +6,26 @@ from recipetext.corpus import LabelKind, Recipe, load_corpus
 from recipetext.errors import ConfigError
 from recipetext.rng import SplitMix64
 from recipetext.textnorm import (
+    AgglutinationModel,
     NormConfig,
     analyze,
     default_french_numbers,
     fit_agglutinator,
     load_abbrev_table,
     load_agglutination_model,
+    merge_ngrams,
     ngrams,
     normalize,
     save_agglutination_model,
-    without_agglutination,
 )
 
 
 def _plain_analyses(corpus, config):
-    plain = without_agglutination(config)
-    return {r.id: analyze(r, plain) for r in corpus}
+    return {r.id: analyze(r, config) for r in corpus}
+
+
+def _merged(text, config, model):
+    return merge_ngrams(normalize(text, config), model, config.agglutination_max_n)
 
 
 class TestNormalize:
@@ -66,10 +70,11 @@ class TestNormalize:
         tokens = normalize("Mélanger  ,  puis    verser; c'est tout?!", plain_norm)
         assert all(tok and not any(ch.isspace() for ch in tok) for tok in tokens)
 
-    def test_agglutinate_requires_model(self):
-        config = NormConfig(agglutinate=True)
-        with pytest.raises(ConfigError):
-            normalize("il y a", config)
+    def test_never_merges(self):
+        # step 4 is merge_ngrams: normalize ignores the agglutinate flag
+        config = NormConfig(agglutinate=True, agglutination_min_count=2)
+        assert normalize("il y a du sel", config) == ["il", "y", "a", "du", "sel"]
+        assert normalize("four chaud", config) == normalize("four chaud", NormConfig())
 
 
 class TestAgglutinator:
@@ -83,7 +88,7 @@ class TestAgglutinator:
         corpus = Corpus(recipes, LabelKind.NONE)
         model = fit_agglutinator(_plain_analyses(corpus, config), config)
         assert ("il", "y", "a") in model
-        tokens = normalize("il y a une astuce", config, model)
+        tokens = _merged("il y a une astuce", config, model)
         assert tokens[0] == "il_y_a"
 
     def test_threshold_above_max_gives_identity(self, mini6_dish):
@@ -91,13 +96,13 @@ class TestAgglutinator:
         model = fit_agglutinator(_plain_analyses(mini6_dish, config), config)
         assert model == frozenset()
         text = "verser sur la pâte brisée"
-        assert normalize(text, config, model) == normalize(text, NormConfig())
+        assert _merged(text, config, model) == normalize(text, NormConfig())
 
     def test_fixture_four_chaud(self, mini6_dish):
         config = NormConfig(agglutinate=True, agglutination_min_count=3)
         model = fit_agglutinator(_plain_analyses(mini6_dish, config), config)
         assert model == frozenset({("four", "chaud")})
-        tokens = normalize("enfourner à four chaud vingt minutes", config, model)
+        tokens = _merged("enfourner à four chaud vingt minutes", config, model)
         assert "four_chaud" in tokens
 
     def test_longer_ngram_subsumes_equal_count_shorter(self):
@@ -118,7 +123,7 @@ class TestAgglutinator:
         model = fit_agglutinator(_plain_analyses(mini6_dish, config), config)
         plain = NormConfig()
         for recipe in mini6_dish:
-            merged = normalize(recipe.body, config, model)
+            merged = _merged(recipe.body, config, model)
             unmerged = [part for tok in merged for part in tok.split("_")]
             assert Counter(unmerged) == Counter(normalize(recipe.body, plain))
 
@@ -163,7 +168,7 @@ class TestAnalysis:
 
     def test_views_share_one_string_per_token(self):
         config = NormConfig(agglutinate=True)
-        model = frozenset({("four", "chaud")})
+        model = AgglutinationModel({("four", "chaud")})
         first = analyze(Recipe("a", "Gratin au four", "four chaud."), config, model)
         second = analyze(Recipe("b", "Four chaud", "gratin."), config, model)
         assert first.title[0] is second.body[0] == "gratin"
@@ -172,7 +177,7 @@ class TestAnalysis:
 
     def test_ngram_spanning_the_boundary_merges_in_title_body_only(self):
         config = NormConfig(agglutinate=True)
-        model = frozenset({("four", "chaud")})
+        model = AgglutinationModel({("four", "chaud")})
         recipe = Recipe("x", "Gratin au four", "chaud et doré.")
         analysis = analyze(recipe, config, model)
         assert analysis.title == ("gratin", "au", "four")
@@ -180,11 +185,13 @@ class TestAnalysis:
         assert analysis.title_body == ("gratin", "au", "four_chaud", "et", "doré")
         assert analysis.title_body != analysis.title + analysis.body
         assert analysis.title_body == tuple(
-            normalize(recipe.title + "\n" + recipe.body, config, model))
+            _merged(recipe.title + "\n" + recipe.body, config, model))
 
-    def test_agglutinate_requires_model(self):
-        with pytest.raises(ConfigError):
-            analyze(Recipe("x", "il y a", "rien."), NormConfig(agglutinate=True))
+    def test_without_model_equals_the_plain_analysis(self):
+        recipe = Recipe("x", "Gratin au four", "il y a four chaud.")
+        plain = analyze(recipe, NormConfig())
+        assert analyze(recipe, NormConfig(agglutinate=True)) == plain
+        assert analyze(recipe, NormConfig(agglutinate=True), None) == plain
 
 
 class TestNgrams:
