@@ -19,8 +19,8 @@ from . import boost as boost_mod
 from . import cosine as cosine_mod
 from . import extraction as extraction_mod
 from . import svm as svm_mod
-from .corpus import Corpus, LabelKind, SplitSpec, load_corpus, stratified_split
-from .errors import ConfigError, DataError, ModelMismatchError, check_types, is_number
+from .corpus import Corpus, LabelKind, load_corpus, stratified_split
+from .errors import ConfigError, DataError, ModelMismatchError, check_types
 from .evaluation import (
     classification_report,
     load_qrels,
@@ -87,9 +87,11 @@ class PipelineConfig:
     cosine: dict = field(default_factory=dict)
     mi_k: int | None = 10000
     fusion: dict = field(default_factory=dict)
-    # built from the option objects above, so every command checks them
+    # built from the option sections above, so every command checks them
+    norm_config: NormConfig = field(init=False, repr=False)
     boost_config: boost_mod.BoostConfig = field(init=False, repr=False)
     svm_config: svm_mod.SvmConfig = field(init=False, repr=False)
+    cosine_config: cosine_mod.CosineConfig = field(init=False, repr=False)
     electre: ElectreParams | None = field(init=False, repr=False)  # None for T4
 
     def __post_init__(self):
@@ -100,16 +102,15 @@ class PipelineConfig:
             raise ConfigError(f"dev_fraction {self.dev_fraction!r} is not a number in (0, 1)")
         if self.mi_k is not None and self.mi_k < 0:
             raise ConfigError(f"mi_k {self.mi_k!r} is not a count (0 or null: no MI filter)")
-        self.boost_config = _options(boost_mod.BoostConfig, self.boost, "boost")
-        self.svm_config = _options(svm_mod.SvmConfig, self.svm, "svm", seed=self.seed)
-        self.electre = None if self.task == "T4" else _electre_params(self.task, self.fusion)
-
-    def norm_config(self) -> NormConfig:
         if self.abbreviations_tsv is None:
             table = builtin_abbreviations()
         else:
             table = load_abbrev_table(_require_file(self.abbreviations_tsv, "abbreviation file"))
-        return _options(NormConfig, self.norm, "norm", abbrev_table=table)
+        self.norm_config = _options(NormConfig, self.norm, "norm", abbrev_table=table)
+        self.boost_config = _options(boost_mod.BoostConfig, self.boost, "boost")
+        self.svm_config = _options(svm_mod.SvmConfig, self.svm, "svm", seed=self.seed)
+        self.cosine_config = _options(cosine_mod.CosineConfig, self.cosine, "cosine")
+        self.electre = None if self.task == "T4" else _electre_params(self.task, self.fusion)
 
 
 def _options(cls, options: dict, section: str, **fixed):
@@ -117,7 +118,15 @@ def _options(cls, options: dict, section: str, **fixed):
     unknown = set(options) - ({f.name for f in fields(cls)} - set(fixed))
     if unknown:
         raise ConfigError(f"unknown {section} options: {sorted(unknown)}")
-    return cls(**fixed, **options)
+    return _built(section, cls, **fixed, **options)
+
+
+def _built(section: str, cls, **values):
+    """``cls(**values)``; a bad value's error names the config section."""
+    try:
+        return cls(**values)
+    except ConfigError as exc:
+        raise ConfigError(f"{section}: {exc}") from None
 
 
 def _electre_params(task: str, fusion: dict) -> ElectreParams:
@@ -136,31 +145,26 @@ def _electre_params(task: str, fusion: dict) -> ElectreParams:
     missing = [m for m in methods if m not in weights or m not in vetoes]
     if missing:
         raise ConfigError(f"fusion weights or vetoes missing methods {missing}")
-    return ElectreParams(method_weights=weights, veto_values=vetoes,
-                         concordance_threshold=DEFAULT_CONCORDANCE[task] if sc is None else sc)
+    return _built("fusion", ElectreParams, method_weights=weights, veto_values=vetoes,
+                  concordance_threshold=DEFAULT_CONCORDANCE[task] if sc is None else sc)
 
 
-def load_config(path: str | Path) -> PipelineConfig:
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-    known = {f.name for f in fields(PipelineConfig) if f.init}
-    unknown = set(raw) - known
-    if unknown:
-        raise ConfigError(f"{path}: unknown config keys {sorted(unknown)}")
-    return PipelineConfig(**raw)
-
-
-def _apply_overrides(config: PipelineConfig, args) -> PipelineConfig:
-    """The config with every flag given on the command line, validated again."""
-    flags = ("task", "seed", "train_xml", "test_xml", "model_dir", "run_dir", "dev_fraction")
-    overrides = {flag: getattr(args, flag) for flag in flags
-                 if getattr(args, flag, None) is not None}
-    return replace(config, **overrides)
+def load_config(path: str | Path | None, **overrides) -> PipelineConfig:
+    """The config of the JSON file at ``path`` (the defaults for None),
+    with ``overrides`` (the command-line flags) replacing its values."""
+    raw = {}
+    if path is not None:
+        path = Path(path)
+        if not path.exists():
+            raise ConfigError(f"config file not found: {path}")
+        try:
+            raw = json.loads(path.read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+        unknown = set(raw) - {f.name for f in fields(PipelineConfig) if f.init}
+        if unknown:
+            raise ConfigError(f"{path}: unknown config keys {sorted(unknown)}")
+    return PipelineConfig(**{**raw, **overrides})
 
 
 def _require_file(path: str | Path | None, what: str) -> Path:
@@ -228,15 +232,7 @@ def _boost_features(analysis: Analysis, lexicon, norm: NormConfig, agglut,
 
 def cmd_train(config: PipelineConfig) -> int:
     train_path = _require_file(config.train_xml, "training corpus")
-    norm = config.norm_config()
-    cosine_opts = dict(config.cosine)
-    threshold = cosine_opts.pop("gini_threshold", 0.45)
-    if not is_number(threshold) or not 0.0 <= threshold <= 1.0:
-        raise ConfigError(f"cosine gini_threshold {threshold!r} is not a number in [0, 1]")
-    mode = cosine_opts.pop("denominator_mode", cosine_mod.STANDARD)
-    alpha = cosine_opts.pop("alpha", None)
-    if cosine_opts:
-        raise ConfigError(f"unknown cosine options: {sorted(cosine_opts)}")
+    norm, cosine = config.norm_config, config.cosine_config
     model_dir = Path(config.model_dir)
     model_dir.mkdir(parents=True, exist_ok=True)
 
@@ -257,8 +253,7 @@ def cmd_train(config: PipelineConfig) -> int:
         print(f"trained T4 lexicon on {len(full)} recipes -> {model_dir}")
         return 0
 
-    split = SplitSpec(dev_fraction=config.dev_fraction, seed=config.seed)
-    train, dev = stratified_split(full, split)
+    train, dev = stratified_split(full, config.dev_fraction, config.seed)
 
     lexicon = None
     if any(r.gold_ingredients for r in train):
@@ -280,9 +275,8 @@ def cmd_train(config: PipelineConfig) -> int:
 
     if config.task == "T2":
         boosts = _class_boosts(config)
-        flat = cosine_mod.train_cosine(train, stats, threshold, mode,
-                                       class_boosts=boosts,
-                                       method_id="cosine_flat")
+        flat = cosine_mod.train_cosine(stats, cosine.gini_threshold, cosine.denominator_mode,
+                                       class_boosts=boosts, method_id="cosine_flat")
         cosine_mod.save_cosine(flat, model_dir / "cosine_flat.model", boosts)
 
     if config.hierarchy_spec is not None:
@@ -290,10 +284,11 @@ def cmd_train(config: PipelineConfig) -> int:
             _require_file(config.hierarchy_spec, "hierarchy spec"))
     else:
         spec = cosine_mod.default_hierarchy(config.task)
-    if alpha is not None:
+    if cosine.alpha is not None:
         spec = cosine_mod.HierarchySpec(tuple(
-            cosine_mod.HierarchyStage(stage.grouping, alpha) for stage in spec.stages))
-    hier = cosine_mod.train_hierarchical(train, full, spec, analyses, threshold, mode)
+            cosine_mod.HierarchyStage(stage.grouping, cosine.alpha) for stage in spec.stages))
+    hier = cosine_mod.train_hierarchical(train, full, spec, analyses, cosine.gini_threshold,
+                                         cosine.denominator_mode)
     cosine_mod.save_hierarchical(hier, model_dir / "cosine_hier.model")
 
     _write_manifest(model_dir, {
@@ -337,9 +332,12 @@ def _save_score_tsv(vectors: list[ScoreVector], classes: list[str], method: str,
     write_lines(path, lines)
 
 
-def _load_score_tsv(path: Path) -> list[ScoreVector]:
+def _load_score_tsv(path: Path, method: str) -> list[ScoreVector]:
     header, rows = Header.split(read_rows(path, "#scores\tv1"), path)
-    method, classes = header["method"][1], header["classes"][1].split(",")
+    if header["method"][1] != method:
+        raise header["method"].fail(f"scores of method {header['method'][1]!r}, "
+                                    f"expected {method!r}")
+    classes = header["classes"][1].split(",")
     return [ScoreVector(row[0], method, dict(zip(classes, row.floats(1, 1 + len(classes)))))
             for row in rows]
 
@@ -354,7 +352,7 @@ def cmd_classify(config: PipelineConfig) -> int:
         raise ModelMismatchError(
             f"{model_dir} holds models trained for task {manifest.get('task')!r}, "
             f"config asks for {config.task!r}")
-    norm = config.norm_config()
+    norm = config.norm_config
     agglut = None
     if norm.agglutinate:
         agglut = load_agglutination_model(model_dir / "agglutination.txt")
@@ -409,18 +407,18 @@ def cmd_classify(config: PipelineConfig) -> int:
 # fuse
 # --------------------------------------------------------------------
 
-def _load_score_files(run_dir: Path, methods: list[str]):
-    """Each method's score vectors by recipe id, and the sorted recipe
-    ids, which every score file must share."""
-    by_method: dict[str, dict[str, ScoreVector]] = {}
+def _load_score_files(run_dir: Path, methods: list[str]) -> dict[str, list[ScoreVector]]:
+    """Each recipe's normalized score vectors in ``methods`` order, by
+    recipe id in sorted order; every score file must hold the same ids."""
+    by_method = []
     for method in methods:
         path = _require_file(run_dir / f"scores_{method}.tsv", "score file (run classify first)")
-        by_method[method] = {v.recipe_id: v for v in _load_score_tsv(path)}
-    ids = sorted(by_method[methods[0]])
-    for method in methods[1:]:
-        if sorted(by_method[method]) != ids:
+        by_method.append({v.recipe_id: v for v in _load_score_tsv(path, method)})
+    ids = sorted(by_method[0])
+    for method, vectors in zip(methods, by_method):
+        if sorted(vectors) != ids:
             raise DataError(f"score files disagree on recipe ids ({method!r})")
-    return by_method, ids
+    return {rid: [normalize_scores(vectors[rid]) for vectors in by_method] for rid in ids}
 
 
 def cmd_fuse(config: PipelineConfig, runs_preset: str | None) -> int:
@@ -428,13 +426,10 @@ def cmd_fuse(config: PipelineConfig, runs_preset: str | None) -> int:
         raise ConfigError("fuse applies to tasks T1 and T2")
     run_dir = Path(config.run_dir)
     methods = TASK_METHODS[config.task]
-    by_method, ids = _load_score_files(run_dir, methods)
-    normalized = {
-        rid: [normalize_scores(by_method[m][rid]) for m in methods] for rid in ids}
+    by_recipe = _load_score_files(run_dir, methods)
 
     linear_rows, electre_rows, detail_rows = [], [], []
-    for rid in ids:
-        vectors = normalized[rid]
+    for rid, vectors in by_recipe.items():
         linear_winner, _ = fuse_linear(vectors)
         electre_winner, relation = fuse_electre(vectors, config.electre)
         linear_rows.append(f"{rid}\t{linear_winner}")
@@ -455,14 +450,14 @@ def cmd_fuse(config: PipelineConfig, runs_preset: str | None) -> int:
 
     if runs_preset == "paper":
         single = RUN1_METHOD[config.task]
-        run1 = [f"{rid}\t{normalized[rid][methods.index(single)].top_class()}"
-                for rid in ids]
+        run1 = [f"{rid}\t{vectors[methods.index(single)].top_class()}"
+                for rid, vectors in by_recipe.items()]
         write_lines(run_dir / "run1.tsv", run1)
         write_lines(run_dir / "run2.tsv", electre_rows)
         write_lines(run_dir / "run3.tsv", linear_rows)
         print(f"wrote run1 ({single}), run2 (electre), run3 (linear) -> {run_dir}")
     else:
-        print(f"wrote linear and electre fusion runs for {len(ids)} recipes -> {run_dir}")
+        print(f"wrote linear and electre fusion runs for {len(by_recipe)} recipes -> {run_dir}")
     return 0
 
 
@@ -477,7 +472,7 @@ def cmd_extract(config: PipelineConfig) -> int:
     # every task's model directory carries the lexicon, the only file read
     lexicon = extraction_mod.load_lexicon(model_dir / "lexicon.tsv")
     # extraction reads only the plain view
-    norm = config.norm_config()
+    norm = config.norm_config
     run_dir = Path(config.run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     test = load_corpus(test_path, LabelKind.NONE)
@@ -501,7 +496,7 @@ def cmd_evaluate(config: PipelineConfig, run_file: str, qrels_file: str | None,
                  deaccent: bool = False) -> int:
     run_path = _require_file(run_file, "run file")
     if config.task == "T4":
-        norm = config.norm_config()
+        norm = config.norm_config
         run = extraction_mod.load_run(run_path)
         if qrels_file is not None:
             qrels = load_qrels(_require_file(qrels_file, "qrels file"))
@@ -535,36 +530,32 @@ def cmd_sweep(config: PipelineConfig, param: str, start: float, stop: float,
     label_kind = TASK_LABEL_KIND[config.task]
     if label_kind is LabelKind.NONE:
         raise ConfigError("sweep applies to classification tasks")
-    norm = config.norm_config()
     full = load_corpus(train_path, label_kind)
-    train, dev = stratified_split(
-        full, SplitSpec(dev_fraction=config.dev_fraction, seed=config.seed))
+    train, dev = stratified_split(full, config.dev_fraction, config.seed)
 
+    # every swept value is checked before the first line is printed
     if param == "gini_threshold":
-        analyses, _ = _analyze_corpus(full, norm)
+        settings = [replace(config.cosine_config, gini_threshold=v) for v in values]
+        analyses, _ = _analyze_corpus(full, config.norm_config)
         stats = build_stats(train, full, analyses)
-        mode = config.cosine.get("denominator_mode", cosine_mod.STANDARD)
         print("gini_threshold\tdev_macro_f")
-        for threshold in values:
-            model = cosine_mod.train_cosine(train, stats, threshold, mode)
+        for cosine in settings:
+            model = cosine_mod.train_cosine(stats, cosine.gini_threshold, cosine.denominator_mode)
             predicted = {r.id: cosine_mod.score_cosine(model, analyses[r.id]).top_class()
                          for r in dev}
             report = classification_report(dev, predicted)
-            print(f"{threshold:.6f}\t{report.macro_f:.6f}")
+            print(f"{cosine.gini_threshold:.6f}\t{report.macro_f:.6f}")
         return 0
     if param == "concordance_threshold":
-        methods = TASK_METHODS[config.task]
-        by_method, ids = _load_score_files(Path(config.run_dir), methods)
+        settings = [replace(config.electre, concordance_threshold=v) for v in values]
+        by_recipe = _load_score_files(Path(config.run_dir), TASK_METHODS[config.task])
         gold = load_corpus(_require_file(config.test_xml, "test corpus"), label_kind)
         print("concordance_threshold\tmicro_f")
-        for sc in values:
-            params = replace(config.electre, concordance_threshold=sc)
-            predicted = {}
-            for rid in ids:
-                vectors = [normalize_scores(by_method[m][rid]) for m in methods]
-                predicted[rid], _ = fuse_electre(vectors, params)
+        for params in settings:
+            predicted = {rid: fuse_electre(vectors, params)[0]
+                         for rid, vectors in by_recipe.items()}
             report = classification_report(gold, predicted)
-            print(f"{sc:.6f}\t{report.micro_f:.6f}")
+            print(f"{params.concordance_threshold:.6f}\t{report.micro_f:.6f}")
         return 0
     raise ConfigError(f"unknown sweep parameter {param!r}")
 
@@ -611,8 +602,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        config = load_config(args.config) if args.config else PipelineConfig()
-        config = _apply_overrides(config, args)
+        flags = ("task", "seed", "train_xml", "test_xml", "model_dir", "run_dir", "dev_fraction")
+        config = load_config(args.config or None, **{
+            flag: getattr(args, flag) for flag in flags if getattr(args, flag) is not None})
         if args.command == "train":
             return cmd_train(config)
         if args.command == "classify":

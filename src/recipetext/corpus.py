@@ -106,16 +106,6 @@ class Corpus:
         raise DataError(f"no recipe with id {recipe_id!r}")
 
 
-@dataclass(frozen=True)
-class SplitSpec:
-    dev_fraction: float
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 0.0 < self.dev_fraction < 1.0:
-            raise ConfigError("dev_fraction must lie strictly between 0 and 1")
-
-
 def _text_of(elem: ET.Element, tag: str, recipe_id: str) -> str:
     child = elem.find(tag)
     if child is None or child.text is None or not child.text.strip():
@@ -197,14 +187,15 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
     ET.ElementTree(root).write(str(path), encoding="utf-8", xml_declaration=True)
 
 
-def stratified_split(corpus: Corpus, spec: SplitSpec) -> tuple[Corpus, Corpus]:
+def stratified_split(corpus: Corpus, dev_fraction: float,
+                     seed: int) -> tuple[Corpus, Corpus]:
     """Deterministic per-class train/dev split.
 
     Per class c the dev side receives round(dev_fraction * |c|) members
     (round half up), clamped to [1, |c| - 1] so neither side loses the
     class entirely. Classes are processed in sorted name order and each
     class's members are shuffled with a single splitmix64 stream seeded
-    from spec.seed, so equal (corpus, spec) inputs give equal splits.
+    from ``seed``, so equal inputs give equal splits.
     """
     if corpus.label_kind is LabelKind.NONE:
         raise DataError("stratified_split needs a labeled corpus")
@@ -212,13 +203,13 @@ def stratified_split(corpus: Corpus, spec: SplitSpec) -> tuple[Corpus, Corpus]:
     for r in corpus.recipes:
         by_class.setdefault(r.label(corpus.label_kind), []).append(r.id)
 
-    rng = SplitMix64(spec.seed)
+    rng = SplitMix64(seed)
     dev_ids = set()
     for cls in sorted(by_class):
         ids = by_class[cls]
         if len(ids) < 2:
             raise DataError(f"class {cls!r} has {len(ids)} member(s); need at least 2 to split")
-        n_dev = int(spec.dev_fraction * len(ids) + 0.5)
+        n_dev = int(dev_fraction * len(ids) + 0.5)
         n_dev = min(max(n_dev, 1), len(ids) - 1)
         pool = list(ids)
         rng.shuffle(pool)
@@ -238,7 +229,6 @@ __all__ = [
     "DishType",
     "LabelKind",
     "Recipe",
-    "SplitSpec",
     "load_corpus",
     "save_corpus",
     "stratified_split",

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .corpus import Corpus
-from .errors import ConfigError, DataError, ModelMismatchError
+from .errors import ConfigError, DataError, ModelMismatchError, check_types, is_number
 from .features import (
     Feed,
     LexiconStats,
@@ -44,6 +44,27 @@ from .tsv import Header, Row, read_rows, write_lines
 
 STANDARD = "standard"
 LITERAL = "literal"
+
+
+def _check_alpha(alpha) -> None:
+    if not is_number(alpha) or not 0.0 <= alpha <= 1.0:
+        raise ConfigError(f"feed mix alpha {alpha!r} is not a number in [0, 1]")
+
+
+@dataclass(frozen=True)
+class CosineConfig:
+    gini_threshold: float = 0.45
+    denominator_mode: str = STANDARD
+    alpha: float | None = None  # every hierarchy stage's feed mix, when set
+
+    def __post_init__(self):
+        check_types(self)
+        if not 0.0 <= self.gini_threshold <= 1.0:
+            raise ConfigError(f"gini_threshold {self.gini_threshold!r} is not in [0, 1]")
+        if self.denominator_mode not in (STANDARD, LITERAL):
+            raise ConfigError(f"unknown denominator mode {self.denominator_mode!r}")
+        if self.alpha is not None:
+            _check_alpha(self.alpha)
 
 
 @dataclass
@@ -92,22 +113,17 @@ def build_class_vectors(stats: LexiconStats, classes: list[str], gini_threshold:
     return vectors
 
 
-def train_cosine(train: Corpus, stats: LexiconStats, gini_threshold: float,
-                 mode: str = STANDARD, labels: dict[str, str] | None = None,
+def train_cosine(stats: LexiconStats, gini_threshold: float, mode: str = STANDARD,
                  class_boosts: dict[tuple[str, str], int] | None = None,
                  method_id: str = "cosine") -> CosineModel:
-    """One bag-of-words vector per class over the Gini-filtered vocabulary.
+    """One bag-of-words vector per class of ``stats`` over the
+    Gini-filtered vocabulary.
 
     ``class_boosts`` optionally adds fictitious df_c counts for chosen
     (term, class) pairs before weighting, to reinforce pure high-coverage
     terms; a class whose vector comes out empty is kept (it scores 0).
     """
-    if mode not in (STANDARD, LITERAL):
-        raise ConfigError(f"unknown denominator mode {mode!r}")
-    if labels is None:
-        labels = train.labels()
-    classes = sorted(set(labels.values()))
-    vectors = build_class_vectors(stats, classes, gini_threshold, class_boosts)
+    vectors = build_class_vectors(stats, stats.classes, gini_threshold, class_boosts)
     return CosineModel(vectors, stats, gini_threshold, mode, method_id)
 
 
@@ -160,8 +176,7 @@ class HierarchyStage:
     alpha: float = 0.5        # weight of the title-only feed
 
     def __post_init__(self):
-        if type(self.alpha) not in (int, float) or not 0.0 <= self.alpha <= 1.0:
-            raise ConfigError(f"feed mix alpha {self.alpha!r} is not a number in [0, 1]")
+        _check_alpha(self.alpha)
 
 
 @dataclass(frozen=True)
@@ -276,8 +291,7 @@ def train_hierarchical(train: Corpus, full: Corpus, spec: HierarchySpec,
         for feed in (Feed.TITLE_ONLY, Feed.TITLE_AND_BODY):
             stats = build_stats(subset, full, analyses, feed=feed,
                                 labels=group_labels)
-            per_feed[feed] = train_cosine(subset, stats, gini_threshold, mode,
-                                          labels=group_labels)
+            per_feed[feed] = train_cosine(stats, gini_threshold, mode)
         stage_models[(stage_idx, context)] = per_feed
     return HierarchicalCosineModel(spec, stage_models)
 
@@ -447,6 +461,7 @@ def load_hierarchy_spec(path: str | Path) -> HierarchySpec:
 __all__ = [
     "LITERAL",
     "STANDARD",
+    "CosineConfig",
     "CosineModel",
     "HierarchicalCosineModel",
     "HierarchySpec",

@@ -154,8 +154,6 @@ def tfidf_vector(analysis: Analysis, stats: LexiconStats) -> SparseVector:
 
 def gini_filtered_vocabulary(stats: LexiconStats, gini_threshold: float) -> list[str]:
     """Training terms with G(t) >= threshold, sorted."""
-    if not 0.0 <= gini_threshold <= 1.0:
-        raise ConfigError("gini_threshold must lie in [0, 1]")
     vocab = []
     for term in sorted(stats.terms):
         g = stats.gini(term)

@@ -104,11 +104,6 @@ def electre_relation(vectors: list[ScoreVector], params: ElectreParams) -> Outra
     veto value.
     """
     classes = _check_alignment(vectors)
-    for v in vectors:
-        if v.method_id not in params.method_weights:
-            raise ConfigError(f"no weight configured for method {v.method_id!r}")
-        if v.method_id not in params.veto_values:
-            raise ConfigError(f"no veto value configured for method {v.method_id!r}")
     total_weight = ordered_sum(params.method_weights[v.method_id] for v in vectors)
 
     relation = OutrankingRelation()

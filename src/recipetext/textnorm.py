@@ -204,17 +204,18 @@ def _apply_abbrev(tokens: TokenStream, table: dict[str, str]) -> TokenStream:
 def _apply_numbers(tokens: TokenStream, words: dict[int, str]) -> TokenStream:
     out: TokenStream = []
     for tok in tokens:
-        decimal = _DECIMAL_RE.match(tok)
-        if decimal:
-            whole, frac = int(decimal.group(1)), int(decimal.group(2))
-            if whole in words and frac in words:
-                out.extend([words[whole], "virgule", words[frac]])
-                continue
-        if _DIGITS_RE.match(tok):
-            value = int(tok)
-            if value in words:
-                out.append(words[value])
-                continue
+        if "0" <= tok[0] <= "9":  # either pattern needs a leading ASCII digit
+            decimal = _DECIMAL_RE.match(tok)
+            if decimal:
+                whole, frac = int(decimal.group(1)), int(decimal.group(2))
+                if whole in words and frac in words:
+                    out.extend([words[whole], "virgule", words[frac]])
+                    continue
+            if _DIGITS_RE.match(tok):
+                value = int(tok)
+                if value in words:
+                    out.append(words[value])
+                    continue
         out.append(tok)
     return out
 

@@ -216,7 +216,7 @@ def test_criterion_4_cosine_gini_correctness():
                 for c in classes)
             assert abs(stats.gini(term) - brute) <= 1e-12
 
-        model = train_cosine(corpus, stats, 0.45)
+        model = train_cosine(stats, 0.45)
         for recipe in corpus:
             for value in score_cosine(model, analyses[recipe.id]).scores.values():
                 assert -1e-12 <= value <= 1.0 + 1e-12
@@ -225,7 +225,7 @@ def test_criterion_4_cosine_gini_correctness():
         for step in range(0, 21):
             threshold = step * 0.05
             support = {cls: set(v) for cls, v in
-                       train_cosine(corpus, stats, min(threshold, 1.0)).class_vectors.items()}
+                       train_cosine(stats, min(threshold, 1.0)).class_vectors.items()}
             if previous is not None:
                 for cls in support:
                     assert support[cls] <= previous[cls]

@@ -1,3 +1,4 @@
+import ast
 import json
 import shutil
 import sys
@@ -69,11 +70,13 @@ class TestTrain:
             assert twin.read_bytes() == child.read_bytes(), child.name
 
     def test_missing_abbrev_file_is_config_error(self, tmp_path, capsys):
+        # every command reads the abbreviation file, with the config
         config = _config(tmp_path, abbreviations_tsv=str(tmp_path / "absent.tsv"))
-        assert main(["--config", str(config), "train"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:config:")
-        assert "absent.tsv" in err
+        for command in ("train", "classify", "fuse", "extract"):
+            assert main(["--config", str(config), command]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:config:")
+            assert "absent.tsv" in err
 
 
 class TestClassify:
@@ -157,6 +160,24 @@ class TestFuse:
         for line in (tmp / "runs" / "fusion_details.tsv").read_text().splitlines():
             assert "kernel=" in line and "linear=" in line and "electre=" in line
 
+    def test_score_file_of_another_method_rejected(self, pipeline, tmp_path, capsys):
+        # with its own #method line, svm's vectors would get boost's weight
+        src, _ = pipeline
+        (tmp_path / "runs").mkdir()
+        for path in (src / "runs").glob("scores_*.tsv"):
+            shutil.copy(path, tmp_path / "runs" / path.name)
+        svm = tmp_path / "runs" / "scores_svm.tsv"
+        svm.write_text(svm.read_text(encoding="utf-8").replace(
+            "#method\tsvm\n", "#method\tboost\n"), encoding="utf-8")
+        fusion = {"method_weights": {"boost": 5.0, "cosine_flat": 1.0, "cosine_hier": 1.5,
+                                     "svm": 0.5}}
+        config = _config(tmp_path, fusion=fusion)
+        assert main(["--config", str(config), "fuse"]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:model-mismatch:")
+        assert "scores_svm.tsv:2:" in err[0]
+        assert not list((tmp_path / "runs").glob("fused_*"))
+
 
 class TestExtractAndEvaluate:
     def test_ingredient_run_format(self, pipeline):
@@ -238,6 +259,15 @@ class TestSweep:
         assert lines[0] == "gini_threshold\tdev_macro_f"
         assert len(lines) == 4  # header + 0.30, 0.45, 0.60
 
+    def test_gini_sweep_checks_every_value_before_printing(self, tmp_path, capsys):
+        config = _config(tmp_path)
+        code = main(["--config", str(config), "sweep", "--param", "gini_threshold",
+                     "--start", "0.9", "--stop", "1.2", "--step", "0.1"])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:config: gini_threshold")
+
     def test_concordance_sweep_uses_fusion_config(self, pipeline, tmp_path, capsys):
         src, _ = pipeline
         shutil.copytree(src / "runs", tmp_path / "runs")
@@ -279,6 +309,7 @@ class TestErrorCodes:
     @pytest.mark.parametrize("extra", [
         {"dev_fraction": "x"},
         {"dev_fraction": 1.5},
+        {"dev_fraction": 1.0},
         {"mi_k": "x"},
         {"mi_k": -1},
         {"norm": {"agglutinate": True, "agglutination_min_count": "x"}},
@@ -290,7 +321,8 @@ class TestErrorCodes:
         {"model_dir": 5},
         {"task": ["T2"]},
         {"hierarchy_spec": 1},
-    ], ids=["dev_fraction_string", "dev_fraction_above_one", "mi_k_string", "mi_k_negative",
+    ], ids=["dev_fraction_string", "dev_fraction_above_one", "dev_fraction_one",
+            "mi_k_string", "mi_k_negative",
             "agglutination_min_count_string", "agglutination_max_n_float",
             "number_conversion_string", "veto_string", "veto_dict_string", "fusion_string",
             "model_dir_number", "task_list", "hierarchy_spec_number"])
@@ -308,17 +340,40 @@ class TestErrorCodes:
         {"fusion": {"method_weights": {"boost": "x", "cosine_flat": 1, "cosine_hier": 1,
                                        "svm": 1}}},
         {"fusion": {"bogus": 1}},
+        {"cosine": {"gini_threshold": 0.45, "bogus": 1}},
+        {"cosine": {"denominator_mode": "cosinus"}},
+        {"cosine": {"alpha": 1.5}},
+        {"norm": {"bogus": 1}},
     ], ids=["max_rounds_float", "epochs_float", "concordance_string", "method_weight_string",
-            "fusion_unknown_option"])
+            "fusion_unknown_option", "cosine_unknown_option", "cosine_unknown_mode",
+            "alpha_above_one", "norm_unknown_option"])
     def test_bad_option_is_config_error_when_the_config_is_read(self, tmp_path, capsys,
                                                                  extra):
-        # classify would exit 4 on the missing models if the config were accepted
+        # classify and extract would exit 4 on the missing models, and fuse
+        # 2 on the missing score files, if the config were accepted
+        (section,) = extra
         config = _config(tmp_path, **extra)
-        for command in ("train", "classify"):
-            assert main(["--config", str(config), command]) == 2
+        for command in (["train"], ["classify"], ["fuse"], ["extract"],
+                        ["evaluate", str(tmp_path / "run.tsv")]):
+            assert main(["--config", str(config), *command]) == 2
             err = capsys.readouterr().err
             assert len(err.splitlines()) == 1 and err.startswith("error:config:")
+            assert f" {section}: " in err or f" unknown {section} options: " in err
         assert not (tmp_path / "models").exists() and not (tmp_path / "runs").exists()
+
+    def test_config_sections_are_read_where_the_config_is_built(self):
+        # every command takes the option objects PipelineConfig builds, so
+        # every command checks a section the same way
+        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        config_class = next(node for node in tree.body
+                            if isinstance(node, ast.ClassDef) and node.name == "PipelineConfig")
+        post_init = next(node for node in config_class.body
+                         if isinstance(node, ast.FunctionDef) and node.name == "__post_init__")
+        allowed = {id(node) for node in ast.walk(post_init)}
+        sections = {"norm", "cosine", "boost", "svm", "fusion"}
+        reads = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                 and node.attr in sections and id(node) not in allowed]
+        assert reads == []
 
     def test_bad_norm_option_writes_no_run_dir(self, tmp_path, pipeline, capsys):
         src, _ = pipeline

@@ -8,12 +8,11 @@ from recipetext.corpus import (
     DishType,
     LabelKind,
     Recipe,
-    SplitSpec,
     load_corpus,
     save_corpus,
     stratified_split,
 )
-from recipetext.errors import ConfigError, CorpusParseError, CorpusSchemaError, DataError
+from recipetext.errors import CorpusParseError, CorpusSchemaError, DataError
 
 
 def _write(tmp_path, body: str):
@@ -123,7 +122,7 @@ def _toy_corpus(counts: dict[str, int]) -> Corpus:
 
 def test_split_rounding_rule():
     corpus = _toy_corpus({"Dessert": 60, "Entree": 40})
-    train, dev = stratified_split(corpus, SplitSpec(dev_fraction=0.25, seed=1))
+    train, dev = stratified_split(corpus, 0.25, 1)
     dev_counts = Counter(dev.labels().values())
     assert dev_counts == {"Dessert": 15, "Entree": 10}
     assert len(train) + len(dev) == 100
@@ -131,9 +130,8 @@ def test_split_rounding_rule():
 
 def test_split_determinism_and_partition():
     corpus = _toy_corpus({"Dessert": 13, "Entree": 9, "PlatPrincipal": 21})
-    spec = SplitSpec(dev_fraction=0.3, seed=99)
-    train1, dev1 = stratified_split(corpus, spec)
-    train2, dev2 = stratified_split(corpus, spec)
+    train1, dev1 = stratified_split(corpus, 0.3, 99)
+    train2, dev2 = stratified_split(corpus, 0.3, 99)
     assert [r.id for r in train1] == [r.id for r in train2]
     assert [r.id for r in dev1] == [r.id for r in dev2]
     ids = {r.id for r in train1} | {r.id for r in dev1}
@@ -143,17 +141,15 @@ def test_split_determinism_and_partition():
 
 def test_split_seed_changes_membership_not_sizes():
     corpus = _toy_corpus({"Dessert": 13, "Entree": 9})
-    spec_a = SplitSpec(dev_fraction=0.4, seed=1)
-    spec_b = SplitSpec(dev_fraction=0.4, seed=2)
-    _, dev_a = stratified_split(corpus, spec_a)
-    _, dev_b = stratified_split(corpus, spec_b)
+    _, dev_a = stratified_split(corpus, 0.4, 1)
+    _, dev_b = stratified_split(corpus, 0.4, 2)
     assert Counter(dev_a.labels().values()) == Counter(dev_b.labels().values())
     assert {r.id for r in dev_a} != {r.id for r in dev_b}
 
 
 def test_split_clamps_to_keep_both_sides():
     corpus = _toy_corpus({"Dessert": 2, "Entree": 50})
-    train, dev = stratified_split(corpus, SplitSpec(dev_fraction=0.01, seed=0))
+    train, dev = stratified_split(corpus, 0.01, 0)
     dev_counts = Counter(dev.labels().values())
     train_counts = Counter(train.labels().values())
     assert dev_counts["Dessert"] == 1 and train_counts["Dessert"] == 1
@@ -163,7 +159,7 @@ def test_split_clamps_to_keep_both_sides():
 def test_split_rejects_singleton_class():
     corpus = _toy_corpus({"Dessert": 1, "Entree": 5})
     with pytest.raises(DataError, match="at least 2"):
-        stratified_split(corpus, SplitSpec(dev_fraction=0.5, seed=0))
+        stratified_split(corpus, 0.5, 0)
 
 
 def test_split_target_size_within_class_count_of_paper_ratio():
@@ -171,12 +167,6 @@ def test_split_target_size_within_class_count_of_paper_ratio():
     # dev size within one of the target per class.
     corpus = _toy_corpus({"Dessert": 6684, "Entree": 4000, "PlatPrincipal": 3000})
     fraction = 3863 / 13684
-    _, dev = stratified_split(corpus, SplitSpec(dev_fraction=fraction, seed=5))
+    _, dev = stratified_split(corpus, fraction, 5)
     assert abs(len(dev) - 3863) <= 3
 
-
-def test_splitspec_validation():
-    with pytest.raises(ConfigError):
-        SplitSpec(dev_fraction=0.0)
-    with pytest.raises(ConfigError):
-        SplitSpec(dev_fraction=1.0)

@@ -6,6 +6,7 @@ from recipetext.corpus import Corpus, DishType, LabelKind, Recipe
 from recipetext.cosine import (
     LITERAL,
     STANDARD,
+    CosineConfig,
     HierarchySpec,
     HierarchyStage,
     classify_hierarchical,
@@ -29,7 +30,7 @@ def _analysis(recipe):
 @pytest.fixture(scope="module")
 def fixture_model(mini6_dish, analyze_all):
     stats = build_stats(mini6_dish, mini6_dish, analyze_all(mini6_dish))
-    return mini6_dish, stats, train_cosine(mini6_dish, stats, 0.45)
+    return mini6_dish, stats, train_cosine(stats, 0.45)
 
 
 class TestTrainCosine:
@@ -44,7 +45,7 @@ class TestTrainCosine:
                           dish_type=DishType.Dessert) for i in range(3)]
         corpus = Corpus(recipes, LabelKind.DISH_TYPE)
         stats = build_stats(corpus, corpus, analyze_all(corpus))
-        model = train_cosine(corpus, stats, 0.0)
+        model = train_cosine(stats, 0.0)
         for term, weight in model.class_vectors["Dessert"].items():
             info = stats.terms[term]
             assert stats.gini(term) == 1.0
@@ -64,17 +65,16 @@ class TestTrainCosine:
         previous = None
         for step in range(0, 21):
             threshold = step / 20
-            model = train_cosine(corpus, stats, threshold)
+            model = train_cosine(stats, threshold)
             support = {cls: set(v) for cls, v in model.class_vectors.items()}
             if previous is not None:
                 for cls in support:
                     assert support[cls] <= previous[cls]
             previous = support
 
-    def test_unknown_mode_rejected(self, fixture_model):
-        corpus, stats, _ = fixture_model
-        with pytest.raises(ConfigError):
-            train_cosine(corpus, stats, 0.45, mode="cosinus")
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ConfigError, match="denominator mode 'cosinus'"):
+            CosineConfig(denominator_mode="cosinus")
 
 
 class TestScoreCosine:
@@ -97,7 +97,7 @@ class TestScoreCosine:
         corpus = Corpus(recipes, LabelKind.DISH_TYPE)
         analyses = analyze_all(corpus)
         stats = build_stats(corpus, corpus, analyses)
-        model = train_cosine(corpus, stats, 0.0)
+        model = train_cosine(stats, 0.0)
         score = score_cosine(model, analyses["a"]).scores["Dessert"]
         assert score == pytest.approx(1.0, abs=1e-12)
 
@@ -110,7 +110,7 @@ class TestScoreCosine:
 
     def test_literal_denominator_matches_printed_formula(self, fixture_model):
         corpus, stats, _ = fixture_model
-        model = train_cosine(corpus, stats, 0.45, mode=LITERAL)
+        model = train_cosine(stats, 0.45, mode=LITERAL)
         config = NormConfig()
         for recipe in corpus:
             tokens = normalize(recipe.title + "\n" + recipe.body, config)

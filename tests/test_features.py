@@ -180,7 +180,7 @@ class TestGiniVectors:
     def test_vector_weights(self, small_stats):
         corpus, stats = small_stats
         analysis = analyze(corpus.recipes[0], NormConfig())
-        model = train_cosine(corpus, stats, 0.45)
+        model = train_cosine(stats, 0.45)
         v_r = _recipe_vector(model, analysis)
         v_c = class_vector("Dessert", stats, gini_filtered_vocabulary(stats, 0.45))
         for term, weight in v_r.items():

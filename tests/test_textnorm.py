@@ -42,6 +42,9 @@ class TestNormalize:
     def test_number_conversion(self, plain_norm):
         assert normalize("3 oeufs", plain_norm) == ["trois", "oeufs"]
         assert normalize("3,5 litres", plain_norm) == ["trois", "virgule", "cinq", "litres"]
+        assert normalize("3,5", plain_norm) == ["trois", "virgule", "cinq"]
+        assert normalize("a3", plain_norm) == ["a", "trois"]  # the tokenizer splits the digit off
+        assert normalize("²", plain_norm) == ["²"]  # a digit, but not an ASCII one
 
     def test_large_numbers_pass_through(self, plain_norm):
         assert normalize("1500 grammes", plain_norm) == ["1500", "grammes"]
