@@ -7,8 +7,8 @@ generator at seed SEED, then runs `train` and `classify` with
 perfbench's T2 golden settings (GOLDEN_T2). Each command runs once, as
 its own `python -m recipetext.cli` child process, so its wall time and
 peak RSS (ru_maxrss, from wait4) are its own. The result goes to
-BENCH_scale_<label>.json in --out-dir, with the sha256 of the corpora
-and of every model file.
+BENCH_scale_<label>.json in --out-dir, with the sha256 of the corpora,
+of every model file and of the four score files `classify` writes.
 
     python3 scripts/scale.py --label after
     python3 scripts/scale.py --label before --src /path/to/other/checkout/src
@@ -17,7 +17,9 @@ and of every model file.
 src/); corpora always come from this checkout's generator, so two
 labels see the same bytes. After writing, the script compares the
 corpus and model hashes with every other BENCH_scale_*.json in
---out-dir, size by size, and exits 1 if any of them differs.
+--out-dir, size by size, and the score hashes with every such report
+that has them (older reports do not), and exits 1 if any of them
+differs.
 """
 
 from __future__ import annotations
@@ -81,11 +83,13 @@ def measure(n: int, src: Path, work: Path) -> dict:
         result[command] = _run(src, base + [command])
         print(f"n={n} {command}: {result[command]}", flush=True)
     result["models"] = {p.name: _sha256(p) for p in sorted(model_dir.iterdir())}
+    result["scores"] = {p.name: _sha256(p)
+                        for p in sorted((size_dir / "runs").glob("scores_*.tsv"))}
     return result
 
 
 def compare(report: dict, out_dir: Path, own: Path) -> list[str]:
-    """Corpora and model files that differ from another label's."""
+    """Corpora, model files and score files that differ from another label's."""
     problems = []
     for other_path in sorted(out_dir.glob("BENCH_scale_*.json")):
         if other_path == own:
@@ -98,6 +102,13 @@ def compare(report: dict, out_dir: Path, own: Path) -> list[str]:
                 continue
             for name in COMPARED:
                 same = mine["models"].get(name) == theirs["models"].get(name)
+                print(f"n={size} {name} vs {other['label']}: {'same' if same else 'DIFFERS'}")
+                if not same:
+                    problems.append(f"n={size}: {name} differs from {other_path.name}")
+            if "scores" not in theirs:
+                continue
+            for name in sorted(mine["scores"].keys() | theirs["scores"].keys()):
+                same = mine["scores"].get(name) == theirs["scores"].get(name)
                 print(f"n={size} {name} vs {other['label']}: {'same' if same else 'DIFFERS'}")
                 if not same:
                     problems.append(f"n={size}: {name} differs from {other_path.name}")

@@ -27,7 +27,14 @@ from .evaluation import (
     mean_average_precision,
     qrels_from_corpus,
 )
-from .features import Feed, build_stats, load_stats, mutual_information_select, save_stats
+from .features import (
+    Feed,
+    build_stats,
+    feed_counts,
+    load_stats,
+    mutual_information_select,
+    save_stats,
+)
 from .fusion import (
     DEFAULT_CONCORDANCE,
     DEFAULT_VETO,
@@ -161,6 +168,8 @@ def load_config(path: str | Path | None, **overrides) -> PipelineConfig:
             raw = json.loads(path.read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+        if type(raw) is not dict:
+            raise ConfigError(f"{path}: the config is not a JSON object")
         unknown = set(raw) - {f.name for f in fields(PipelineConfig) if f.init}
         if unknown:
             raise ConfigError(f"{path}: unknown config keys {sorted(unknown)}")
@@ -388,13 +397,15 @@ def cmd_classify(config: PipelineConfig) -> int:
     boost_index = boost_mod.presence_index(boost_model)
     for recipe in test:
         analysis = analyze(recipe, norm, agglut)
+        counts = feed_counts(analysis)
         feats = _boost_features(analysis, lexicon, norm, agglut, boost_index)
         per_method["boost"].append(boost_mod.score_boost(boost_model, feats))
-        per_method["svm"].append(svm_mod.score_ovo(svm_model, analysis, stats))
+        per_method["svm"].append(svm_mod.score_ovo(svm_model, analysis, stats, counts))
         per_method["cosine_hier"].append(
-            cosine_mod.classify_hierarchical(hier_model, analysis))
+            cosine_mod.classify_hierarchical(hier_model, analysis, counts))
         if flat_model is not None:
-            per_method["cosine_flat"].append(cosine_mod.score_cosine(flat_model, analysis))
+            per_method["cosine_flat"].append(
+                cosine_mod.score_cosine(flat_model, analysis, counts))
 
     for method in methods:
         _save_score_tsv(per_method[method], classes, method,

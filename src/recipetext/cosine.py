@@ -9,6 +9,20 @@ purity reaches the configured threshold. Two denominators ship:
 * literal   -- sqrt(sum over shared terms of w_r^2 * w_c^2), the
   product-of-squares form kept for comparison.
 
+Each model compiles one table, on its first score: Gini-kept term ->
+(idf, G, w_c of every class), with 0.0 for a class whose vector lacks
+the term. ``score_cosine`` reads a recipe as one list of (term, tf)
+pairs in sorted term order (``features.feed_counts``; ``classify``
+counts each feed once per recipe and hands the same lists to the flat
+model and to every hierarchical context). One pass over that list
+accumulates ||v_r||^2 and every class's numerator (and, for the
+literal denominator, its sum of squared products). Each sum adds the
+shared terms' products in sorted order, as a scan per class would.
+The table's zeros, and recipe weights that are 0.0 (a term in every
+document), add exact zeros, which change nothing: a sum that starts
+at +0.0 never becomes -0.0, and adding a zero to any other float
+leaves it as it is. So no score changes by a bit.
+
 Hierarchical mode stacks two (or more) flat stages: each stage scores
 superclass groups with two models fed from different views (title
 only / title plus body), mixes the two normalized score vectors
@@ -19,9 +33,9 @@ scores, so a full distribution over leaves comes out.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 from .corpus import Corpus
@@ -30,8 +44,10 @@ from .features import (
     Feed,
     LexiconStats,
     SparseVector,
+    TermCounts,
     build_stats,
     class_vector,
+    feed_counts,
     gini_filtered_vocabulary,
     stats_from_rows,
     stats_lines,
@@ -84,6 +100,15 @@ class CosineModel:
             cls: math.sqrt(ordered_sum(w * w for _, w in sorted(vectors[cls].items())))
             for cls in sorted(vectors)}
 
+    @cached_property
+    def terms(self) -> dict[str, tuple[float, ...]]:
+        """Gini-kept term -> (idf, G, w_c of each class in class_norms
+        order, 0.0 where the class vector lacks the term); built on the
+        model's first score."""
+        ordered = [self.class_vectors[cls] for cls in self.class_norms]
+        return {term: (self.stats.idf(term), g, *(v_c.get(term, 0.0) for v_c in ordered))
+                for term, g in self.stats._gini.items() if g >= self.gini_threshold}
+
     def classes(self) -> list[str]:
         return list(self.class_norms)
 
@@ -127,41 +152,39 @@ def train_cosine(stats: LexiconStats, gini_threshold: float, mode: str = STANDAR
     return CosineModel(vectors, stats, gini_threshold, mode, method_id)
 
 
-def _recipe_vector(model: CosineModel, analysis: Analysis) -> SparseVector:
-    stats = model.stats
-    gini, idf = stats._gini, stats._idf
-    threshold = model.gini_threshold
-    vector: SparseVector = {}
-    for term, tf in Counter(stats.tokenize(analysis)).items():
-        g = gini.get(term)
-        if g is None or g < threshold:
+def score_cosine(model: CosineModel, analysis: Analysis,
+                 counts: Mapping[Feed, TermCounts] | None = None) -> ScoreVector:
+    """Similarity of the recipe to each class; empty overlaps score 0.
+
+    ``counts`` is the recipe's ``feed_counts`` when the caller shares
+    them across models; the model reads its own feed's pairs.
+    """
+    pairs = (feed_counts(analysis) if counts is None else counts)[model.stats.feed]
+    literal = model.denominator_mode == LITERAL
+    classes = range(len(model.class_norms))
+    numerators = [0.0] * len(classes)
+    products = [0.0] * len(classes)     # literal mode: sum of (w_r * w_c)^2
+    squares = 0.0                       # ||v_r||^2
+    table = model.terms
+    for term, tf in pairs:
+        entry = table.get(term)
+        if entry is None:
             continue
-        idf_t = idf.get(term)
-        if idf_t is None:
-            stats.idf(term)  # raises: a training term that no document holds
-        weight = tf * idf_t * g
-        if weight != 0.0:
-            vector[term] = weight
-    return vector
-
-
-def score_cosine(model: CosineModel, analysis: Analysis) -> ScoreVector:
-    """Similarity of the recipe to each class; empty overlaps score 0."""
-    v_r = _recipe_vector(model, analysis)
-    terms = sorted(v_r)
-    norm_r = math.sqrt(ordered_sum(v_r[t] * v_r[t] for t in terms))
+        w_r = tf * entry[0] * entry[1]
+        squares += w_r * w_r
+        for ci in classes:
+            product = w_r * entry[2 + ci]
+            numerators[ci] += product
+            if literal:
+                products[ci] += product ** 2
+    norm_r = math.sqrt(squares)
     scores = {}
-    for cls, norm_c in model.class_norms.items():
-        v_c = model.class_vectors[cls]
-        shared = [t for t in terms if t in v_c]
-        numerator = ordered_sum(v_r[t] * v_c[t] for t in shared)
+    for ci, (cls, norm_c) in enumerate(model.class_norms.items()):
+        numerator = numerators[ci]
         if numerator == 0.0:
             scores[cls] = 0.0
             continue
-        if model.denominator_mode == STANDARD:
-            denominator = norm_r * norm_c
-        else:
-            denominator = math.sqrt(ordered_sum((v_r[t] * v_c[t]) ** 2 for t in shared))
+        denominator = math.sqrt(products[ci]) if literal else norm_r * norm_c
         scores[cls] = numerator / denominator if denominator != 0.0 else 0.0
     return ScoreVector(analysis.recipe.id, model.method_id, scores)
 
@@ -296,18 +319,23 @@ def train_hierarchical(train: Corpus, full: Corpus, spec: HierarchySpec,
     return HierarchicalCosineModel(spec, stage_models)
 
 
-def classify_hierarchical(model: HierarchicalCosineModel,
-                          analysis: Analysis) -> ScoreVector:
+def classify_hierarchical(model: HierarchicalCosineModel, analysis: Analysis,
+                          counts: Mapping[Feed, TermCounts] | None = None) -> ScoreVector:
     """Full leaf distribution: each leaf scores the product of its own
     path's mixed stage scores. The two feeds are mixed once per modelled
     context; a context with a single group has no model and contributes
-    1.0."""
+    1.0. Every context reads the same ``counts`` (see ``score_cosine``),
+    counted here when not given."""
     spec = model.spec
+    if counts is None:
+        counts = feed_counts(analysis)
     mixed: dict[tuple[int, str], dict[str, float]] = {}
     for (stage_idx, context), per_feed in model.stage_models.items():
         alpha = spec.stages[stage_idx].alpha
-        title = normalize_scores(score_cosine(per_feed[Feed.TITLE_ONLY], analysis)).scores
-        both = normalize_scores(score_cosine(per_feed[Feed.TITLE_AND_BODY], analysis)).scores
+        title = normalize_scores(score_cosine(per_feed[Feed.TITLE_ONLY], analysis,
+                                              counts)).scores
+        both = normalize_scores(score_cosine(per_feed[Feed.TITLE_AND_BODY], analysis,
+                                             counts)).scores
         mixed[(stage_idx, context)] = {
             group: alpha * title[group] + (1.0 - alpha) * both[group] for group in title}
     leaf_scores = {}

@@ -39,6 +39,14 @@ def feed_tokens(analysis: Analysis, feed: Feed) -> tuple[str, ...]:
     return analysis.title_body
 
 
+TermCounts = list[tuple[str, int]]
+
+
+def feed_counts(analysis: Analysis) -> dict[Feed, TermCounts]:
+    """Each feed's (term, tf) pairs, in sorted term order."""
+    return {feed: sorted(Counter(feed_tokens(analysis, feed)).items()) for feed in Feed}
+
+
 @dataclass
 class TermStats:
     df: int = 0          # docs containing the term, full corpus
@@ -297,9 +305,11 @@ __all__ = [
     "LexiconStats",
     "NUMERIC_FIELDS",
     "SparseVector",
+    "TermCounts",
     "TermStats",
     "build_stats",
     "class_vector",
+    "feed_counts",
     "feed_tokens",
     "gini_filtered_vocabulary",
     "load_stats",

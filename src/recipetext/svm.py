@@ -12,11 +12,12 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 from .corpus import Corpus
 from .errors import ConfigError, DataError, ModelMismatchError, check_types
-from .features import LexiconStats, SparseVector, tfidf_vector
+from .features import Feed, LexiconStats, SparseVector, TermCounts, feed_counts, tfidf_vector
 from .rng import SplitMix64, mix64
 from .scores import ScoreVector
 from .textnorm import Analysis
@@ -50,21 +51,21 @@ class OvoModel:
     classes: list[str]
     vocab_filter: frozenset[str] | None = None
 
+    @cached_property
+    def term_weights(self) -> dict[str, tuple[float, ...]]:
+        """Term -> its weight in each pair model (0.0 where the pair has
+        none), over the vocab filter; built on the model's first score."""
+        terms = {term for pair_model in self.pair_models for term in pair_model.weights}
+        if self.vocab_filter is not None:
+            terms &= self.vocab_filter
+        return {term: tuple(pair_model.weights.get(term, 0.0) for pair_model in self.pair_models)
+                for term in terms}
+
 
 def _restrict(vector: SparseVector, vocab: frozenset[str] | None) -> SparseVector:
     if vocab is None:
         return vector
     return {t: w for t, w in vector.items() if t in vocab}
-
-
-def margin(model: PairModel, vector: SparseVector) -> float:
-    """w.x + b, accumulated over the vector's terms in sorted order."""
-    total = 0.0
-    for term in sorted(vector):
-        w = model.weights.get(term)
-        if w is not None:
-            total += w * vector[term]
-    return total + model.bias
 
 
 def train_pair(docs: list[tuple[str, SparseVector, int]], config: SvmConfig,
@@ -149,14 +150,34 @@ def train_ovo(train: Corpus, analyses: Mapping[str, Analysis], stats: LexiconSta
     return OvoModel(pair_models, classes, vocab_filter)
 
 
-def score_ovo(model: OvoModel, analysis: Analysis, stats: LexiconStats) -> ScoreVector:
-    """Aggregate margins: each pair's margin counts positively for its
-    first class and negatively for its second."""
-    vector = _restrict(tfidf_vector(analysis, stats), model.vocab_filter)
+def score_ovo(model: OvoModel, analysis: Analysis, stats: LexiconStats,
+              counts: Mapping[Feed, TermCounts] | None = None) -> ScoreVector:
+    """Aggregate margins: each pair's margin w.x + b counts positively for
+    its first class and negatively for its second. x is the recipe's
+    tf-idf vector (``counts`` as in ``cosine.score_cosine``); every
+    pair's w.x is summed over the vector's terms in sorted order, in one
+    walk over them, and b is added last. A pair without a weight for a
+    term, or a term whose x is 0.0, adds an exact zero, which leaves the
+    sum as it is (see the ``cosine`` module docstring)."""
+    pairs = (feed_counts(analysis) if counts is None else counts)[stats.feed]
+    idf = stats._idf
+    table = model.term_weights
+    pair_indexes = range(len(model.pair_models))
+    totals = [0.0] * len(pair_indexes)
+    for term, tf in pairs:
+        weights = table.get(term)
+        if weights is None:
+            continue
+        idf_t = idf.get(term)
+        if idf_t is None:
+            continue
+        x = tf * idf_t
+        for p in pair_indexes:
+            totals[p] += weights[p] * x
     scores = {cls: 0.0 for cls in model.classes}
-    for pair_model in model.pair_models:
+    for pair_model, total in zip(model.pair_models, totals):
         first, second = pair_model.class_pair
-        m = margin(pair_model, vector)
+        m = total + pair_model.bias
         scores[first] += m
         scores[second] -= m
     return ScoreVector(analysis.recipe.id, "svm", scores)
@@ -202,7 +223,6 @@ __all__ = [
     "PairModel",
     "SvmConfig",
     "load_ovo",
-    "margin",
     "save_ovo",
     "score_ovo",
     "train_ovo",

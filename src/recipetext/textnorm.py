@@ -33,6 +33,14 @@ token view it needs from the resulting ``Analysis``:
   merged body: an agglutinated n-gram can span the boundary). Without
   a model they are the plain title, the plain body and ``plain``.
 
+``with_agglutination`` merges the joined stream once and cuts the
+result where the scan reaches the title/body joint. Up to the joint
+that scan makes the title's own choices: it takes the longest match,
+and a match that ends by the joint is also the longest the title's
+scan can see. From the joint on it reads exactly the body's stream.
+Only when a merged n-gram spans the joint are the title and the body
+merged on their own.
+
 Steps 1-3 run once per field. The joined stream is the plain title
 stream followed by the plain body stream because "\n" is a hard
 boundary for every step before merging: no token pattern matches
@@ -41,6 +49,18 @@ final-sigma context through it, and abbreviations and numbers are
 rewritten token by token. The plain tokens and the merged n-grams are
 interned, so that the analyses of a corpus held in memory share one
 string per distinct token.
+
+Steps 1-3 are memoized per token-pattern match, which is exact: NFC,
+the apostrophe mapping and ``lower()`` run once over the whole text,
+and everything after them is a pure function of one ``_TOKEN_RE``
+match (the clitic split cuts inside the match, and abbreviations and
+numbers are rewritten token by token). ``normalize`` looks each match
+up in ``NormConfig.piece_memo`` and computes its tokens, kept as an
+interned tuple, only the first time the match is seen. The memo
+depends on the config's abbreviation table and number setting, so it
+is the config's own: it is created with the config's first
+``normalize``, freed with the config, and never shared between
+configs. The table must not be edited after the config is built.
 """
 
 from __future__ import annotations
@@ -161,6 +181,12 @@ class NormConfig:
         if not 2 <= self.agglutination_max_n <= 4:
             raise ConfigError("agglutination_max_n must lie in [2, 4]")
 
+    @cached_property
+    def piece_memo(self) -> dict[str, tuple[str, ...]]:
+        """Token-pattern match -> its tokens after steps 1-3, filled by
+        ``normalize`` (see the module docstring)."""
+        return {}
+
 
 class AgglutinationModel(frozenset):
     """The fitted n-grams: a frozenset of token tuples, 2 <= len <= max_n."""
@@ -173,21 +199,6 @@ class AgglutinationModel(frozenset):
             if len(gram) >= 2:
                 seconds.setdefault(gram[0], set()).add(gram[1])
         return {first: frozenset(nexts) for first, nexts in seconds.items()}
-
-
-def _base_tokens(text: str) -> TokenStream:
-    """Step 1: strip punctuation, isolate words, split clitics, lowercase."""
-    text = unicodedata.normalize("NFC", text).replace("’", "'").lower()
-    tokens: TokenStream = []
-    for match in _TOKEN_RE.finditer(text):
-        piece = match.group(0)
-        while "'" in piece[:-1]:
-            cut = piece.index("'") + 1
-            tokens.append(piece[:cut])
-            piece = piece[cut:]
-        if piece:
-            tokens.append(piece)
-    return tokens
 
 
 def _apply_abbrev(tokens: TokenStream, table: dict[str, str]) -> TokenStream:
@@ -220,17 +231,18 @@ def _apply_numbers(tokens: TokenStream, words: dict[int, str]) -> TokenStream:
     return out
 
 
-def merge_ngrams(tokens: Sequence[str], model: AgglutinationModel | None,
-                 max_n: int) -> TokenStream:
-    """Step 4: merge the model's n-grams of at most ``max_n`` tokens,
-    longest match first, left to right; no model merges nothing."""
-    if model is None:
-        return list(tokens)
+def _merge_scan(tokens: Sequence[str], model: AgglutinationModel, max_n: int,
+                cut: int = -1) -> tuple[TokenStream, int | None]:
+    """Step 4 over ``tokens``, and the number of output tokens made before
+    position ``cut`` (None when a merged n-gram spans ``cut``)."""
     index = model.starts
     out: TokenStream = []
+    split = None
     i = 0
     end = len(tokens)
     while i < end:
+        if i == cut:
+            split = len(out)
         width = 1
         if i + 1 < end and tokens[i + 1] in index.get(tokens[i], ()):
             for n in range(min(max_n, end - i), 1, -1):
@@ -242,14 +254,45 @@ def merge_ngrams(tokens: Sequence[str], model: AgglutinationModel | None,
         else:
             out.append(intern("_".join(tokens[i:i + width])))
         i += width
-    return out
+    if i == cut:
+        split = len(out)
+    return out, split
+
+
+def merge_ngrams(tokens: Sequence[str], model: AgglutinationModel | None,
+                 max_n: int) -> TokenStream:
+    """Step 4: merge the model's n-grams of at most ``max_n`` tokens,
+    longest match first, left to right; no model merges nothing."""
+    if model is None:
+        return list(tokens)
+    return _merge_scan(tokens, model, max_n)[0]
+
+
+def _piece_tokens(piece: str, config: NormConfig) -> tuple[str, ...]:
+    """Steps 1-3 on one token-pattern match of the lowercased text."""
+    tokens: TokenStream = []
+    while "'" in piece[:-1]:  # clitics: "l'oignon" -> "l'", "oignon"
+        cut = piece.index("'") + 1
+        tokens.append(piece[:cut])
+        piece = piece[cut:]
+    if piece:
+        tokens.append(piece)
+    tokens = _apply_abbrev(tokens, config.abbrev_table)
+    if config.number_conversion:
+        tokens = _apply_numbers(tokens, _FRENCH_NUMBERS)
+    return tuple(map(intern, tokens))
 
 
 def normalize(text: str, config: NormConfig) -> TokenStream:
     """Apply normalization steps 1-3 to a text; total on strings."""
-    tokens = _apply_abbrev(_base_tokens(text), config.abbrev_table)
-    if config.number_conversion:
-        tokens = _apply_numbers(tokens, _FRENCH_NUMBERS)
+    text = unicodedata.normalize("NFC", text).replace("’", "'").lower()
+    memo = config.piece_memo
+    tokens: TokenStream = []
+    for piece in _TOKEN_RE.findall(text):
+        normalized = memo.get(piece)
+        if normalized is None:
+            normalized = memo[piece] = _piece_tokens(piece, config)
+        tokens.extend(normalized)
     return tokens
 
 
@@ -271,8 +314,8 @@ def analyze(recipe: Recipe, config: NormConfig,
     merged by ``agglutination_model`` when one is given. The plain
     tokens are interned.
     """
-    title = tuple(map(intern, normalize(recipe.title, config)))
-    body = tuple(map(intern, normalize(recipe.body, config)))
+    title = tuple(normalize(recipe.title, config))
+    body = tuple(normalize(recipe.body, config))
     joined = title + body
     analysis = Analysis(recipe, joined, len(title), title, body, joined)
     if agglutination_model is None:
@@ -283,15 +326,20 @@ def analyze(recipe: Recipe, config: NormConfig,
 def with_agglutination(analysis: Analysis, config: NormConfig,
                        agglutination_model: AgglutinationModel) -> Analysis:
     """The analysis with step 4 applied to its plain streams, which are
-    not normalized again (``analyze`` = this over a plain analysis)."""
+    not normalized again (``analyze`` = this over a plain analysis).
+
+    The joined stream is merged once and cut where the scan crosses the
+    title/body joint; only when a merged n-gram spans the joint are the
+    title and the body merged on their own."""
     max_n = config.agglutination_max_n
     plain, cut = analysis.plain, analysis.title_end
-    return Analysis(
-        analysis.recipe, plain, cut,
-        tuple(merge_ngrams(plain[:cut], agglutination_model, max_n)),
-        tuple(merge_ngrams(plain[cut:], agglutination_model, max_n)),
-        tuple(merge_ngrams(plain, agglutination_model, max_n)),
-    )
+    merged, split = _merge_scan(plain, agglutination_model, max_n, cut)
+    if split is None:
+        title = merge_ngrams(plain[:cut], agglutination_model, max_n)
+        body = merge_ngrams(plain[cut:], agglutination_model, max_n)
+    else:
+        title, body = merged[:split], merged[split:]
+    return Analysis(analysis.recipe, plain, cut, tuple(title), tuple(body), tuple(merged))
 
 
 def fit_agglutinator(analyses: Mapping[str, Analysis],

@@ -1,0 +1,110 @@
+"""Straight-line forms of the scoring path, kept as test references.
+
+The package computes the same values with per-config memos and
+per-model term tables (see ``test_scoring_path.py``); these functions
+do the work the plain way, one recipe, one model and one token at a
+time, in the accumulation order the package must reproduce bit for bit.
+"""
+
+from __future__ import annotations
+
+import math
+import unicodedata
+from collections import Counter
+
+from recipetext.cosine import STANDARD, CosineModel
+from recipetext.features import tfidf_vector
+from recipetext.scores import ScoreVector
+from recipetext.summation import ordered_sum
+from recipetext.textnorm import (
+    _FRENCH_NUMBERS,
+    _TOKEN_RE,
+    NormConfig,
+    _apply_abbrev,
+    _apply_numbers,
+)
+
+
+def base_tokens(text: str) -> list[str]:
+    """Step 1: strip punctuation, isolate words, split clitics, lowercase."""
+    text = unicodedata.normalize("NFC", text).replace("’", "'").lower()
+    tokens = []
+    for match in _TOKEN_RE.finditer(text):
+        piece = match.group(0)
+        while "'" in piece[:-1]:
+            cut = piece.index("'") + 1
+            tokens.append(piece[:cut])
+            piece = piece[cut:]
+        if piece:
+            tokens.append(piece)
+    return tokens
+
+
+def normalize(text: str, config: NormConfig) -> list[str]:
+    """Steps 1-3 over the whole token stream of the text, no memo."""
+    tokens = _apply_abbrev(base_tokens(text), config.abbrev_table)
+    if config.number_conversion:
+        tokens = _apply_numbers(tokens, _FRENCH_NUMBERS)
+    return tokens
+
+
+def recipe_vector(model: CosineModel, analysis) -> dict[str, float]:
+    """tf*idf*G over the recipe's terms whose G reaches the threshold."""
+    stats = model.stats
+    vector = {}
+    for term, tf in Counter(stats.tokenize(analysis)).items():
+        g = stats.gini(term)
+        if g is None or g < model.gini_threshold:
+            continue
+        weight = tf * stats.idf(term) * g
+        if weight != 0.0:
+            vector[term] = weight
+    return vector
+
+
+def score_cosine(model: CosineModel, analysis) -> ScoreVector:
+    """The cosine of each class vector with the recipe vector, one class
+    at a time over the shared terms in sorted order."""
+    v_r = recipe_vector(model, analysis)
+    terms = sorted(v_r)
+    norm_r = math.sqrt(ordered_sum(v_r[t] * v_r[t] for t in terms))
+    scores = {}
+    for cls, norm_c in model.class_norms.items():
+        v_c = model.class_vectors[cls]
+        shared = [t for t in terms if t in v_c]
+        numerator = ordered_sum(v_r[t] * v_c[t] for t in shared)
+        if numerator == 0.0:
+            scores[cls] = 0.0
+            continue
+        if model.denominator_mode == STANDARD:
+            denominator = norm_r * norm_c
+        else:
+            denominator = math.sqrt(ordered_sum((v_r[t] * v_c[t]) ** 2 for t in shared))
+        scores[cls] = numerator / denominator if denominator != 0.0 else 0.0
+    return ScoreVector(analysis.recipe.id, model.method_id, scores)
+
+
+def margin(model, vector: dict[str, float]) -> float:
+    """w.x + b of one pair model, accumulated over the vector's terms in
+    sorted order."""
+    total = 0.0
+    for term in sorted(vector):
+        w = model.weights.get(term)
+        if w is not None:
+            total += w * vector[term]
+    return total + model.bias
+
+
+def score_ovo(model, analysis, stats) -> ScoreVector:
+    """Each pair's margin on the (vocab-filtered) tf-idf vector, added to
+    its first class and subtracted from its second."""
+    vector = tfidf_vector(analysis, stats)
+    if model.vocab_filter is not None:
+        vector = {t: w for t, w in vector.items() if t in model.vocab_filter}
+    scores = {cls: 0.0 for cls in model.classes}
+    for pair_model in model.pair_models:
+        first, second = pair_model.class_pair
+        m = margin(pair_model, vector)
+        scores[first] += m
+        scores[second] -= m
+    return ScoreVector(analysis.recipe.id, "svm", scores)

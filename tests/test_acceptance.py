@@ -256,7 +256,8 @@ def test_criterion_5_svm_determinism_antisymmetry_filter():
     import tempfile
 
     from recipetext.rng import mix64
-    from recipetext.svm import margin, train_pair
+    from references import margin
+    from recipetext.svm import train_pair
 
     corpus = _svm_synthetic_corpus()
     norm = NormConfig(number_conversion=False)

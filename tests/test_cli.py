@@ -419,6 +419,20 @@ class TestErrorCodes:
         assert main(["train"]) == 1
         assert capsys.readouterr().err == "error:internal: RuntimeError: boom\n"
 
+    @pytest.mark.parametrize("text", ["5", "null", '[["task", "T2"]]', '"T2"'],
+                             ids=["number", "null", "list_of_pairs", "string"])
+    def test_config_that_is_not_an_object_is_config_error(self, tmp_path, capsys, text):
+        path = tmp_path / "config.json"
+        path.write_text(text, encoding="utf-8")
+        for command in (["train"], ["classify"], ["fuse"], ["extract"],
+                        ["evaluate", str(tmp_path / "run.tsv")],
+                        ["sweep", "--param", "gini_threshold", "--start", "0.4",
+                         "--stop", "0.5", "--step", "0.1"]):
+            assert main(["--config", str(path), *command]) == 2
+            err = capsys.readouterr().err
+            assert err == f"error:config: {path}: the config is not a JSON object\n"
+        assert not (tmp_path / "models").exists() and not (tmp_path / "runs").exists()
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         payload = {"task": "T2", "mystery_knob": 1}
         path = tmp_path / "config.json"

@@ -3,9 +3,10 @@ import math
 import pytest
 
 from oracles import gini_oracle, mi_oracle
+from references import recipe_vector
 
 from recipetext.corpus import Corpus, LabelKind, Recipe
-from recipetext.cosine import _recipe_vector, train_cosine
+from recipetext.cosine import train_cosine
 from recipetext.errors import ConfigError
 from recipetext.features import (
     Feed,
@@ -181,7 +182,7 @@ class TestGiniVectors:
         corpus, stats = small_stats
         analysis = analyze(corpus.recipes[0], NormConfig())
         model = train_cosine(stats, 0.45)
-        v_r = _recipe_vector(model, analysis)
+        v_r = recipe_vector(model, analysis)
         v_c = class_vector("Dessert", stats, gini_filtered_vocabulary(stats, 0.45))
         for term, weight in v_r.items():
             g = stats.gini(term)

@@ -1,6 +1,7 @@
 import pytest
 
 from oracles import sgd_pair_oracle
+from references import margin
 
 from recipetext.corpus import Corpus, DishType, LabelKind, Recipe
 from recipetext.errors import DataError
@@ -9,7 +10,6 @@ from recipetext.rng import SplitMix64, mix64
 from recipetext.svm import (
     SvmConfig,
     load_ovo,
-    margin,
     save_ovo,
     score_ovo,
     train_ovo,
