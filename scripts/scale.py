@@ -1,14 +1,16 @@
 #!/usr/bin/env python3
-"""Scaling curve of `train` and `classify` over corpus size.
+"""Scaling curve of `train`, `classify`, `fuse` and `extract` over corpus size.
 
 For each n in SIZES, one size at a time, this generates a training
 corpus of n recipes and a test corpus of n/2 with perfbench's corpus
-generator at seed SEED, then runs `train` and `classify` with
-perfbench's T2 golden settings (GOLDEN_T2). Each command runs once, as
-its own `python -m recipetext.cli` child process, so its wall time and
-peak RSS (ru_maxrss, from wait4) are its own. The result goes to
-BENCH_scale_<label>.json in --out-dir, with the sha256 of the corpora,
-of every model file and of the four score files `classify` writes.
+generator at seed SEED, then runs `train`, `classify`, `fuse` and
+`extract` with perfbench's T2 golden settings (GOLDEN_T2). Each command
+runs once, as its own `python -m recipetext.cli` child process, so its
+wall time and peak RSS (ru_maxrss, from wait4) are its own. The result
+goes to BENCH_scale_<label>.json in --out-dir, with the sha256 of the
+corpora, of every model file, of the four score files `classify`
+writes ("scores") and of the files `fuse` and `extract` write
+("outputs").
 
     python3 scripts/scale.py --label after
     python3 scripts/scale.py --label before --src /path/to/other/checkout/src
@@ -17,9 +19,9 @@ of every model file and of the four score files `classify` writes.
 src/); corpora always come from this checkout's generator, so two
 labels see the same bytes. After writing, the script compares the
 corpus and model hashes with every other BENCH_scale_*.json in
---out-dir, size by size, and the score hashes with every such report
-that has them (older reports do not), and exits 1 if any of them
-differs.
+--out-dir, size by size, and the score and output hashes with every
+such report that has them (older reports do not), and exits 1 if any
+of them differs.
 """
 
 from __future__ import annotations
@@ -43,7 +45,10 @@ from workloads import GOLDEN_T2  # noqa: E402
 
 SIZES = (300, 1200, 4800)
 SEED = 7
-COMMANDS = ("train", "classify")
+COMMANDS = ("train", "classify", "fuse", "extract")
+# run-directory files hashed under each key of a size's report
+RUN_FILES = {"scores": ("scores_*.tsv",),
+             "outputs": ("fused_*.tsv", "fusion_details.tsv", "ingredients.tsv")}
 COMPARED = ("boost.model", "svm.model", "manifest.json")
 
 
@@ -83,13 +88,15 @@ def measure(n: int, src: Path, work: Path) -> dict:
         result[command] = _run(src, base + [command])
         print(f"n={n} {command}: {result[command]}", flush=True)
     result["models"] = {p.name: _sha256(p) for p in sorted(model_dir.iterdir())}
-    result["scores"] = {p.name: _sha256(p)
-                        for p in sorted((size_dir / "runs").glob("scores_*.tsv"))}
+    for key, patterns in RUN_FILES.items():
+        result[key] = {p.name: _sha256(p) for pattern in patterns
+                       for p in sorted((size_dir / "runs").glob(pattern))}
     return result
 
 
 def compare(report: dict, out_dir: Path, own: Path) -> list[str]:
-    """Corpora, model files and score files that differ from another label's."""
+    """Corpora, model files, score files and outputs that differ from
+    another label's."""
     problems = []
     for other_path in sorted(out_dir.glob("BENCH_scale_*.json")):
         if other_path == own:
@@ -105,13 +112,15 @@ def compare(report: dict, out_dir: Path, own: Path) -> list[str]:
                 print(f"n={size} {name} vs {other['label']}: {'same' if same else 'DIFFERS'}")
                 if not same:
                     problems.append(f"n={size}: {name} differs from {other_path.name}")
-            if "scores" not in theirs:
-                continue
-            for name in sorted(mine["scores"].keys() | theirs["scores"].keys()):
-                same = mine["scores"].get(name) == theirs["scores"].get(name)
-                print(f"n={size} {name} vs {other['label']}: {'same' if same else 'DIFFERS'}")
-                if not same:
-                    problems.append(f"n={size}: {name} differs from {other_path.name}")
+            for key in RUN_FILES:
+                if key not in theirs:
+                    continue
+                for name in sorted(mine[key].keys() | theirs[key].keys()):
+                    same = mine[key].get(name) == theirs[key].get(name)
+                    print(f"n={size} {name} vs {other['label']}: "
+                          f"{'same' if same else 'DIFFERS'}")
+                    if not same:
+                        problems.append(f"n={size}: {name} differs from {other_path.name}")
     return problems
 
 

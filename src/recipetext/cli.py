@@ -100,6 +100,9 @@ class PipelineConfig:
     svm_config: svm_mod.SvmConfig = field(init=False, repr=False)
     cosine_config: cosine_mod.CosineConfig = field(init=False, repr=False)
     electre: ElectreParams | None = field(init=False, repr=False)  # None for T4
+    # read from the files named above
+    class_boosts: dict[tuple[str, str], int] | None = field(init=False, repr=False)
+    hierarchy: cosine_mod.HierarchySpec | None = field(init=False, repr=False)  # None for T4
 
     def __post_init__(self):
         check_types(self)
@@ -118,6 +121,10 @@ class PipelineConfig:
         self.svm_config = _options(svm_mod.SvmConfig, self.svm, "svm", seed=self.seed)
         self.cosine_config = _options(cosine_mod.CosineConfig, self.cosine, "cosine")
         self.electre = None if self.task == "T4" else _electre_params(self.task, self.fusion)
+        self.class_boosts = None if self.class_boosts_tsv is None else _load_class_boosts(
+            _require_file(self.class_boosts_tsv, "class boost file"))
+        self.hierarchy = None if self.task == "T4" else _hierarchy(
+            self.task, self.hierarchy_spec, self.cosine_config.alpha)
 
 
 def _options(cls, options: dict, section: str, **fixed):
@@ -154,6 +161,27 @@ def _electre_params(task: str, fusion: dict) -> ElectreParams:
         raise ConfigError(f"fusion weights or vetoes missing methods {missing}")
     return _built("fusion", ElectreParams, method_weights=weights, veto_values=vetoes,
                   concordance_threshold=DEFAULT_CONCORDANCE[task] if sc is None else sc)
+
+
+def _hierarchy(task: str, spec_path: str | None, alpha: float | None
+               ) -> cosine_mod.HierarchySpec:
+    """The spec file's hierarchy, or the task's default, with ``alpha``
+    (when set) as every stage's feed mix."""
+    spec = (cosine_mod.default_hierarchy(task) if spec_path is None else
+            cosine_mod.load_hierarchy_spec(_require_file(spec_path, "hierarchy spec")))
+    if alpha is None:
+        return spec
+    return cosine_mod.HierarchySpec(tuple(
+        cosine_mod.HierarchyStage(stage.grouping, alpha) for stage in spec.stages))
+
+
+def _load_class_boosts(path: Path) -> dict[tuple[str, str], int]:
+    boosts: dict[tuple[str, str], int] = {}
+    for row in read_rows(path, error=DataError, comments=True):
+        if len(row) != 3:
+            raise row.fail("expected term<TAB>class<TAB>count")
+        row.put(boosts, (row[0], row[1]), row.int(2))
+    return boosts
 
 
 def load_config(path: str | Path | None, **overrides) -> PipelineConfig:
@@ -198,18 +226,6 @@ def _write_manifest(model_dir: Path, payload: dict) -> None:
     payload["files"] = files
     manifest = json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True)
     (model_dir / "manifest.json").write_text(manifest + "\n", encoding="utf-8")
-
-
-def _class_boosts(config: PipelineConfig) -> dict[tuple[str, str], int] | None:
-    if config.class_boosts_tsv is None:
-        return None
-    path = _require_file(config.class_boosts_tsv, "class boost file")
-    boosts: dict[tuple[str, str], int] = {}
-    for row in read_rows(path, error=DataError, comments=True):
-        if len(row) != 3:
-            raise row.fail("expected term<TAB>class<TAB>count")
-        boosts[(row[0], row[1])] = row.int(2)
-    return boosts
 
 
 def _analyze_corpus(corpus: Corpus, norm: NormConfig):
@@ -283,21 +299,13 @@ def cmd_train(config: PipelineConfig) -> int:
     svm_mod.save_ovo(svm_model, model_dir / "svm.model")
 
     if config.task == "T2":
-        boosts = _class_boosts(config)
         flat = cosine_mod.train_cosine(stats, cosine.gini_threshold, cosine.denominator_mode,
-                                       class_boosts=boosts, method_id="cosine_flat")
-        cosine_mod.save_cosine(flat, model_dir / "cosine_flat.model", boosts)
+                                       class_boosts=config.class_boosts,
+                                       method_id="cosine_flat")
+        cosine_mod.save_cosine(flat, model_dir / "cosine_flat.model")
 
-    if config.hierarchy_spec is not None:
-        spec = cosine_mod.load_hierarchy_spec(
-            _require_file(config.hierarchy_spec, "hierarchy spec"))
-    else:
-        spec = cosine_mod.default_hierarchy(config.task)
-    if cosine.alpha is not None:
-        spec = cosine_mod.HierarchySpec(tuple(
-            cosine_mod.HierarchyStage(stage.grouping, cosine.alpha) for stage in spec.stages))
-    hier = cosine_mod.train_hierarchical(train, full, spec, analyses, cosine.gini_threshold,
-                                         cosine.denominator_mode)
+    hier = cosine_mod.train_hierarchical(train, full, config.hierarchy, analyses,
+                                         cosine.gini_threshold, cosine.denominator_mode)
     cosine_mod.save_hierarchical(hier, model_dir / "cosine_hier.model")
 
     _write_manifest(model_dir, {
@@ -381,7 +389,7 @@ def cmd_classify(config: PipelineConfig) -> int:
     flat_model = None
     if "cosine_flat" in methods:
         flat_model = cosine_mod.load_cosine(model_dir / "cosine_flat.model", stats)
-        loaded["cosine_flat.model"] = flat_model.classes()
+        loaded["cosine_flat.model"] = flat_model.classes
     # every method scores the classes of boost.model, or nothing is scored
     classes = sorted(boost_model.classes)
     for name, model_classes in loaded.items():
@@ -499,7 +507,7 @@ def _load_label_run(path: Path) -> dict[str, str]:
     for row in read_rows(path, error=DataError):
         if len(row) != 2:
             raise row.fail("expected recipe_id<TAB>class")
-        predicted[row[0]] = row[1]
+        row.put(predicted, row[0], row[1])
     return predicted
 
 

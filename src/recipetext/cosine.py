@@ -9,9 +9,11 @@ purity reaches the configured threshold. Two denominators ship:
 * literal   -- sqrt(sum over shared terms of w_r^2 * w_c^2), the
   product-of-squares form kept for comparison.
 
-Each model compiles one table, on its first score: Gini-kept term ->
-(idf, G, w_c of every class), with 0.0 for a class whose vector lacks
-the term. ``score_cosine`` reads a recipe as one list of (term, tf)
+A model's only form is one table, built from the statistics when the
+model is constructed: Gini-kept term -> (idf, G, w_c of every class),
+w_c = (df_c + boost) * idf * G, with every zero stored as the one
+float 0.0 (a class that never saw the term holds it); ||v_c|| sums the
+squares of a class's column in sorted term order. ``score_cosine`` reads a recipe as one list of (term, tf)
 pairs in sorted term order (``features.feed_counts``; ``classify``
 counts each feed once per recipe and hands the same lists to the flat
 model and to every hierarchical context). One pass over that list
@@ -21,7 +23,7 @@ shared terms' products in sorted order, as a scan per class would.
 The table's zeros, and recipe weights that are 0.0 (a term in every
 document), add exact zeros, which change nothing: a sum that starts
 at +0.0 never becomes -0.0, and adding a zero to any other float
-leaves it as it is. So no score changes by a bit.
+leaves it as it is. So no score depends on whether a zero is stored.
 
 Hierarchical mode stacks two (or more) flat stages: each stage scores
 superclass groups with two models fed from different views (title
@@ -35,7 +37,6 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import cached_property
 from pathlib import Path
 
 from .corpus import Corpus
@@ -43,12 +44,9 @@ from .errors import ConfigError, DataError, ModelMismatchError, check_types, is_
 from .features import (
     Feed,
     LexiconStats,
-    SparseVector,
     TermCounts,
     build_stats,
-    class_vector,
     feed_counts,
-    gini_filtered_vocabulary,
     stats_from_rows,
     stats_lines,
 )
@@ -85,71 +83,47 @@ class CosineConfig:
 
 @dataclass
 class CosineModel:
-    class_vectors: dict[str, SparseVector]
     stats: LexiconStats
+    classes: list[str]  # sorted, once each, on construction
     gini_threshold: float
     denominator_mode: str = STANDARD
     method_id: str = "cosine"
-    # ||v_c|| per class, classes in sorted order, each summed over the
-    # vector's terms in sorted order
+    # fictitious df_c counts added for chosen (term, class) pairs
+    class_boosts: dict[tuple[str, str], int] = field(default_factory=dict)
+    # Gini-kept term -> (idf, G, w_c of each class in ``classes`` order; a
+    # zero w_c is the shared 0.0, which keeps the zeros' memory small)
+    terms: dict[str, tuple[float, ...]] = field(init=False, repr=False)
+    # ||v_c|| per class, in ``classes`` order
     class_norms: dict[str, float] = field(init=False, repr=False)
 
     def __post_init__(self):
-        vectors = self.class_vectors
+        self.classes = classes = sorted(set(self.classes))
+        stats, boosts = self.stats, self.class_boosts
+        self.terms = table = {}
+        for term, g in sorted(stats._gini.items()):
+            if g < self.gini_threshold:
+                continue
+            idf, df_class = stats.idf(term), stats.terms[term].df_class
+            table[term] = (idf, g, *[
+                (df_class.get(cls, 0) + boosts.get((term, cls), 0)) * idf * g or 0.0
+                for cls in classes])
         self.class_norms = {
-            cls: math.sqrt(ordered_sum(w * w for _, w in sorted(vectors[cls].items())))
-            for cls in sorted(vectors)}
-
-    @cached_property
-    def terms(self) -> dict[str, tuple[float, ...]]:
-        """Gini-kept term -> (idf, G, w_c of each class in class_norms
-        order, 0.0 where the class vector lacks the term); built on the
-        model's first score."""
-        ordered = [self.class_vectors[cls] for cls in self.class_norms]
-        return {term: (self.stats.idf(term), g, *(v_c.get(term, 0.0) for v_c in ordered))
-                for term, g in self.stats._gini.items() if g >= self.gini_threshold}
-
-    def classes(self) -> list[str]:
-        return list(self.class_norms)
-
-
-def build_class_vectors(stats: LexiconStats, classes: list[str], gini_threshold: float,
-                        class_boosts: dict[tuple[str, str], int] | None = None,
-                        ) -> dict[str, SparseVector]:
-    """df_c*idf*G vectors over the Gini-filtered vocabulary, one per class.
-
-    The construction is a pure function of the statistics, so a model
-    reloaded from its stats rebuilds bit-identical vectors.
-    """
-    vocab = gini_filtered_vocabulary(stats, gini_threshold)
-    vectors = {}
-    for cls in classes:
-        vector = class_vector(cls, stats, vocab)
-        if class_boosts:
-            for (term, boost_cls), extra in sorted(class_boosts.items()):
-                if boost_cls != cls or term not in stats.terms:
-                    continue
-                g = stats.gini(term)
-                if g is None or g < gini_threshold:
-                    continue
-                df_c = stats.terms[term].df_class.get(cls, 0) + extra
-                vector[term] = df_c * stats.idf(term) * g
-        vectors[cls] = vector
-    return vectors
+            cls: math.sqrt(ordered_sum(entry[col] * entry[col] for entry in table.values()))
+            for col, cls in enumerate(classes, 2)}
 
 
 def train_cosine(stats: LexiconStats, gini_threshold: float, mode: str = STANDARD,
                  class_boosts: dict[tuple[str, str], int] | None = None,
                  method_id: str = "cosine") -> CosineModel:
-    """One bag-of-words vector per class of ``stats`` over the
+    """One df_c*idf*G column per class of ``stats`` over the
     Gini-filtered vocabulary.
 
     ``class_boosts`` optionally adds fictitious df_c counts for chosen
     (term, class) pairs before weighting, to reinforce pure high-coverage
-    terms; a class whose vector comes out empty is kept (it scores 0).
+    terms; a class whose column comes out all zeros is kept (it scores 0).
     """
-    vectors = build_class_vectors(stats, stats.classes, gini_threshold, class_boosts)
-    return CosineModel(vectors, stats, gini_threshold, mode, method_id)
+    return CosineModel(stats, stats.classes, gini_threshold, mode, method_id,
+                       dict(class_boosts or {}))
 
 
 def score_cosine(model: CosineModel, analysis: Analysis,
@@ -350,9 +324,9 @@ def classify_hierarchical(model: HierarchicalCosineModel, analysis: Analysis,
 
 
 # --------------------------------------------------------------------
-# Serialization. Class vectors are a pure function of the statistics,
-# so model files store the stats plus the few scalars and the vectors
-# are rebuilt on load, which keeps the files small and diff-able.
+# Serialization. A model's table is a pure function of its statistics,
+# so model files store the stats, the few scalars and the boosts, and
+# the table is rebuilt on load, which keeps the files small and diffable.
 # --------------------------------------------------------------------
 
 def _scalar_lines(magic: str, threshold: float, mode: str, method_id: str) -> list[str]:
@@ -371,14 +345,12 @@ def _scalars(header: Header) -> tuple[float, str, str]:
     return threshold, mode, header["method_id"][1]
 
 
-def save_cosine(model: CosineModel, path: str | Path,
-                class_boosts: dict[tuple[str, str], int] | None = None) -> None:
+def save_cosine(model: CosineModel, path: str | Path) -> None:
     lines = _scalar_lines("#cosine\tv1", model.gini_threshold, model.denominator_mode,
                           model.method_id)
-    lines.append("#classes\t" + ",".join(model.classes()))
-    if class_boosts:
-        for (term, cls), extra in sorted(class_boosts.items()):
-            lines.append(f"boost\t{term}\t{cls}\t{extra}")
+    lines.append("#classes\t" + ",".join(model.classes))
+    for (term, cls), extra in sorted(model.class_boosts.items()):
+        lines.append(f"boost\t{term}\t{cls}\t{extra}")
     write_lines(path, lines)
 
 
@@ -389,10 +361,9 @@ def load_cosine(path: str | Path, stats: LexiconStats) -> CosineModel:
         if row[0] != "boost":
             raise row.fail(f"unknown row kind {row[0]!r}")
         row.put(boosts, (row[1], row[2]), row.int(3))
-    classes = header["classes"][1].split(",")
     threshold, mode, method_id = _scalars(header)
-    vectors = build_class_vectors(stats, classes, threshold, boosts or None)
-    return CosineModel(vectors, stats, threshold, mode, method_id)
+    return CosineModel(stats, header["classes"][1].split(","), threshold, mode, method_id,
+                       boosts)
 
 
 def save_hierarchical(model: HierarchicalCosineModel, path: str | Path) -> None:
@@ -406,7 +377,7 @@ def save_hierarchical(model: HierarchicalCosineModel, path: str | Path) -> None:
         for feed in (Feed.TITLE_ONLY, Feed.TITLE_AND_BODY):
             sub = per_feed[feed]
             lines.append("#begin_context\t" + "\t".join(
-                [str(stage_idx), context, feed.value, ",".join(sub.classes())]))
+                [str(stage_idx), context, feed.value, ",".join(sub.classes)]))
             lines.extend(stats_lines(sub.stats))
             lines.append("#end_context")
     write_lines(path, lines)
@@ -442,13 +413,13 @@ def load_hierarchical(path: str | Path) -> HierarchicalCosineModel:
     stage_models: dict[tuple[int, str], dict[Feed, CosineModel]] = {}
     for begin, rows in contexts:
         stats = stats_from_rows(rows, f"{path}:{begin.lineno}")
+        rows.clear()  # the parsed rows are not held while the table is built
         key, classes = (begin.int(1), begin[2]), begin[4].split(",")
         if classes != expected.get(key) or stats.classes != classes:
             raise begin.fail(f"context classes {classes} do not match the #stage "
                              f"groups {expected.get(key)}")
-        vectors = build_class_vectors(stats, classes, threshold)
         begin.put(stage_models.setdefault(key, {}), begin.parse(3, Feed),
-                  CosineModel(vectors, stats, threshold, mode, method_id))
+                  CosineModel(stats, classes, threshold, mode, method_id))
     missing = [key for key in expected if len(stage_models.get(key, ())) < 2]
     if missing:
         raise ModelMismatchError(f"{path}: no title and title_body models for {missing}")
@@ -483,7 +454,10 @@ def load_hierarchy_spec(path: str | Path) -> HierarchySpec:
         if row[0] != "stage":
             raise row.fail("expected 'stage<TAB>alpha=...<TAB>leaf=GROUP...'")
         stages.append(_parse_stage(row))
-    return HierarchySpec(tuple(stages))
+    try:
+        return HierarchySpec(tuple(stages))
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 __all__ = [
@@ -494,7 +468,6 @@ __all__ = [
     "HierarchicalCosineModel",
     "HierarchySpec",
     "HierarchyStage",
-    "build_class_vectors",
     "classify_hierarchical",
     "default_hierarchy",
     "load_cosine",

@@ -160,29 +160,6 @@ def tfidf_vector(analysis: Analysis, stats: LexiconStats) -> SparseVector:
     return vector
 
 
-def gini_filtered_vocabulary(stats: LexiconStats, gini_threshold: float) -> list[str]:
-    """Training terms with G(t) >= threshold, sorted."""
-    vocab = []
-    for term in sorted(stats.terms):
-        g = stats.gini(term)
-        if g is not None and g >= gini_threshold:
-            vocab.append(term)
-    return vocab
-
-
-def class_vector(cls: str, stats: LexiconStats, vocab) -> SparseVector:
-    vector: SparseVector = {}
-    for term in vocab:
-        info = stats.terms[term]
-        df_c = info.df_class.get(cls, 0)
-        if df_c == 0:
-            continue
-        weight = df_c * stats.idf(term) * stats.gini(term)
-        if weight != 0.0:
-            vector[term] = weight
-    return vector
-
-
 def mutual_information(stats: LexiconStats, term: str, cls: str) -> float:
     """2x2 mutual information between term presence and class membership."""
     info = stats.terms.get(term)
@@ -308,10 +285,8 @@ __all__ = [
     "TermCounts",
     "TermStats",
     "build_stats",
-    "class_vector",
     "feed_counts",
     "feed_tokens",
-    "gini_filtered_vocabulary",
     "load_stats",
     "mutual_information",
     "mutual_information_select",

@@ -162,7 +162,7 @@ def load_abbrev_table(path: str | Path) -> dict[str, str]:
         short = row[0]
         if short != short.lower() or any(ch.isspace() for ch in short):
             raise row.fail(f"abbreviation key {short!r} must be lowercase and whitespace-free")
-        table[short] = row[1]
+        row.put(table, short, row[1])
     return table
 
 

@@ -62,6 +62,31 @@ def recipe_vector(model: CosineModel, analysis) -> dict[str, float]:
     return vector
 
 
+def class_vectors(model: CosineModel) -> dict[str, dict[str, float]]:
+    """(df_c + boost)*idf*G per class over the terms whose G reaches the
+    threshold, built from the model's statistics; zeros dropped."""
+    stats, boosts = model.stats, model.class_boosts
+    vectors = {}
+    for cls in model.classes:
+        vector = {}
+        for term in sorted(stats.terms):
+            g = stats.gini(term)
+            if g is None or g < model.gini_threshold:
+                continue
+            df_c = stats.terms[term].df_class.get(cls, 0) + boosts.get((term, cls), 0)
+            weight = df_c * stats.idf(term) * g
+            if weight != 0.0:
+                vector[term] = weight
+        vectors[cls] = vector
+    return vectors
+
+
+def table_vectors(model: CosineModel) -> dict[str, dict[str, float]]:
+    """The class vectors the model's term table holds; zeros dropped."""
+    return {cls: {term: entry[col] for term, entry in model.terms.items() if entry[col] != 0.0}
+            for col, cls in enumerate(model.classes, 2)}
+
+
 def score_cosine(model: CosineModel, analysis) -> ScoreVector:
     """The cosine of each class vector with the recipe vector, one class
     at a time over the shared terms in sorted order."""
@@ -69,8 +94,8 @@ def score_cosine(model: CosineModel, analysis) -> ScoreVector:
     terms = sorted(v_r)
     norm_r = math.sqrt(ordered_sum(v_r[t] * v_r[t] for t in terms))
     scores = {}
-    for cls, norm_c in model.class_norms.items():
-        v_c = model.class_vectors[cls]
+    for cls, v_c in class_vectors(model).items():
+        norm_c = math.sqrt(ordered_sum(v_c[t] * v_c[t] for t in sorted(v_c)))
         shared = [t for t in terms if t in v_c]
         numerator = ordered_sum(v_r[t] * v_c[t] for t in shared)
         if numerator == 0.0:

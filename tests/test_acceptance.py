@@ -20,6 +20,7 @@ from oracles import (
     mean_distance_oracle,
     prf_oracle,
 )
+from references import table_vectors
 
 from recipetext.boost import (
     BoostConfig,
@@ -225,7 +226,7 @@ def test_criterion_4_cosine_gini_correctness():
         for step in range(0, 21):
             threshold = step * 0.05
             support = {cls: set(v) for cls, v in
-                       train_cosine(stats, min(threshold, 1.0)).class_vectors.items()}
+                       table_vectors(train_cosine(stats, min(threshold, 1.0))).items()}
             if previous is not None:
                 for cls in support:
                     assert support[cls] <= previous[cls]

@@ -7,7 +7,10 @@ from pathlib import Path
 import pytest
 
 from recipetext import cli, textnorm
-from recipetext.cli import main
+from recipetext.cli import _load_score_tsv, load_config, main
+from recipetext.corpus import LabelKind, load_corpus
+from recipetext.cosine import score_cosine, train_cosine
+from recipetext.features import load_stats
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -77,6 +80,37 @@ class TestTrain:
             err = capsys.readouterr().err
             assert err.startswith("error:config:")
             assert "absent.tsv" in err
+
+
+BOOSTS = {("sucre", "Dessert"): 3, ("salade", "PlatPrincipal"): 4, ("poulet", "Entree"): 2}
+
+
+class TestClassBoosts:
+    def test_boosts_reach_the_flat_model_and_its_scores(self, tmp_path, pipeline):
+        src, _ = pipeline
+        boosts = tmp_path / "boosts.tsv"
+        boosts.write_text("# term, class, extra df_c\n" + "".join(
+            f"{term}\t{cls}\t{extra}\n" for (term, cls), extra in BOOSTS.items()),
+            encoding="utf-8")
+        config = _config(tmp_path, class_boosts_tsv=str(boosts))
+        assert main(["--config", str(config), "train"]) == 0
+        assert main(["--config", str(config), "classify"]) == 0
+        models = tmp_path / "models"
+        rows = [line for line in (models / "cosine_flat.model").read_text(
+            encoding="utf-8").splitlines() if line.startswith("boost\t")]
+        assert rows == [f"boost\t{term}\t{cls}\t{extra}"
+                        for (term, cls), extra in sorted(BOOSTS.items())]
+
+        # the same scores, bit for bit, as the model fitted in-process
+        norm = load_config(config).norm_config
+        agglut = textnorm.load_agglutination_model(models / "agglutination.txt")
+        model = train_cosine(load_stats(models / "stats.tsv"), 0.45, class_boosts=BOOSTS,
+                             method_id="cosine_flat")
+        expected = [score_cosine(model, textnorm.analyze(recipe, norm, agglut)).scores
+                    for recipe in load_corpus(FIXTURES / "golden60.xml", LabelKind.NONE)]
+        path = tmp_path / "runs" / "scores_cosine_flat.tsv"
+        assert [v.scores for v in _load_score_tsv(path, "cosine_flat")] == expected
+        assert path.read_bytes() != (src / "runs" / "scores_cosine_flat.tsv").read_bytes()
 
 
 class TestClassify:
@@ -383,6 +417,37 @@ class TestErrorCodes:
             assert main(["--config", str(config), command]) == 2
         assert capsys.readouterr().err.count("error:config:") == 2
         assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("name, text, key, code, message", [
+        ("boosts.tsv", "sucre\tDessert\tx\n", "class_boosts_tsv", 3, "boosts.tsv:1: bad cell 3"),
+        ("boosts.tsv", None, "class_boosts_tsv", 2, "class boost file not found"),
+        ("boosts.tsv", "sucre\tDessert\t3\nsucre\tDessert\t5\n", "class_boosts_tsv", 3,
+         "boosts.tsv:2: repeated key ('sucre', 'Dessert')"),
+        ("hier.tsv", "stage\talpha=0.5\tDessert=DESSERT\tEntree=AUTRE\tPlatPrincipal=AUTRE\n",
+         "hierarchy_spec", 2, "hier.tsv: final stage must map each leaf to itself"),
+        ("abbrev.tsv", "kg\tkilogramme\nkg\tkilo\n", "abbreviations_tsv", 3,
+         "abbrev.tsv:2: repeated key 'kg'"),
+    ], ids=["boost_count_string", "boost_file_missing", "boost_repeated",
+            "spec_final_stage", "abbreviation_repeated"])
+    def test_bad_table_file_fails_before_any_output(self, tmp_path, capsys, name, text, key,
+                                                    code, message):
+        table = tmp_path / name
+        if text is not None:
+            table.write_text(text, encoding="utf-8")
+        config = _config(tmp_path, **{key: str(table)})
+        for command in ("train", "classify"):
+            assert main(["--config", str(config), command]) == code
+            err = capsys.readouterr().err
+            assert len(err.splitlines()) == 1 and message in err
+        assert not (tmp_path / "models").exists() and not (tmp_path / "runs").exists()
+
+    def test_repeated_recipe_in_run_file_is_data_error(self, tmp_path, capsys):
+        run = tmp_path / "run2.tsv"
+        run.write_text("g000\tDessert\ng001\tEntree\ng000\tDessert\n", encoding="utf-8")
+        config = _config(tmp_path)
+        assert main(["--config", str(config), "evaluate", str(run)]) == 3
+        err = capsys.readouterr().err
+        assert err == f"error:data: {run}:3: repeated key 'g000'\n"
 
     def test_bad_flag_value_is_config_error(self, tmp_path, capsys):
         config = _config(tmp_path)

@@ -1,6 +1,9 @@
+import dataclasses
 import math
 
 import pytest
+
+from references import table_vectors
 
 from recipetext.corpus import Corpus, DishType, LabelKind, Recipe
 from recipetext.cosine import (
@@ -19,7 +22,7 @@ from recipetext.cosine import (
     train_hierarchical,
 )
 from recipetext.errors import ConfigError
-from recipetext.features import build_stats
+from recipetext.features import Feed, TermStats, build_stats
 from recipetext.textnorm import NormConfig, analyze, normalize
 
 
@@ -36,9 +39,8 @@ def fixture_model(mini6_dish, analyze_all):
 class TestTrainCosine:
     def test_class_vectors_cover_filtered_vocab_only(self, fixture_model):
         corpus, stats, model = fixture_model
-        for cls, vector in model.class_vectors.items():
-            for term in vector:
-                assert stats.gini(term) >= 0.45
+        for term in model.terms:
+            assert stats.gini(term) >= 0.45
 
     def test_one_class_corpus_gini_is_one(self, analyze_all):
         recipes = [Recipe(f"d{i}", "tarte sucre", "sucre farine beurre.",
@@ -46,7 +48,7 @@ class TestTrainCosine:
         corpus = Corpus(recipes, LabelKind.DISH_TYPE)
         stats = build_stats(corpus, corpus, analyze_all(corpus))
         model = train_cosine(stats, 0.0)
-        for term, weight in model.class_vectors["Dessert"].items():
+        for term, weight in table_vectors(model)["Dessert"].items():
             info = stats.terms[term]
             assert stats.gini(term) == 1.0
             assert weight == pytest.approx(info.df_class["Dessert"] * stats.idf(term),
@@ -55,7 +57,7 @@ class TestTrainCosine:
     def test_fixture_weights_match_direct_formula(self, fixture_model):
         corpus, stats, model = fixture_model
         for cls in corpus.classes():
-            for term, weight in model.class_vectors[cls].items():
+            for term, weight in table_vectors(model)[cls].items():
                 expected = (stats.terms[term].df_class.get(cls, 0)
                             * stats.idf(term) * stats.gini(term))
                 assert weight == pytest.approx(expected, abs=1e-12)
@@ -66,7 +68,7 @@ class TestTrainCosine:
         for step in range(0, 21):
             threshold = step / 20
             model = train_cosine(stats, threshold)
-            support = {cls: set(v) for cls, v in model.class_vectors.items()}
+            support = {cls: set(v) for cls, v in table_vectors(model).items()}
             if previous is not None:
                 for cls in support:
                     assert support[cls] <= previous[cls]
@@ -115,7 +117,7 @@ class TestScoreCosine:
         for recipe in corpus:
             tokens = normalize(recipe.title + "\n" + recipe.body, config)
             got = score_cosine(model, _analysis(recipe))
-            for cls, v_c in model.class_vectors.items():
+            for cls, v_c in table_vectors(model).items():
                 v_r = {}
                 for term in set(tokens):
                     g = stats.gini(term)
@@ -146,19 +148,23 @@ class TestScoreCosine:
                     if w != 0.0:
                         v_r[term] = w
             norm_r = math.sqrt(sum(w * w for w in v_r.values()))
-            for cls, v_c in model.class_vectors.items():
+            for cls, v_c in table_vectors(model).items():
                 numerator = sum(v_r[t] * v_c[t] for t in set(v_r) & set(v_c))
                 norm_c = math.sqrt(sum(w * w for w in v_c.values()))
                 expected = numerator / (norm_r * norm_c) if numerator != 0.0 else 0.0
                 assert got.scores[cls] == pytest.approx(expected, abs=1e-12)
 
     def test_argmax_invariant_under_global_scaling(self, fixture_model):
-        corpus, _, model = fixture_model
-        import dataclasses
-        # a new model, so the class norms are recomputed from the scaled vectors
-        scaled = dataclasses.replace(model, class_vectors={
-            cls: {term: w * 7.5 for term, w in vector.items()}
-            for cls, vector in model.class_vectors.items()})
+        corpus, stats, model = fixture_model
+        # df_c and df_T times 7.5 leave idf and G as they are, so every class
+        # weight df_c*idf*G scales by 7.5; the new model's norms follow
+        terms = {term: TermStats(info.df, info.df_train * 7.5,
+                                 {cls: n * 7.5 for cls, n in info.df_class.items()})
+                 for term, info in stats.terms.items()}
+        scaled = train_cosine(dataclasses.replace(stats, terms=terms), model.gini_threshold)
+        assert table_vectors(scaled) == {
+            cls: {term: pytest.approx(w * 7.5, rel=1e-15) for term, w in vector.items()}
+            for cls, vector in table_vectors(model).items()}
         for recipe in corpus:
             analysis = _analysis(recipe)
             assert (score_cosine(model, analysis).top_class()
@@ -216,11 +222,10 @@ class TestHierarchy:
         # mutate every title+body model: with alpha=1 the output must not change
         import copy
         mutated = copy.deepcopy(model)
-        from recipetext.features import Feed
         for per_feed in mutated.stage_models.values():
-            for vector in per_feed[Feed.TITLE_AND_BODY].class_vectors.values():
-                for term in vector:
-                    vector[term] *= 123.0
+            sub = per_feed[Feed.TITLE_AND_BODY]
+            sub.terms = {term: (*entry[:2], *(w * 123.0 for w in entry[2:]))
+                         for term, entry in sub.terms.items()}
         for recipe in mini6_dish:
             a = classify_hierarchical(model, _analysis(recipe))
             b = classify_hierarchical(mutated, _analysis(recipe))

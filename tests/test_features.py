@@ -3,7 +3,7 @@ import math
 import pytest
 
 from oracles import gini_oracle, mi_oracle
-from references import recipe_vector
+from references import recipe_vector, table_vectors
 
 from recipetext.corpus import Corpus, LabelKind, Recipe
 from recipetext.cosine import train_cosine
@@ -11,8 +11,6 @@ from recipetext.errors import ConfigError
 from recipetext.features import (
     Feed,
     build_stats,
-    class_vector,
-    gini_filtered_vocabulary,
     load_stats,
     mutual_information,
     mutual_information_select,
@@ -158,9 +156,9 @@ class TestTfidf:
 class TestGiniVectors:
     def test_threshold_filters_vocab(self, small_stats):
         _, stats = small_stats
-        everything = gini_filtered_vocabulary(stats, 0.0)
-        strict = gini_filtered_vocabulary(stats, 0.45)
-        top = gini_filtered_vocabulary(stats, 1.0)
+        everything = list(train_cosine(stats, 0.0).terms)
+        strict = list(train_cosine(stats, 0.45).terms)
+        top = list(train_cosine(stats, 1.0).terms)
         assert set(top) <= set(strict) <= set(everything)
         assert set(everything) == {t for t in stats.terms if stats.gini(t) is not None}
         for term in strict:
@@ -176,14 +174,14 @@ class TestGiniVectors:
             t for t in stats.terms
             if gini_oracle(doc_terms, labels, t) is not None
             and gini_oracle(doc_terms, labels, t) >= 0.5)
-        assert gini_filtered_vocabulary(stats, 0.5) == expected
+        assert list(train_cosine(stats, 0.5).terms) == expected
 
     def test_vector_weights(self, small_stats):
         corpus, stats = small_stats
         analysis = analyze(corpus.recipes[0], NormConfig())
         model = train_cosine(stats, 0.45)
         v_r = recipe_vector(model, analysis)
-        v_c = class_vector("Dessert", stats, gini_filtered_vocabulary(stats, 0.45))
+        v_c = table_vectors(model)["Dessert"]
         for term, weight in v_r.items():
             g = stats.gini(term)
             assert g >= 0.45
