@@ -5,8 +5,11 @@ For each n in SIZES, one size at a time, this generates a training
 corpus of n recipes and a test corpus of n/2 with perfbench's corpus
 generator at seed SEED, then runs `train`, `classify`, `fuse` and
 `extract` with perfbench's T2 golden settings (GOLDEN_T2). Each command
-runs once, as its own `python -m recipetext.cli` child process, so its
-wall time and peak RSS (ru_maxrss, from wait4) are its own. The result
+runs REPEATS times in a row, each time as its own `python -m
+recipetext.cli` child process, so its wall time and peak RSS
+(ru_maxrss, from wait4) are its own; a command's report holds the
+median of each and every sample, since single runs on a shared machine
+move by up to about 20%. The result
 goes to BENCH_scale_<label>.json in --out-dir, with the sha256 of the
 corpora, of every model file, of the four score files `classify`
 writes ("scores") and of the files `fuse` and `extract` write
@@ -31,6 +34,7 @@ import hashlib
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -45,6 +49,7 @@ from workloads import GOLDEN_T2  # noqa: E402
 
 SIZES = (300, 1200, 4800)
 SEED = 7
+REPEATS = 3
 COMMANDS = ("train", "classify", "fuse", "extract")
 # run-directory files hashed under each key of a size's report
 RUN_FILES = {"scores": ("scores_*.tsv",),
@@ -85,7 +90,10 @@ def measure(n: int, src: Path, work: Path) -> dict:
     result = {"n_train": n, "n_test": n // 2,
               "corpus_sha256": {p.name: _sha256(p) for p in (train_xml, test_xml)}}
     for command in COMMANDS:
-        result[command] = _run(src, base + [command])
+        samples = [_run(src, base + [command]) for _ in range(REPEATS)]
+        result[command] = {"wall_s": statistics.median(s["wall_s"] for s in samples),
+                           "maxrss_mb": statistics.median(s["maxrss_mb"] for s in samples),
+                           "samples": samples}
         print(f"n={n} {command}: {result[command]}", flush=True)
     result["models"] = {p.name: _sha256(p) for p in sorted(model_dir.iterdir())}
     for key, patterns in RUN_FILES.items():

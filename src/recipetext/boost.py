@@ -14,29 +14,79 @@ Block votes are 0.5*ln((W+ + eps)/(W- + eps)); well-classified pairs
 shed weight each round and misclassified pairs gain it. The round
 count is chosen on the dev corpus by micro-F with a patience window.
 
-Each round sums the per-class weight totals W+/W- over all training
+Each round sums the per-class weight totals T+/T- over all training
 documents once; a candidate then accumulates only its present block
-and takes its absent block as the complement (Schapire & Singer,
-1999), so a round costs O(sum of present-block sizes) rather than
-O(candidates * documents). Candidates that mark the same documents
-would score the same Z bit for bit, so only the first of them in sort
-order is kept. Each candidate's present block, and the full document
-range, are split once per fit into per-class index lists (docs with
-the class, docs without it), so a block sum is one loop over a weight
-column.
+(W+/W-) and takes its absent block (A+/A-) as the complement (Schapire
+& Singer, 1999), so a round costs O(sum of present-block sizes) rather
+than O(candidates * documents). Candidates that mark the same
+documents would score the same Z bit for bit, so only the first of
+them in sort order is kept. The full document range is split once per
+fit into per-class index lists (docs with the class, docs without
+it), and a candidate's present block on its first evaluation, so a
+block sum is one loop over a weight column.
 
 With smoothed votes Z has a closed form: exp(-v) = r with
 r = sqrt((W- + eps)/(W+ + eps)), so each block and class adds
 W+*r + W-/r, one ``sqrt`` instead of a ``log`` and two ``exp``. That
-closed form is only a filter. A round walks the candidates in sort
-order with a cutoff, the smallest closed-form Z so far times
-(1 + 1e-9); a candidate above the cutoff is skipped, and the others
-get the exact Z (the log/exp formula below) and compete on
-(Z, sort key). Both forms are sums of non-negative terms that agree to
-a few ulps, far inside the 1e-9 slack, so the exact argmin, and every
-candidate tied with it, always passes the cutoff: the filter changes
-no pick and no bit of the model. Ranking on the closed form itself
-would, since it can order a near-tie the other way.
+closed form is only a filter. A round keeps a cutoff, the smallest
+closed-form Z so far times (1 + 1e-9); a summed candidate above the
+cutoff is dropped, and the others get the exact Z (the log/exp formula
+below) and compete on (Z, sort key). Both forms are sums of
+non-negative terms that agree to a few ulps, far inside the 1e-9
+slack, so the exact argmin, and every candidate tied with it, always
+passes the cutoff, in whatever order the candidates come: the filter
+changes no pick and no bit of the model. Ranking on the closed form
+itself would, since it can order a near-tie the other way.
+
+Most candidates are never summed: a cheap lower bound on their
+closed-form Z already exceeds the cutoff (the pruning of Appel, Fuchs,
+Dollár & Perona, ICML 2013). Let Z0 = sum over classes of
+2*sqrt(T+ * T-), and give each document i, of class y, the mass
+
+    q_i = 2 * (d[i][y] * sqrt(T-_y / T+_y)
+               + sum over classes c != y of d[i][c] * sqrt(T+_c / T-_c)),
+
+a square root counting 0 where its denominator is 0. A stump whose
+present block is P has a closed-form Z of at least Z0 - (sum of q_i
+over P):
+
+* every present term W+*r + W-/r is >= 0;
+* every absent term A+*r + A-/r is >= 2*sqrt(A+ * A-), whatever r
+  (AM-GM);
+* with x = W+/T+ and y = W-/T- in [0, 1], sqrt((1-x)(1-y)) >= 1-x-y
+  (trivial when 1-x-y <= 0; else (1-x)(1-y) = 1-x-y+xy >= 1-x-y
+  >= (1-x-y)^2), so 2*sqrt(A+ * A-) >= 2*sqrt(T+ * T-)
+  - 2*(W+ * sqrt(T-/T+) + W- * sqrt(T+/T-)); summed over the classes,
+  the subtracted parts are the q_i of the docs in P. (The tangent
+  1 - x/2 - y/2 lies above the square root and bounds nothing.)
+
+A candidate whose bound exceeds the cutoff by a margin is skipped
+unsummed. The margin covers rounding, so the exact argmin is never
+skipped and no pick moves. The weights sum to 1, so every weight sum
+is within n * 2**-53 of its exact value and every W and A within
+(2n + 1) * 2**-53. The closed form moves by at most
+2 * (1 + 1/sqrt(eps)) per unit change of any of its 4k inputs, and
+the bound's own sums carry less error than that. The margin is
+64 * k * (n + 1) * 2**-53 * (1 + 1/sqrt(eps)), which covers a bound
+and the closed form it is compared with both being off by that much,
+plus 1e-9 of the cutoff for the closed form's own few ulps.
+
+Candidates are scanned by descending present-block size, an order
+fixed once per fit. The sum of q_i over P is at most the sum of the
+|P| largest q_i, so the scan stops at the first size m where Z0 minus
+the sum of the m largest q_i exceeds the widened cutoff: no block of
+m docs or fewer can pass.
+
+One field's numeric stumps are nested: a threshold's present block is
+a prefix of the docs in descending value order. One prefix-sum sweep
+per field and class gives every threshold's W+/W- at once, added in
+another order than the ascending block sum, so the closed form over
+them is approximate, a few rounding errors of the weight sums off.
+It serves only as that threshold's bound, with the same margin, and
+its minimum, widened by both margins, seeds the round's cutoff, so
+the large numeric blocks are rarely summed. ``RoundInfo.summed``
+counts the candidates summed in each round; it is history only, never
+written to the model.
 
 Scoring reads only the model's n-grams: ``presence_index`` maps each
 text field's first tokens to the lengths of the model n-grams they
@@ -54,7 +104,10 @@ implementations.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
+from itertools import accumulate
+from operator import mul
 from pathlib import Path
 
 from .corpus import Corpus
@@ -62,7 +115,7 @@ from .errors import ConfigError, DataError, ModelMismatchError, check_types
 from .features import NUMERIC_FIELDS, numeric_features
 from .scores import ScoreVector
 from .summation import ordered_sum
-from .textnorm import Analysis, ngrams
+from .textnorm import Analysis, ngram_set
 from .tsv import Header, read_rows, write_lines
 
 TEXT_FIELDS = [("title", 3), ("body", 4), ("ingredients", 1)]
@@ -70,6 +123,10 @@ TEXT_FIELDS = [("title", 3), ("body", 4), ("ingredients", 1)]
 _FIELD_SCHEMA = dict(TEXT_FIELDS) | dict.fromkeys(NUMERIC_FIELDS, 0)
 # closed-form and exact Z differ by a few ulps; see the module docstring
 _Z_SLACK = 1.0 + 1e-9
+# the relative margin of the bounds over the closed-form Z they bound;
+# with the absolute one in train_boost, it covers their rounding (see
+# the module docstring)
+_BOUND_SLACK = 1.0 + 1e-9
 
 
 @dataclass
@@ -97,8 +154,8 @@ def recipe_boost_features(analysis: Analysis, ingredients: list[list[str]],
     model n-gram the same answer as the full view."""
     if index is None:
         text = {
-            "title": frozenset(ngrams(analysis.title, 3)),
-            "body": frozenset(ngrams(analysis.body, 4)),
+            "title": ngram_set(analysis.title, 3),
+            "body": ngram_set(analysis.body, 4),
             "ingredients": frozenset(tok for item in ingredients for tok in item),
         }
     else:
@@ -150,6 +207,8 @@ class RoundInfo:
     z: float
     weighted_error: float
     dev_micro_f: float | None
+    # candidates whose present blocks were summed: a cost, not an outcome
+    summed: int = dc_field(compare=False)
 
 
 @dataclass
@@ -184,14 +243,16 @@ def _candidates(ids, feats: dict[str, BoostFeatures]) -> list[_Candidate]:
         out.append(_Candidate(sort_key, kind, field_name, gram, theta, present))
 
     for field_idx, (field_name, _max_n) in enumerate(TEXT_FIELDS):
-        by_ngram: dict[str, list[int]] = {}
-        for i, rid in enumerate(ids):
-            for gram in feats[rid].text[field_name]:
-                by_ngram.setdefault(gram, []).append(i)
-        for gram in sorted(by_ngram):
-            present = by_ngram[gram]
-            if len(present) < 2:
-                continue
+        sets = [feats[rid].text[field_name] for rid in ids]
+        df = Counter()
+        for grams in sets:
+            df.update(grams)
+        frequent = {gram for gram, count in df.items() if count >= 2}
+        by_ngram: dict[str, list[int]] = {gram: [] for gram in sorted(frequent)}
+        for i, grams in enumerate(sets):
+            for gram in grams & frequent:
+                by_ngram[gram].append(i)
+        for gram, present in by_ngram.items():
             add((field_idx, gram), "text", field_name, gram, None, present)
     base = len(TEXT_FIELDS)
     for offset, field_name in enumerate(NUMERIC_FIELDS):
@@ -209,6 +270,100 @@ def _class_split(docs, label_of, k):
     docs that are not."""
     return [([i for i in docs if label_of[i] == ci], [i for i in docs if label_of[i] != ci])
             for ci in range(k)]
+
+
+def _closed_form(w1p, w1m, totals, eps) -> float:
+    """The closed-form Z of a stump whose present block sums to ``w1p``
+    (W+) and ``w1m`` (W-) per class, with the absent block as in
+    ``_absent`` (a filter only; see the module docstring)."""
+    sqrt = math.sqrt
+    fz = 0.0
+    for wp, wm, (tp, tm) in zip(w1p, w1m, totals):
+        ap = tp - wp
+        if not ap > 0.0:
+            ap = 0.0
+        am = tm - wm
+        if not am > 0.0:
+            am = 0.0
+        r = sqrt((wm + eps) / (wp + eps))
+        r0 = sqrt((am + eps) / (ap + eps))
+        fz += wp * r + wm / r + ap * r0 + am / r0
+    return fz
+
+
+def _absent(w1p, w1m, totals):
+    """Per class, (W+, W-) of the absent block: total - present, 0.0
+    unless positive (rounding can push it below 0.0)."""
+    w0p = [tp - wp if tp - wp > 0.0 else 0.0 for wp, (tp, _) in zip(w1p, totals)]
+    w0m = [tm - wm if tm - wm > 0.0 else 0.0 for wm, (_, tm) in zip(w1m, totals)]
+    return w0p, w0m
+
+
+def _bound_margin(n, k, eps) -> float:
+    """The absolute margin of the bounds over the closed-form Z for n
+    docs and k classes; see the module docstring."""
+    return 64 * k * (n + 1) * 2.0 ** -53 * (1.0 + 1.0 / math.sqrt(eps))
+
+
+def _bound_terms(dist, label_of, totals):
+    """Z0 and each document's mass q_i: every stump whose present block
+    is P has a closed-form Z of at least Z0 - sum of q_i over P (see
+    the module docstring)."""
+    sqrt = math.sqrt
+    z0 = 0.0
+    # per class, the factor of a positive weight and of a negative one
+    up, down = [], []
+    for tp, tm in totals:
+        z0 += 2.0 * sqrt(tp * tm)
+        up.append(sqrt(tm / tp) if tp > 0.0 else 0.0)
+        down.append(sqrt(tp / tm) if tm > 0.0 else 0.0)
+    q = []
+    for row, li in zip(dist, label_of):
+        # every class's weight times its negative factor, but the doc's
+        # own class's times its positive one
+        mass = sum(map(mul, row, down)) - row[li] * down[li] + row[li] * up[li]
+        q.append(2.0 * mass)
+    return z0, q
+
+
+def _numeric_sweeps(candidates, features, ids, label_of, k):
+    """Per numeric field, the docs of each class and the docs of the
+    other classes in descending value order, and the field's candidates
+    as (index, per class the number of present docs with the class,
+    per class the number without it). A threshold's present docs lead
+    both orders."""
+    sweeps = {}
+    for idx, cand in enumerate(candidates):
+        if cand.kind != "numeric":
+            continue
+        if cand.field not in sweeps:
+            values = [features[rid].numeric[cand.field] for rid in ids]
+            desc = sorted(range(len(ids)), key=values.__getitem__, reverse=True)
+            sweeps[cand.field] = (_class_split(desc, label_of, k), [])
+        with_class = Counter(label_of[i] for i in cand.present)
+        size = len(cand.present)
+        sweeps[cand.field][1].append((idx, [with_class[ci] for ci in range(k)],
+                                      [size - with_class[ci] for ci in range(k)]))
+    return list(sweeps.values())
+
+
+def _swept_closed_forms(sweeps, cols, totals, eps) -> dict[int, float]:
+    """Candidate index -> closed-form Z of each numeric candidate, from
+    per-class prefix sums over its field's docs in descending value
+    order. The sums add the same weights as the present block in
+    another order, so this Z is approximate: a bound with a margin
+    only, never a pick."""
+    approx = {}
+    getitem = list.__getitem__
+    for orders, field_candidates in sweeps:
+        plus = [list(accumulate(map(col.__getitem__, pos), initial=0.0))
+                for (pos, _), col in zip(orders, cols)]
+        minus = [list(accumulate(map(col.__getitem__, neg), initial=0.0))
+                 for (_, neg), col in zip(orders, cols)]
+        for idx, with_class, without in field_candidates:
+            approx[idx] = _closed_form(map(getitem, plus, with_class),
+                                       map(getitem, minus, without), totals, eps)
+    return approx
 
 
 def _votes(w_plus, w_minus, eps):
@@ -240,9 +395,14 @@ def train_boost(train: Corpus, dev: Corpus | None, features: dict[str, BoostFeat
     if not candidates:
         raise DataError("no candidate weak hypotheses (corpus too small or uniform)")
     everyone = _class_split(range(n), label_of, k)
-    splits = [_class_split(cand.present, label_of, k) for cand in candidates]
+    # split on a candidate's first evaluation
+    splits: list[list | None] = [None] * len(candidates)
+    # largest present blocks first; see the module docstring
+    scan = sorted(((idx, cand.present, cand.kind == "numeric")
+                   for idx, cand in enumerate(candidates)), key=lambda item: -len(item[1]))
+    sweeps = _numeric_sweeps(candidates, features, ids, label_of, k)
     eps = config.smoothing_epsilon
-    sqrt = math.sqrt
+    rounding = _bound_margin(n, k, eps)
 
     dev_ids = [r.id for r in dev.recipes] if dev is not None else []
     for rid in dev_ids:
@@ -259,38 +419,49 @@ def train_boost(train: Corpus, dev: Corpus | None, features: dict[str, BoostFeat
         totals = [(ordered_sum(map(col.__getitem__, pos)),
                    ordered_sum(map(col.__getitem__, neg)))
                   for (pos, neg), col in zip(everyone, cols)]
+        z0, q = _bound_terms(dist, label_of, totals)
+        # z0 - largest[m] bounds every stump with m present docs or fewer
+        largest = list(accumulate(sorted(q, reverse=True), initial=0.0))
+        swept = _swept_closed_forms(sweeps, cols, totals, eps)
+        cutoff = (min(swept.values(), default=math.inf) + rounding) * _BOUND_SLACK * _Z_SLACK
+        limit = cutoff * _BOUND_SLACK + rounding
         best_key = None
-        cutoff = math.inf
-        for cand, split in zip(candidates, splits):
-            # Per class, (W+, W-) of the present block (its docs added in
-            # ascending order) and of the absent block (total - present,
-            # 0.0 unless positive: rounding can push it below 0.0), and
-            # the closed-form Z, a filter only (see the module docstring).
-            w1p, w1m, w0p, w0m = [], [], [], []
-            fz = 0.0
-            for (pos, neg), col, (tp, tm) in zip(split, cols, totals):
+        summed = 0
+        for idx, present, numeric in scan:
+            if z0 - largest[len(present)] > limit:
+                break
+            if numeric:
+                bound = swept[idx]
+            else:
+                bound = z0
+                for i in present:
+                    bound -= q[i]
+            if bound > limit:
+                continue
+            split = splits[idx]
+            if split is None:
+                split = splits[idx] = _class_split(present, label_of, k)
+            summed += 1
+            # Per class, (W+, W-) of the present block, its docs added
+            # in ascending order.
+            w1p, w1m = [], []
+            for (pos, neg), col in zip(split, cols):
                 wp = 0.0
                 for i in pos:
                     wp += col[i]
                 wm = 0.0
                 for i in neg:
                     wm += col[i]
-                ap = tp - wp
-                if not ap > 0.0:
-                    ap = 0.0
-                am = tm - wm
-                if not am > 0.0:
-                    am = 0.0
                 w1p.append(wp)
                 w1m.append(wm)
-                w0p.append(ap)
-                w0m.append(am)
-                r = sqrt((wm + eps) / (wp + eps))
-                r0 = sqrt((am + eps) / (ap + eps))
-                fz += wp * r + wm / r + ap * r0 + am / r0
+            fz = _closed_form(w1p, w1m, totals, eps)
             if fz > cutoff:
                 continue
-            cutoff = min(cutoff, fz * _Z_SLACK)
+            if fz * _Z_SLACK < cutoff:
+                cutoff = fz * _Z_SLACK
+                limit = cutoff * _BOUND_SLACK + rounding
+            cand = candidates[idx]
+            w0p, w0m = _absent(w1p, w1m, totals)
             vp = _votes(w1p, w1m, eps)
             va = _votes(w0p, w0m, eps)
             z = 0.0
@@ -359,7 +530,7 @@ def train_boost(train: Corpus, dev: Corpus | None, features: dict[str, BoostFeat
             if dev_f > best_dev_f:
                 best_dev_f = dev_f
                 best_round = round_no
-        model.history.append(RoundInfo(z_actual, err, dev_f))
+        model.history.append(RoundInfo(z_actual, err, dev_f, summed))
 
         if dev_ids and round_no - best_round >= config.dev_patience:
             break

@@ -121,6 +121,9 @@ class PipelineConfig:
         self.svm_config = _options(svm_mod.SvmConfig, self.svm, "svm", seed=self.seed)
         self.cosine_config = _options(cosine_mod.CosineConfig, self.cosine, "cosine")
         self.electre = None if self.task == "T4" else _electre_params(self.task, self.fusion)
+        if self.class_boosts_tsv is not None and self.task != "T2":
+            raise ConfigError(f"class_boosts_tsv applies to task T2 only (its flat cosine "
+                              f"model), not {self.task}")
         self.class_boosts = None if self.class_boosts_tsv is None else _load_class_boosts(
             _require_file(self.class_boosts_tsv, "class boost file"))
         self.hierarchy = None if self.task == "T4" else _hierarchy(
@@ -239,6 +242,18 @@ def _analyze_corpus(corpus: Corpus, norm: NormConfig):
     return {rid: with_agglutination(a, norm, agglut) for rid, a in analyses.items()}, agglut
 
 
+def _check_class_boosts(flat: cosine_mod.CosineModel, path: str | None) -> None:
+    """Every class boost must name a training class and a term the flat
+    model keeps; any other boost would change no score."""
+    for term, cls in flat.class_boosts:
+        if cls not in flat.classes:
+            raise DataError(f"{path}: boost ({term!r}, {cls!r}) names no training class "
+                            f"(classes: {flat.classes})")
+        if term not in flat.terms:
+            raise DataError(f"{path}: boost ({term!r}, {cls!r}) names a term outside the "
+                            f"flat model's Gini-kept vocabulary")
+
+
 def _boost_features(analysis: Analysis, lexicon, norm: NormConfig, agglut,
                     index: boost_mod.PresenceIndex | None = None) -> boost_mod.BoostFeatures:
     """Boost features over the recipe's extracted ingredients (none without
@@ -294,7 +309,10 @@ def cmd_train(config: PipelineConfig) -> int:
 
     vocab_filter = None
     if config.task == "T2" and config.mi_k:
-        vocab_filter = frozenset(mutual_information_select(stats, config.mi_k))
+        training_terms = [term for term, info in stats.terms.items() if info.df_train]
+        # the top mi_k of every training term are all of them
+        vocab_filter = frozenset(training_terms if config.mi_k >= len(training_terms)
+                                 else mutual_information_select(stats, config.mi_k))
     svm_model = svm_mod.train_ovo(train, analyses, stats, config.svm_config, vocab_filter)
     svm_mod.save_ovo(svm_model, model_dir / "svm.model")
 
@@ -302,6 +320,7 @@ def cmd_train(config: PipelineConfig) -> int:
         flat = cosine_mod.train_cosine(stats, cosine.gini_threshold, cosine.denominator_mode,
                                        class_boosts=config.class_boosts,
                                        method_id="cosine_flat")
+        _check_class_boosts(flat, config.class_boosts_tsv)
         cosine_mod.save_cosine(flat, model_dir / "cosine_flat.model")
 
     hier = cosine_mod.train_hierarchical(train, full, config.hierarchy, analyses,

@@ -109,32 +109,26 @@ def build_stats(train: Corpus, full: Corpus, analyses: Mapping[str, Analysis],
     if labels is None:
         labels = train.labels()
 
-    terms: dict[str, TermStats] = {}
-    train_ids = set()
+    by_class: dict[str, Counter] = {}
     for recipe in train:
-        train_ids.add(recipe.id)
-        seen = set(feed_tokens(analyses[recipe.id], feed))
-        cls = labels[recipe.id]
-        for term in seen:
-            stats = terms.setdefault(term, TermStats())
-            stats.df_train += 1
-            stats.df_class[cls] = stats.df_class.get(cls, 0) + 1
-
+        by_class.setdefault(labels[recipe.id], Counter()).update(
+            set(feed_tokens(analyses[recipe.id], feed)))
+    df_full = Counter()
     for recipe in full:
-        seen = set(feed_tokens(analyses[recipe.id], feed))
-        for term in seen:
-            stats = terms.setdefault(term, TermStats())
-            stats.df += 1
+        df_full.update(set(feed_tokens(analyses[recipe.id], feed)))
+    df_train = Counter()
+    for counts in by_class.values():
+        df_train.update(counts)
 
-    for term, stats in terms.items():
-        if stats.df < stats.df_train:
+    terms: dict[str, TermStats] = {}
+    for term in df_full.keys() | df_train.keys():
+        n_train = df_train[term]
+        terms[term] = TermStats(
             # train not a subset of full: count the missing docs into df
-            stats.df = stats.df_train
+            df=max(df_full[term], n_train), df_train=n_train,
+            df_class={cls: counts[term] for cls, counts in by_class.items() if term in counts})
 
-    class_sizes: dict[str, int] = {}
-    for rid in sorted(train_ids):
-        cls = labels[rid]
-        class_sizes[cls] = class_sizes.get(cls, 0) + 1
+    class_sizes = dict(sorted(Counter(labels[recipe.id] for recipe in train).items()))
 
     return LexiconStats(
         corpus_size=len(full),

@@ -362,8 +362,7 @@ def fit_agglutinator(analyses: Mapping[str, Analysis],
         plain, cut = analysis.plain, analysis.title_end
         for tokens in (plain[:cut], plain[cut:]):
             for n in range(2, config.agglutination_max_n + 1):
-                for i in range(len(tokens) - n + 1):
-                    counts[tokens[i:i + n]] += 1
+                counts.update(zip(*(tokens[i:] for i in range(n))))
 
     candidates = {g for g, c in counts.items() if c >= config.agglutination_min_count}
     subsumed = set()
@@ -376,15 +375,14 @@ def fit_agglutinator(analyses: Mapping[str, Analysis],
     return AgglutinationModel(candidates - subsumed)
 
 
-def ngrams(stream: TokenStream, max_n: int) -> Counter:
-    """All contiguous n-grams for 1 <= n <= max_n, space-joined, with counts."""
+def ngram_set(stream: Sequence[str], max_n: int) -> frozenset[str]:
+    """The distinct contiguous n-grams for 1 <= n <= max_n, space-joined."""
     if max_n < 1:
         raise ConfigError("max_n must be >= 1")
-    grams: Counter = Counter()
-    for n in range(1, max_n + 1):
-        for i in range(len(stream) - n + 1):
-            grams[" ".join(stream[i:i + n])] += 1
-    return grams
+    grams = set(stream)
+    for n in range(2, max_n + 1):
+        grams.update(map(" ".join, zip(*(stream[i:] for i in range(n)))))
+    return frozenset(grams)
 
 
 def save_agglutination_model(model: AgglutinationModel, path: str | Path) -> None:
@@ -407,7 +405,7 @@ __all__ = [
     "load_abbrev_table",
     "load_agglutination_model",
     "merge_ngrams",
-    "ngrams",
+    "ngram_set",
     "normalize",
     "save_agglutination_model",
     "with_agglutination",

@@ -1,5 +1,8 @@
 import math
+import types
 from dataclasses import replace
+from itertools import accumulate
+from pathlib import Path
 
 import pytest
 
@@ -7,10 +10,17 @@ from oracles import adaboost_oracle
 
 import recipetext.boost as boost_mod
 from recipetext.boost import (
+    _BOUND_SLACK,
     NUMERIC_FIELDS,
     TEXT_FIELDS,
     BoostConfig,
+    _bound_margin,
+    _bound_terms,
     _candidates,
+    _class_split,
+    _closed_form,
+    _numeric_sweeps,
+    _swept_closed_forms,
     _votes,
     load_boost,
     margins,
@@ -21,6 +31,8 @@ from recipetext.boost import (
 )
 from recipetext.corpus import Corpus, DishType, LabelKind, Recipe, load_corpus
 from recipetext.errors import DataError, ModelMismatchError
+from recipetext.rng import SplitMix64
+from recipetext.summation import ordered_sum
 from recipetext.textnorm import NormConfig, analyze, normalize
 
 
@@ -208,16 +220,17 @@ class TestRoundKernel:
         assert model.history[0].z < 1.0
 
     def test_slack_keeps_the_exact_winner_of_a_near_tie(self, monkeypatch):
-        # "body_words > 2" has the smaller exact Z here, by a few ulps,
-        # but the larger closed-form Z than the earlier "title_words > 2.5"
-        rows = [("creme farine lait", "beurre.", DishType.Entree),
-                ("creme beurre", "thym miel sucre.", DishType.PlatPrincipal),
-                ("thym", "poivre sucre miel oeuf.", DishType.Dessert),
-                ("thym oeuf miel", "oeuf sel thym.", DishType.Dessert),
-                ("thym", "lait sucre sel thym.", DishType.PlatPrincipal),
-                ("miel sel sucre", "oeuf.", DishType.Entree),
-                ("creme", "farine.", DishType.PlatPrincipal),
-                ("oeuf lait", "beurre sel farine poivre.", DishType.Dessert)]
+        # "body_words > 2.5" has the smaller exact Z here, by a few ulps,
+        # but the larger closed-form Z than "title_words > 2.5"; both have
+        # four present docs, so the scan reaches "title_words" first
+        rows = [("thym poivre", "lait.", DishType.Entree),
+                ("beurre miel poivre", "miel.", DishType.Dessert),
+                ("creme sucre", "sel.", DishType.Entree),
+                ("miel oeuf sel", "farine sel creme oeuf.", DishType.Dessert),
+                ("sucre", "poivre sucre farine oeuf.", DishType.PlatPrincipal),
+                ("sucre miel", "sel miel miel sel.", DishType.PlatPrincipal),
+                ("sucre sel beurre", "farine sel.", DishType.Dessert),
+                ("beurre creme farine", "beurre sel farine.", DishType.PlatPrincipal)]
         corpus = Corpus([Recipe(f"r{i}", title, body, dish_type=dish)
                          for i, (title, body, dish) in enumerate(rows)], LabelKind.DISH_TYPE)
         feats = _features_for(corpus)
@@ -226,9 +239,9 @@ class TestRoundKernel:
             hyp = train_boost(corpus, None, feats, BoostConfig(max_rounds=1)).rounds[0]
             return hyp.field, hyp.threshold
 
-        assert first_pick() == ("body_words", 2.0)
+        assert first_pick() == ("body_words", 2.5)
         monkeypatch.setattr(boost_mod, "_Z_SLACK", math.inf)
-        assert first_pick() == ("body_words", 2.0)
+        assert first_pick() == ("body_words", 2.5)
         monkeypatch.setattr(boost_mod, "_Z_SLACK", 1.0)
         assert first_pick() == ("title_words", 2.5)
 
@@ -370,3 +383,135 @@ class TestSerialization:
         again = tmp_path / "again.model"
         save_boost(reloaded, again)
         assert again.read_bytes() == path.read_bytes()
+
+
+CORPUSGEN = Path(__file__).resolve().parents[1] / "perfbench" / "corpusgen.py"
+
+
+def _perfbench_corpus(seed, n):
+    """A training corpus of the benchmark's generator, run from its
+    source text so that nothing is written next to it."""
+    module = types.ModuleType("perfbench_corpusgen")
+    exec(compile(CORPUSGEN.read_text(encoding="utf-8"), str(CORPUSGEN), "exec"),
+         module.__dict__)
+    corpus = module.generate(CORPUSGEN.parents[1], seed, "tr", n)
+    return Corpus(corpus.recipes, LabelKind.DISH_TYPE)
+
+
+def _round_inputs(corpus, feats, seed, power):
+    """The candidates and a seeded weight distribution over a corpus,
+    with the weight columns and per-class totals a round computes from
+    it. Weights drawn as u**power have a heavier tail as the power
+    grows, like the weights of later rounds."""
+    ids = [r.id for r in corpus.recipes]
+    labels = corpus.labels()
+    classes = sorted(set(labels.values()))
+    label_of = [classes.index(labels[rid]) for rid in ids]
+    n, k = len(ids), len(classes)
+    rng = SplitMix64(seed)
+    raw = [[rng.uniform() ** power + 1e-300 for _ in range(k)] for _ in range(n)]
+    total = sum(map(sum, raw))
+    dist = [[w / total for w in row] for row in raw]
+    cols = list(zip(*dist))
+    totals = [(ordered_sum(map(col.__getitem__, pos)), ordered_sum(map(col.__getitem__, neg)))
+              for (pos, neg), col in zip(_class_split(range(n), label_of, k), cols)]
+    return ids, label_of, dist, cols, totals, _candidates(ids, feats)
+
+
+def _summed_closed_form(present, label_of, cols, totals, eps):
+    """The closed-form Z of a stump as a round computes it, from its
+    present block summed in ascending doc order."""
+    split = _class_split(present, label_of, len(cols))
+    w1p = [ordered_sum(col[i] for i in pos) for (pos, _), col in zip(split, cols)]
+    w1m = [ordered_sum(col[i] for i in neg) for (_, neg), col in zip(split, cols)]
+    return _closed_form(w1p, w1m, totals, eps)
+
+
+@pytest.fixture(scope="module")
+def bound_corpora(fixtures_dir, boost40):
+    corpora = [boost40] + [load_corpus(fixtures_dir / "golden60.xml", kind)
+                           for kind in (LabelKind.DIFFICULTY, LabelKind.DISH_TYPE)]
+    return [(corpus, _features_for(corpus)) for corpus in corpora]
+
+
+class TestBound:
+    def test_bound_never_exceeds_the_closed_form(self, bound_corpora):
+        gaps = []
+        for corpus, feats in bound_corpora:
+            for seed, power in [(s, p) for s in range(3) for p in (1, 4, 16)]:
+                _, label_of, dist, cols, totals, cands = _round_inputs(corpus, feats, seed, power)
+                z0, q = _bound_terms(dist, label_of, totals)
+                largest = list(accumulate(sorted(q, reverse=True), initial=0.0))
+                for cand in cands:
+                    fz = _summed_closed_form(cand.present, label_of, cols, totals, 1e-3)
+                    bound = z0 - sum(q[i] for i in cand.present)
+                    assert bound <= fz, (cand.sort_key, seed, power)
+                    # the scan's stop by block size bounds the bound
+                    assert z0 - largest[len(cand.present)] <= bound + 1e-15
+                    gaps.append((fz - bound) / fz)
+        # the bound is tight enough to prune: some candidates come within 5%
+        assert min(gaps) < 0.05
+
+    def test_the_tangent_slope_breaks_the_bound(self, bound_corpora):
+        # the tangent of sqrt((1-x)(1-y)) at 0 is 1 - x/2 - y/2: half of
+        # each q_i. It lies above the square root, so its "bound" can
+        # exceed the closed form.
+        corpus, feats = bound_corpora[2]
+        _, label_of, dist, cols, totals, cands = _round_inputs(corpus, feats, 0, 1)
+        z0, q = _bound_terms(dist, label_of, totals)
+        broken = [cand for cand in cands
+                  if z0 - 0.5 * sum(q[i] for i in cand.present)
+                  > _summed_closed_form(cand.present, label_of, cols, totals, 1e-3)]
+        assert broken
+
+    def test_swept_closed_forms_stay_within_the_margin(self, bound_corpora):
+        for corpus, feats in bound_corpora:
+            for seed, power in [(s, p) for s in range(3) for p in (1, 4, 16)]:
+                ids, label_of, dist, cols, totals, cands = _round_inputs(
+                    corpus, feats, seed, power)
+                k = len(cols)
+                sweeps = _numeric_sweeps(cands, feats, ids, label_of, k)
+                swept = _swept_closed_forms(sweeps, cols, totals, 1e-3)
+                assert sorted(swept) == [i for i, c in enumerate(cands) if c.kind == "numeric"]
+                margin = _bound_margin(len(ids), k, 1e-3)
+                for idx, approx in swept.items():
+                    fz = _summed_closed_form(cands[idx].present, label_of, cols, totals, 1e-3)
+                    assert abs(approx - fz) <= margin + fz * (_BOUND_SLACK - 1.0)
+
+    @pytest.mark.parametrize("kind", [LabelKind.DIFFICULTY, LabelKind.DISH_TYPE])
+    @pytest.mark.parametrize("eps", [1e-3, 1e-9])
+    def test_bound_never_changes_a_fit(self, fixtures_dir, monkeypatch, kind, eps):
+        corpus = load_corpus(fixtures_dir / "golden60.xml", kind)
+        feats = _features_for(corpus)
+        config = BoostConfig(max_rounds=30, smoothing_epsilon=eps)
+        bounded = train_boost(corpus, None, feats, config)
+        monkeypatch.setattr(boost_mod, "_BOUND_SLACK", math.inf)
+        unbounded = train_boost(corpus, None, feats, config)
+        assert len(bounded.rounds) == 30
+        assert bounded.rounds == unbounded.rounds
+        assert bounded.history == unbounded.history
+        # the bound, not the closed-form filter, is what skips the summing
+        assert (sum(info.summed for info in bounded.history)
+                < sum(info.summed for info in unbounded.history))
+
+    def test_bound_never_changes_a_perfbench_fit(self, monkeypatch):
+        corpus = _perfbench_corpus(7, 160)
+        train = Corpus(corpus.recipes[:120], LabelKind.DISH_TYPE)
+        dev = Corpus(corpus.recipes[120:], LabelKind.DISH_TYPE)
+        feats = _features_for(corpus)
+        config = BoostConfig(max_rounds=30, dev_patience=30)
+        bounded = train_boost(train, dev, feats, config)
+        monkeypatch.setattr(boost_mod, "_BOUND_SLACK", math.inf)
+        unbounded = train_boost(train, dev, feats, config)
+        assert len(bounded.history) == 30
+        assert bounded.rounds == unbounded.rounds
+        assert bounded.history == unbounded.history
+
+    def test_summed_counts_repeat(self, fixtures_dir):
+        corpus = load_corpus(fixtures_dir / "golden60.xml", LabelKind.DISH_TYPE)
+        feats = _features_for(corpus)
+        inventory = len(_candidates([r.id for r in corpus.recipes], feats))
+        counts = [[info.summed for info in train_boost(
+            corpus, None, feats, BoostConfig(max_rounds=30)).history] for _ in range(2)]
+        assert counts[0] == counts[1]
+        assert all(1 <= c < inventory for c in counts[0])

@@ -113,6 +113,33 @@ class TestClassBoosts:
         assert path.read_bytes() != (src / "runs" / "scores_cosine_flat.tsv").read_bytes()
 
 
+    @pytest.mark.parametrize("row, pair", [
+        ("sucre\tDesert\t30", "('sucre', 'Desert')"),
+        ("zzzz\tDessert\t5", "('zzzz', 'Dessert')"),
+    ], ids=["unknown_class", "term_not_kept"])
+    def test_boost_that_changes_no_score_is_data_error(self, tmp_path, capsys, row, pair):
+        boosts = tmp_path / "boosts.tsv"
+        boosts.write_text(f"sucre\tDessert\t3\n{row}\n", encoding="utf-8")
+        config = _config(tmp_path, class_boosts_tsv=str(boosts))
+        assert main(["--config", str(config), "train"]) == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error:data:")
+        assert "boosts.tsv" in err and pair in err
+        assert not (tmp_path / "models" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("task", ["T1", "T4"])
+    def test_boost_file_without_a_flat_model_is_config_error(self, tmp_path, capsys, task):
+        boosts = tmp_path / "boosts.tsv"
+        boosts.write_text("sucre\tDessert\t3\n", encoding="utf-8")
+        config = _config(tmp_path, task=task, class_boosts_tsv=str(boosts))
+        for command in ("train", "classify", "extract"):
+            assert main(["--config", str(config), command]) == 2
+            err = capsys.readouterr().err
+            assert len(err.splitlines()) == 1 and err.startswith("error:config:")
+            assert "class_boosts_tsv" in err
+        assert not (tmp_path / "models").exists() and not (tmp_path / "runs").exists()
+
+
 class TestClassify:
     def test_score_files(self, pipeline):
         tmp, _ = pipeline
