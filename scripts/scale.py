@@ -9,11 +9,16 @@ runs REPEATS times in a row, each time as its own `python -m
 recipetext.cli` child process, so its wall time and peak RSS
 (ru_maxrss, from wait4) are its own; a command's report holds the
 median of each and every sample, since single runs on a shared machine
-move by up to about 20%. The result
-goes to BENCH_scale_<label>.json in --out-dir, with the sha256 of the
-corpora, of every model file, of the four score files `classify`
-writes ("scores") and of the files `fuse` and `extract` write
-("outputs").
+move by up to about 20%. After its timed runs, each command runs once
+more with perfbench's tracer (perfbench/tracing.py) installed around
+`recipetext.cli.main` in the child; that run's layer self times (s) and
+counters go under the command's "layers" and feed no timed figure. The
+report's "layer_growth" gives each layer's ratio per 4x in n, and
+"top_layers" the three layers with the most self time at the largest
+n. The result goes to BENCH_scale_<label>.json in --out-dir, with the
+sha256 of the corpora, of every model file, of the four score files
+`classify` writes ("scores") and of the files `fuse` and `extract`
+write ("outputs").
 
     python3 scripts/scale.py --label after
     python3 scripts/scale.py --label before --src /path/to/other/checkout/src
@@ -24,7 +29,7 @@ labels see the same bytes. After writing, the script compares the
 corpus and model hashes with every other BENCH_scale_*.json in
 --out-dir, size by size, and the score and output hashes with every
 such report that has them (older reports do not), and exits 1 if any
-of them differs.
+of them differs; the traced figures are not compared.
 """
 
 from __future__ import annotations
@@ -55,6 +60,20 @@ COMMANDS = ("train", "classify", "fuse", "extract")
 RUN_FILES = {"scores": ("scores_*.tsv",),
              "outputs": ("fused_*.tsv", "fusion_details.tsv", "ingredients.tsv")}
 COMPARED = ("boost.model", "svm.model", "manifest.json")
+# The traced run's child: argv is the output path, then the CLI's argv.
+TRACED_CHILD = """
+import json, sys
+import recipetext.cli
+from tracing import Tracer
+tracer = Tracer()
+tracer.install()
+code = recipetext.cli.main(sys.argv[2:])
+tracer.remove()
+metrics = tracer.unit_metrics({None}, tracer.self_times())
+with open(sys.argv[1], "w", encoding="utf-8") as out:
+    json.dump({"exit": code, "nesting_errors": tracer.nesting_errors(),
+               "layers": {name: value for name, value in metrics.items() if value}}, out)
+"""
 
 
 def _sha256(path: Path) -> str:
@@ -77,6 +96,34 @@ def _run(src: Path, argv: list[str]) -> dict:
     return {"wall_s": round(wall, 3), "maxrss_mb": round(usage.ru_maxrss / 1024, 1)}
 
 
+def _traced(src: Path, argv: list[str], out: Path) -> dict:
+    """One CLI command in a child process under the tracer: the run's
+    nonzero layer metrics (self times in s, counters)."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(ROOT / "perfbench")]))
+    subprocess.run([sys.executable, "-c", TRACED_CHILD, str(out), *argv], env=env,
+                   stdout=subprocess.DEVNULL, check=True)
+    result = json.loads(out.read_text(encoding="utf-8"))
+    if result["exit"] != 0 or result["nesting_errors"]:
+        raise SystemExit(f"traced {argv[-1]}: {result}")
+    return {name: round(value, 4) for name, value in sorted(result["layers"].items())}
+
+
+def layer_growth(sizes: dict) -> tuple[dict, dict]:
+    """Each command's layers with their ratio per 4x in n (one ratio per
+    step between consecutive sizes), and the three layers with the most
+    self time at the largest n."""
+    growth, top = {}, {}
+    ordered = [sizes[n] for n in sorted(sizes, key=int)]
+    for command in COMMANDS:
+        layers = [size[command]["layers"] for size in ordered]
+        growth[command] = {name: [round(b[name] / a[name], 2) if a.get(name) else None
+                                  for a, b in zip(layers, layers[1:])]
+                           for name in layers[-1]}
+        times = [name for name in layers[-1] if name.endswith("_s")]
+        top[command] = sorted(times, key=layers[-1].get, reverse=True)[:3]
+    return growth, top
+
+
 def measure(n: int, src: Path, work: Path) -> dict:
     size_dir = work / f"n{n}"
     size_dir.mkdir(parents=True)
@@ -94,6 +141,7 @@ def measure(n: int, src: Path, work: Path) -> dict:
         result[command] = {"wall_s": statistics.median(s["wall_s"] for s in samples),
                            "maxrss_mb": statistics.median(s["maxrss_mb"] for s in samples),
                            "samples": samples}
+        result[command]["layers"] = _traced(src, base + [command], size_dir / "traced.json")
         print(f"n={n} {command}: {result[command]}", flush=True)
     result["models"] = {p.name: _sha256(p) for p in sorted(model_dir.iterdir())}
     for key, patterns in RUN_FILES.items():
@@ -145,6 +193,10 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="recipetext-scale-") as tmp:
         for n in SIZES:
             report["sizes"][str(n)] = measure(n, args.src.resolve(), Path(tmp))
+    report["layer_growth"], report["top_layers"] = layer_growth(report["sizes"])
+    for command, names in report["top_layers"].items():
+        print(f"top layers of {command} at n={SIZES[-1]}: " + ", ".join(
+            f"{name} ({report['layer_growth'][command][name]} per 4x)" for name in names))
     path = args.out_dir / f"BENCH_scale_{args.label}.json"
     path.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {path}")

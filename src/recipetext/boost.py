@@ -116,7 +116,7 @@ from .features import NUMERIC_FIELDS, numeric_features
 from .scores import ScoreVector
 from .summation import ordered_sum
 from .textnorm import Analysis, ngram_set
-from .tsv import Header, read_rows, write_lines
+from .tsv import Header, check_widths, read_rows, write_lines
 
 TEXT_FIELDS = [("title", 3), ("body", 4), ("ingredients", 1)]
 # the #field lines of boost.model: text field -> max n, numeric field -> 0
@@ -607,17 +607,16 @@ def load_boost(path: str | Path) -> BoostModel:
     fields = [row[1:] for row in rows if row[0] == "#field"]
     if fields != [[name, str(max_n)] for name, max_n in _FIELD_SCHEMA.items()]:
         raise ModelMismatchError(f"{path}: #field lines differ from {_FIELD_SCHEMA}")
-    header, body = Header.split((row for row in rows if row[0] != "#field"), path)
+    header, body = Header.split((row for row in rows if row[0] != "#field"), path,
+                                {"#classes": 2})
     classes = header["classes"][1].split(",")
     k = len(classes)
     rounds: list[WeakHypothesis] = []
-    for row in body:
+    for row in check_widths(body, {"text": 3 + 2 * k, "numeric": 3 + 2 * k}):
         kind = row[0]
-        if kind not in ("text", "numeric"):
-            raise row.fail(f"unknown row kind {kind!r}")
         if row[1] not in _FIELD_SCHEMA or (_FIELD_SCHEMA[row[1]] > 0) != (kind == "text"):
             raise row.fail(f"{row[1]!r} is not a {kind} field")
-        votes = row.floats(3, 3 + 2 * k)
+        votes = row.floats(3)
         rounds.append(WeakHypothesis(
             kind=kind,
             field=row[1],

@@ -19,7 +19,7 @@ from . import boost as boost_mod
 from . import cosine as cosine_mod
 from . import extraction as extraction_mod
 from . import svm as svm_mod
-from .corpus import Corpus, LabelKind, load_corpus, stratified_split
+from .corpus import Corpus, LabelKind, iter_recipes, load_corpus, stratified_split
 from .errors import ConfigError, DataError, ModelMismatchError, check_types
 from .evaluation import (
     classification_report,
@@ -57,7 +57,7 @@ from .textnorm import (
     save_agglutination_model,
     with_agglutination,
 )
-from .tsv import Header, read_rows, write_lines
+from .tsv import Header, check_widths, read_rows, write_lines
 
 TASK_LABEL_KIND = {
     "T1": LabelKind.DIFFICULTY,
@@ -180,9 +180,7 @@ def _hierarchy(task: str, spec_path: str | None, alpha: float | None
 
 def _load_class_boosts(path: Path) -> dict[tuple[str, str], int]:
     boosts: dict[tuple[str, str], int] = {}
-    for row in read_rows(path, error=DataError, comments=True):
-        if len(row) != 3:
-            raise row.fail("expected term<TAB>class<TAB>count")
+    for row in check_widths(read_rows(path, error=DataError, comments=True), 3):
         row.put(boosts, (row[0], row[1]), row.int(2))
     return boosts
 
@@ -244,12 +242,13 @@ def _analyze_corpus(corpus: Corpus, norm: NormConfig):
 
 def _check_class_boosts(flat: cosine_mod.CosineModel, path: str | None) -> None:
     """Every class boost must name a training class and a term the flat
-    model keeps; any other boost would change no score."""
+    model keeps (its G reaches the threshold); any other boost would
+    change no score."""
     for term, cls in flat.class_boosts:
         if cls not in flat.classes:
             raise DataError(f"{path}: boost ({term!r}, {cls!r}) names no training class "
                             f"(classes: {flat.classes})")
-        if term not in flat.terms:
+        if flat.stats._gini.get(term, -1.0) < flat.gini_threshold:
             raise DataError(f"{path}: boost ({term!r}, {cls!r}) names a term outside the "
                             f"flat model's Gini-kept vocabulary")
 
@@ -369,13 +368,14 @@ def _save_score_tsv(vectors: list[ScoreVector], classes: list[str], method: str,
 
 
 def _load_score_tsv(path: Path, method: str) -> list[ScoreVector]:
-    header, rows = Header.split(read_rows(path, "#scores\tv1"), path)
+    header, rows = Header.split(read_rows(path, "#scores\tv1"), path,
+                                {"#method": 2, "#classes": 2})
     if header["method"][1] != method:
         raise header["method"].fail(f"scores of method {header['method'][1]!r}, "
                                     f"expected {method!r}")
     classes = header["classes"][1].split(",")
-    return [ScoreVector(row[0], method, dict(zip(classes, row.floats(1, 1 + len(classes)))))
-            for row in rows]
+    return [ScoreVector(row[0], method, dict(zip(classes, row.floats(1))))
+            for row in check_widths(rows, 1 + len(classes))]
 
 
 def cmd_classify(config: PipelineConfig) -> int:
@@ -417,12 +417,12 @@ def cmd_classify(config: PipelineConfig) -> int:
                                      f"differ from {classes} in boost.model")
     run_dir = Path(config.run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
-    test = load_corpus(test_path, LabelKind.NONE)
 
-    # Recipe-major: each analysis is dropped once every method has scored it.
+    # Recipe-major: each recipe is read, and its analysis dropped, once
+    # every method has scored it.
     per_method: dict[str, list[ScoreVector]] = {m: [] for m in methods}
     boost_index = boost_mod.presence_index(boost_model)
-    for recipe in test:
+    for recipe in iter_recipes(test_path):
         analysis = analyze(recipe, norm, agglut)
         counts = feed_counts(analysis)
         feats = _boost_features(analysis, lexicon, norm, agglut, boost_index)
@@ -437,7 +437,8 @@ def cmd_classify(config: PipelineConfig) -> int:
     for method in methods:
         _save_score_tsv(per_method[method], classes, method,
                         run_dir / f"scores_{method}.tsv")
-    print(f"wrote {len(methods)} score files for {len(test)} recipes -> {run_dir}")
+    print(f"wrote {len(methods)} score files for {len(per_method['boost'])} recipes "
+          f"-> {run_dir}")
     return 0
 
 
@@ -523,9 +524,9 @@ def cmd_extract(config: PipelineConfig) -> int:
 
 def _load_label_run(path: Path) -> dict[str, str]:
     predicted = {}
-    for row in read_rows(path, error=DataError):
-        if len(row) != 2:
-            raise row.fail("expected recipe_id<TAB>class")
+    for row in check_widths(read_rows(path, error=DataError), 2):
+        if not row[1]:
+            raise row.fail("empty label")
         row.put(predicted, row[0], row[1])
     return predicted
 
@@ -627,7 +628,9 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--qrels", default=None, help="qrels file (T4)")
     ev.add_argument("--deaccent", action="store_true",
                     help="strip accents before matching ingredients (T4, comparison only)")
-    sw = sub.add_parser("sweep", help="grid-sweep one parameter on dev")
+    sw = sub.add_parser("sweep", help="grid-sweep one parameter: gini_threshold by dev "
+                        "macro-F, concordance_threshold by micro-F against the gold labels "
+                        "of test_xml")
     sw.add_argument("--param", required=True,
                     choices=["gini_threshold", "concordance_threshold"])
     sw.add_argument("--start", type=float, required=True)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import xml.etree.ElementTree as ET
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -99,12 +100,6 @@ class Corpus:
         """Sorted class names present in the corpus."""
         return sorted(set(self.labels().values()))
 
-    def by_id(self, recipe_id: str) -> Recipe:
-        for r in self.recipes:
-            if r.id == recipe_id:
-                return r
-        raise DataError(f"no recipe with id {recipe_id!r}")
-
 
 def _text_of(elem: ET.Element, tag: str, recipe_id: str) -> str:
     child = elem.find(tag)
@@ -113,59 +108,81 @@ def _text_of(elem: ET.Element, tag: str, recipe_id: str) -> str:
     return child.text.strip()
 
 
+def _recipe(elem: ET.Element, path) -> Recipe:
+    rid = elem.get("id")
+    if not rid:
+        raise CorpusSchemaError(f"{path}: <recette> without id attribute")
+    title = _text_of(elem, "titre", rid)
+    body = _text_of(elem, "preparation", rid)
+
+    difficulty = None
+    niveau = elem.find("niveau")
+    if niveau is not None:
+        raw = (niveau.text or "").strip()
+        if raw not in _DIFFICULTY_BY_XML:
+            raise CorpusSchemaError(f"recipe {rid!r}: unknown difficulty {raw!r}")
+        difficulty = _DIFFICULTY_BY_XML[raw]
+
+    dish_type = None
+    dish = elem.find("type")
+    if dish is not None:
+        raw = (dish.text or "").strip()
+        if raw not in _DISH_BY_XML:
+            raise CorpusSchemaError(f"recipe {rid!r}: unknown dish type {raw!r}")
+        dish_type = _DISH_BY_XML[raw]
+
+    gold = None
+    ingredients = elem.find("ingredients")
+    if ingredients is not None:
+        gold = []
+        for ing in ingredients.findall("ingredient"):
+            item = (ing.text or "").strip()
+            if not item:
+                raise CorpusSchemaError(f"recipe {rid!r}: empty <ingredient>")
+            gold.append(item)
+
+    return Recipe(rid, title, body, difficulty, dish_type, gold)
+
+
+def iter_recipes(path: str | Path) -> Iterator[Recipe]:
+    """The recipes of an XML file in document order, read one at a time:
+    each <recette> child of the root is dropped once its recipe is made,
+    so memory does not grow with the file.
+
+    Raises CorpusParseError for malformed XML and CorpusSchemaError for a
+    schema violation (missing element, duplicate id, unknown label
+    string, empty corpus), each when the reader reaches it.
+    """
+    seen = set()
+    try:
+        events = ET.iterparse(str(path), events=("start", "end"))
+        _, root = next(events)
+        if root.tag != "recettes":
+            raise CorpusSchemaError(f"{path}: root element is <{root.tag}>, expected <recettes>")
+        depth = 1
+        for event, elem in events:
+            depth += 1 if event == "start" else -1
+            if event == "end" and depth == 1:  # a child of the root is complete
+                if elem.tag == "recette":
+                    recipe = _recipe(elem, path)
+                    if recipe.id in seen:
+                        raise CorpusSchemaError(f"duplicate recipe id {recipe.id!r}")
+                    seen.add(recipe.id)
+                    yield recipe
+                root.clear()
+    except ET.ParseError as exc:
+        raise CorpusParseError(f"{path}: {exc}") from exc
+    if not seen:
+        raise CorpusSchemaError("corpus is empty")
+
+
 def load_corpus(path: str | Path, label_kind: LabelKind = LabelKind.NONE) -> Corpus:
     """Parse a recipe XML file into a Corpus, document order preserved.
 
-    Raises CorpusParseError for malformed XML, CorpusSchemaError for a
-    schema violation (missing element, duplicate id, unknown label
-    string, empty corpus), and DataError when a recipe lacks the label
-    required by ``label_kind``.
+    Raises as ``iter_recipes`` does, and DataError when a recipe lacks
+    the label required by ``label_kind``.
     """
-    try:
-        tree = ET.parse(str(path))
-    except ET.ParseError as exc:
-        raise CorpusParseError(f"{path}: {exc}") from exc
-    root = tree.getroot()
-    if root.tag != "recettes":
-        raise CorpusSchemaError(f"{path}: root element is <{root.tag}>, expected <recettes>")
-
-    recipes = []
-    for elem in root.findall("recette"):
-        rid = elem.get("id")
-        if not rid:
-            raise CorpusSchemaError(f"{path}: <recette> without id attribute")
-        title = _text_of(elem, "titre", rid)
-        body = _text_of(elem, "preparation", rid)
-
-        difficulty = None
-        niveau = elem.find("niveau")
-        if niveau is not None:
-            raw = (niveau.text or "").strip()
-            if raw not in _DIFFICULTY_BY_XML:
-                raise CorpusSchemaError(f"recipe {rid!r}: unknown difficulty {raw!r}")
-            difficulty = _DIFFICULTY_BY_XML[raw]
-
-        dish_type = None
-        dish = elem.find("type")
-        if dish is not None:
-            raw = (dish.text or "").strip()
-            if raw not in _DISH_BY_XML:
-                raise CorpusSchemaError(f"recipe {rid!r}: unknown dish type {raw!r}")
-            dish_type = _DISH_BY_XML[raw]
-
-        gold = None
-        ingredients = elem.find("ingredients")
-        if ingredients is not None:
-            gold = []
-            for ing in ingredients.findall("ingredient"):
-                item = (ing.text or "").strip()
-                if not item:
-                    raise CorpusSchemaError(f"recipe {rid!r}: empty <ingredient>")
-                gold.append(item)
-
-        recipes.append(Recipe(rid, title, body, difficulty, dish_type, gold))
-
-    return Corpus(recipes, label_kind)
+    return Corpus(list(iter_recipes(path)), label_kind)
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
@@ -229,6 +246,7 @@ __all__ = [
     "DishType",
     "LabelKind",
     "Recipe",
+    "iter_recipes",
     "load_corpus",
     "save_corpus",
     "stratified_split",

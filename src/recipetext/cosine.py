@@ -10,7 +10,7 @@ purity reaches the configured threshold. Two denominators ship:
   product-of-squares form kept for comparison.
 
 A model's only form is one table, built from the statistics when the
-model is constructed: Gini-kept term -> (idf, G, w_c of every class),
+model first scores: Gini-kept term -> (idf, G, w_c of every class),
 w_c = (df_c + boost) * idf * G, with every zero stored as the one
 float 0.0 (a class that never saw the term holds it); ||v_c|| sums the
 squares of a class's column in sorted term order. ``score_cosine`` reads a recipe as one list of (term, tf)
@@ -37,6 +37,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 from .corpus import Corpus
@@ -54,7 +55,7 @@ from .fusion import normalize_scores
 from .scores import ScoreVector
 from .summation import ordered_sum
 from .textnorm import Analysis
-from .tsv import Header, Row, read_rows, write_lines
+from .tsv import Header, Row, check_widths, read_rows, write_lines
 
 STANDARD = "standard"
 LITERAL = "literal"
@@ -90,26 +91,33 @@ class CosineModel:
     method_id: str = "cosine"
     # fictitious df_c counts added for chosen (term, class) pairs
     class_boosts: dict[tuple[str, str], int] = field(default_factory=dict)
-    # Gini-kept term -> (idf, G, w_c of each class in ``classes`` order; a
-    # zero w_c is the shared 0.0, which keeps the zeros' memory small)
-    terms: dict[str, tuple[float, ...]] = field(init=False, repr=False)
-    # ||v_c|| per class, in ``classes`` order
-    class_norms: dict[str, float] = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.classes = classes = sorted(set(self.classes))
+        self.classes = sorted(set(self.classes))
+
+    @cached_property
+    def terms(self) -> dict[str, tuple[float, ...]]:
+        """Gini-kept term -> (idf, G, w_c of each class in ``classes``
+        order; a zero w_c is the shared 0.0, which keeps the zeros'
+        memory small). Built on first use: ``train`` writes the model
+        from its statistics and never scores it."""
         stats, boosts = self.stats, self.class_boosts
-        self.terms = table = {}
+        table = {}
         for term, g in sorted(stats._gini.items()):
             if g < self.gini_threshold:
                 continue
             idf, df_class = stats.idf(term), stats.terms[term].df_class
             table[term] = (idf, g, *[
                 (df_class.get(cls, 0) + boosts.get((term, cls), 0)) * idf * g or 0.0
-                for cls in classes])
-        self.class_norms = {
-            cls: math.sqrt(ordered_sum(entry[col] * entry[col] for entry in table.values()))
-            for col, cls in enumerate(classes, 2)}
+                for cls in self.classes])
+        return table
+
+    @cached_property
+    def class_norms(self) -> dict[str, float]:
+        """||v_c|| per class, in ``classes`` order."""
+        table = self.terms
+        return {cls: math.sqrt(ordered_sum(entry[col] * entry[col] for entry in table.values()))
+                for col, cls in enumerate(self.classes, 2)}
 
 
 def train_cosine(stats: LexiconStats, gini_threshold: float, mode: str = STANDARD,
@@ -326,8 +334,12 @@ def classify_hierarchical(model: HierarchicalCosineModel, analysis: Analysis,
 # --------------------------------------------------------------------
 # Serialization. A model's table is a pure function of its statistics,
 # so model files store the stats, the few scalars and the boosts, and
-# the table is rebuilt on load, which keeps the files small and diffable.
+# the table is rebuilt after loading, which keeps the files small and
+# diffable.
 # --------------------------------------------------------------------
+
+_SCALAR_WIDTHS = {"#threshold": 2, "#mode": 2, "#method_id": 2}
+
 
 def _scalar_lines(magic: str, threshold: float, mode: str, method_id: str) -> list[str]:
     return [magic, f"#threshold\t{threshold:.17g}", f"#mode\t{mode}",
@@ -355,11 +367,10 @@ def save_cosine(model: CosineModel, path: str | Path) -> None:
 
 
 def load_cosine(path: str | Path, stats: LexiconStats) -> CosineModel:
-    header, body = Header.split(read_rows(path, "#cosine\tv1"), path)
+    header, body = Header.split(read_rows(path, "#cosine\tv1"), path,
+                                {**_SCALAR_WIDTHS, "#classes": 2})
     boosts: dict[tuple[str, str], int] = {}
-    for row in body:
-        if row[0] != "boost":
-            raise row.fail(f"unknown row kind {row[0]!r}")
+    for row in check_widths(body, {"boost": 4}):
         row.put(boosts, (row[1], row[2]), row.int(3))
     threshold, mode, method_id = _scalars(header)
     return CosineModel(stats, header["classes"][1].split(","), threshold, mode, method_id,
@@ -384,25 +395,24 @@ def save_hierarchical(model: HierarchicalCosineModel, path: str | Path) -> None:
 
 
 def load_hierarchical(path: str | Path) -> HierarchicalCosineModel:
-    header = Header(path)
-    stages: list[HierarchyStage] = []
+    outer: list[Row] = []                       # the rows outside the stats blocks
     contexts: list[tuple[Row, list[Row]]] = []  # (#begin_context row, its stats rows)
     block = None
     for row in read_rows(path, "#cosine_hier\tv1"):
-        tag = row[0]
-        if tag == "#begin_context":
+        if row[0] == "#begin_context":
             block = []
             contexts.append((row, block))
-        elif tag == "#end_context":
+        elif row[0] == "#end_context":
             block = None
         elif block is not None:
             block.append(row)
-        elif tag == "#stage":
-            stages.append(_parse_stage(row))
-        elif tag.startswith("#"):
-            header.put(row)
-        else:
-            raise row.fail("row outside a #begin_context block")
+            continue
+        outer.append(row)
+    check_widths(outer, {**_SCALAR_WIDTHS, "#stage": None, "#begin_context": 5,
+                         "#end_context": 1})
+    header, _ = Header.split([row for row in outer if row[0] in _SCALAR_WIDTHS], path,
+                             _SCALAR_WIDTHS)
+    stages = [_parse_stage(row) for row in outer if row[0] == "#stage"]
     threshold, mode, method_id = _scalars(header)
     try:
         spec = HierarchySpec(tuple(stages))
@@ -413,7 +423,7 @@ def load_hierarchical(path: str | Path) -> HierarchicalCosineModel:
     stage_models: dict[tuple[int, str], dict[Feed, CosineModel]] = {}
     for begin, rows in contexts:
         stats = stats_from_rows(rows, f"{path}:{begin.lineno}")
-        rows.clear()  # the parsed rows are not held while the table is built
+        rows.clear()  # the parsed rows are not held while the next block is parsed
         key, classes = (begin.int(1), begin[2]), begin[4].split(",")
         if classes != expected.get(key) or stats.classes != classes:
             raise begin.fail(f"context classes {classes} do not match the #stage "
@@ -449,11 +459,8 @@ def _parse_stage(row: Row) -> HierarchyStage:
 
 
 def load_hierarchy_spec(path: str | Path) -> HierarchySpec:
-    stages = []
-    for row in read_rows(path, error=ConfigError, comments=True):
-        if row[0] != "stage":
-            raise row.fail("expected 'stage<TAB>alpha=...<TAB>leaf=GROUP...'")
-        stages.append(_parse_stage(row))
+    rows = check_widths(read_rows(path, error=ConfigError, comments=True), {"stage": None})
+    stages = [_parse_stage(row) for row in rows]
     try:
         return HierarchySpec(tuple(stages))
     except ConfigError as exc:

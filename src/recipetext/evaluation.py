@@ -19,7 +19,7 @@ from .errors import DataError
 from .extraction import canonical_form
 from .summation import ordered_sum
 from .textnorm import NormConfig
-from .tsv import read_rows
+from .tsv import check_widths, read_rows
 
 
 @dataclass
@@ -119,9 +119,6 @@ class QrelSet:
     def scored_ids(self) -> list[str]:
         return sorted(rid for rid, items in self.gold.items() if items)
 
-    def skipped_ids(self) -> list[str]:
-        return sorted(rid for rid, items in self.gold.items() if not items)
-
 
 def _deaccent(text: str) -> str:
     decomposed = unicodedata.normalize("NFD", text)
@@ -189,9 +186,7 @@ def mean_average_precision(run: dict[str, list[str]], qrels: QrelSet,
 def load_qrels(path: str | Path) -> QrelSet:
     """TREC-like qrel lines: recipe_id<TAB>0<TAB>ingredient<TAB>relevance."""
     gold: dict[str, set[str]] = {}
-    for row in read_rows(path, error=DataError):
-        if len(row) != 4:
-            raise row.fail("expected 4 tab-separated fields")
+    for row in check_widths(read_rows(path, error=DataError), 4):
         items = gold.setdefault(row[0], set())
         if row[3] != "0":
             items.add(row[2])

@@ -29,7 +29,7 @@ from pathlib import Path
 from .corpus import Corpus
 from .errors import DataError
 from .textnorm import Analysis, NormConfig, normalize
-from .tsv import Header, read_rows, write_lines
+from .tsv import Header, check_widths, read_rows, write_lines
 
 GENERIC_TERMS = ("fromage", "poisson", "viande")
 
@@ -211,13 +211,6 @@ def extract(analysis: Analysis, lexicon: IngredientLexicon) -> CandidateList:
     return resolve_generics(candidates, generics_found, lexicon)
 
 
-def generic_posteriors(generic: str, candidates: CandidateList,
-                       lexicon: IngredientLexicon) -> dict[str, float]:
-    """The full smoothed posterior over a generic's specifics (sums to 1)."""
-    counts, denom = _generic_counts(generic, candidates, lexicon)
-    return {x: (count + 1) / denom for x, count in counts.items()}
-
-
 def _generic_counts(generic: str, candidates: CandidateList,
                     lexicon: IngredientLexicon) -> tuple[dict[str, int], int]:
     """count(x) for each of the generic's specifics in sorted order, and
@@ -246,14 +239,19 @@ def save_lexicon(lexicon: IngredientLexicon, path: str | Path) -> None:
 
 
 def load_lexicon(path: str | Path) -> IngredientLexicon:
-    header, body = Header.split(read_rows(path, "#lexicon\tv1"), path)
+    header, body = Header.split(read_rows(path, "#lexicon\tv1"), path, {"#generics": 2})
     entries: dict[str, None] = {}
     tables: dict[str, dict[str, dict[str, int]]] = {"spec": {}, "pair": {}}
-    for row in body:
+    for row in check_widths(body, {"entry": 2, "spec": 4, "pair": 4}):
         if row[0] == "entry":
+            if not row[1]:
+                raise row.fail("empty entry")
             row.put(entries, row[1], None)
-        elif row[0] in tables:
-            row.put(tables[row[0]].setdefault(row[1], {}), row[2], row.int(3))
+            continue
+        count = row.int(3)
+        if count < 0:
+            raise row.fail(f"negative count {count}")
+        row.put(tables[row[0]].setdefault(row[1], {}), row[2], count)
     generics = frozenset(header["generics"][1].split(","))
     specializations = {g: {} for g in generics} | tables["spec"]
     return IngredientLexicon(set(entries), generics, specializations, tables["pair"])
@@ -271,7 +269,7 @@ def save_run(run: dict[str, CandidateList], path: str | Path) -> None:
 def load_run(path: str | Path) -> dict[str, list[str]]:
     """Ranked ingredient lists keyed by recipe id."""
     ranked: dict[str, list[tuple[int, str]]] = {}
-    for row in read_rows(path, error=DataError):
+    for row in check_widths(read_rows(path, error=DataError), 4):
         ranked.setdefault(row[0], []).append((row.int(1), row[2]))
     return {rid: [ing for _, ing in sorted(pairs)] for rid, pairs in ranked.items()}
 
@@ -286,7 +284,6 @@ __all__ = [
     "extract",
     "extract_candidates",
     "fold_token",
-    "generic_posteriors",
     "load_lexicon",
     "load_run",
     "resolve_generics",

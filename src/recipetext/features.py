@@ -15,12 +15,14 @@ from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
+from operator import le
 from pathlib import Path
 
 from .corpus import Corpus
 from .errors import ConfigError, DataError, ModelMismatchError
 from .textnorm import Analysis
-from .tsv import Header, Row, read_rows, write_lines
+from .tsv import Header, Row, check_widths, read_rows, write_lines
 
 SparseVector = dict[str, float]
 
@@ -88,10 +90,6 @@ class LexiconStats:
         if idf is None:
             raise DataError(f"term {term!r} not in lexicon")
         return idf
-
-    def gini(self, term: str) -> float | None:
-        """G(t) in [1/|C|, 1], or None for terms unseen in training."""
-        return self._gini.get(term)
 
 
 def build_stats(train: Corpus, full: Corpus, analyses: Mapping[str, Analysis],
@@ -237,28 +235,50 @@ def stats_lines(stats: LexiconStats) -> list[str]:
     return lines
 
 
+def _well_formed(terms: list[str], counts: list[int], m: int) -> bool:
+    """Terms are not empty, and each row's m counts (df, df_train, then
+    one per class) are ordered 0 <= df_c <= df_train <= df."""
+    df, df_train = counts[0::m], counts[1::m]
+    return (all(terms) and min(counts, default=0) >= 0 and all(map(le, df_train, df))
+            and all(all(map(le, counts[c::m], df_train)) for c in range(2, m)))
+
+
 def stats_from_rows(rows: list[Row], where) -> LexiconStats:
     """The statistics in the rows of a stats_lines table, its magic line
-    first; ``where`` names the table in errors."""
+    first; ``where`` names the table in errors. All rows are checked at
+    once; only a failure goes row by row, to name the first bad one."""
     if not rows or rows[0] != ["#lexstats", "v1"]:
         raise ModelMismatchError(f"{where}: not a v1 lexstats table")
-    header, body = Header.split(rows[1:], where)
+    header, body = Header.split(rows[1:], where, {
+        "#corpus_size": 2, "#train_size": 2, "#classes": 2, "#class_sizes": 2, "#feed": 2,
+        "#columns": None})
     classes = header["classes"][1].split(",")
     sizes = header["class_sizes"].parse(1, lambda cell: [int(n) for n in cell.split(",")])
     if len(sizes) != len(classes):
         raise header["class_sizes"].fail(f"expected one size per class {classes}")
-    terms: dict[str, TermStats] = {}
-    width = 3 + len(classes)
-    for row in body:
-        df, df_train, *per_class = row.ints(1, width)
-        df_class = {cls: n for cls, n in zip(classes, per_class) if n > 0}
-        row.put(terms, row[0], TermStats(df=df, df_train=df_train, df_class=df_class))
+    m = 2 + len(classes)
+    cells = list(chain.from_iterable(check_widths(body, 1 + m)))
+    terms = cells[::1 + m]
+    del cells[::1 + m]
+    try:
+        counts = list(map(int, cells))
+    except ValueError:
+        counts = []
+    if (len(counts) < len(cells) or len(set(terms)) < len(terms)
+            or not _well_formed(terms, counts, m)):
+        seen: dict[str, None] = {}
+        for row in body:
+            if not _well_formed(row[:1], [row.int(i) for i in range(1, 1 + m)], m):
+                raise row.fail("empty term, or counts outside 0 <= df_c <= df_train <= df")
+            row.put(seen, row[0], None)
+    table = {term: TermStats(df, df_train, {c: n for c, n in zip(classes, per_class) if n})
+             for term, (df, df_train, *per_class) in zip(terms, zip(*[iter(counts)] * m))}
     return LexiconStats(
         corpus_size=header["corpus_size"].int(1),
         train_size=header["train_size"].int(1),
         classes=classes,
         class_sizes=dict(zip(classes, sizes)),
-        terms=terms,
+        terms=table,
         feed=header["feed"].parse(1, Feed),
     )
 

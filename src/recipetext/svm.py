@@ -21,7 +21,7 @@ from .features import Feed, LexiconStats, SparseVector, TermCounts, feed_counts,
 from .rng import SplitMix64, mix64
 from .scores import ScoreVector
 from .textnorm import Analysis
-from .tsv import Header, read_rows, write_lines
+from .tsv import Header, check_widths, read_rows, write_lines
 
 
 @dataclass(frozen=True)
@@ -196,17 +196,16 @@ def save_ovo(model: OvoModel, path: str | Path) -> None:
 
 
 def load_ovo(path: str | Path) -> OvoModel:
-    header, body = Header.split(read_rows(path, "#ovo\tv1"), path)
+    header, body = Header.split(read_rows(path, "#ovo\tv1"), path,
+                                {"#classes": 2, "#vocab_filter": 2})
     pair_models: list[PairModel] = []
-    for row in body:
-        if row[0] == "w":
-            if not pair_models:
-                raise row.fail("weight line before any pair header")
-            row.put(pair_models[-1].weights, row[1], row.float(2))
-        elif row[0] == "pair":
+    for row in check_widths(body, {"pair": 4, "w": 3}):
+        if row[0] == "pair":
             pair_models.append(PairModel((row[1], row[2]), {}, row.float(3)))
+        elif not pair_models:
+            raise row.fail("weight line before any pair header")
         else:
-            raise row.fail(f"unknown row kind {row[0]!r}")
+            row.put(pair_models[-1].weights, row[1], row.float(2))
     classes = header["classes"][1].split(",")
     vocab_filter = None
     if "vocab_filter" in header:

@@ -77,7 +77,7 @@ from sys import intern
 
 from .corpus import Recipe
 from .errors import ConfigError, DataError, check_types
-from .tsv import read_rows, write_lines
+from .tsv import check_widths, read_rows, write_lines
 
 TokenStream = list[str]
 
@@ -156,10 +156,10 @@ def builtin_abbreviations() -> dict[str, str]:
 def load_abbrev_table(path: str | Path) -> dict[str, str]:
     """Load a ``short<TAB>long`` abbreviation table from a TSV file."""
     table = {}
-    for row in read_rows(path, error=DataError, comments=True):
-        if len(row) != 2 or not row[0] or not row[1]:
-            raise row.fail("expected 'short<TAB>long'")
+    for row in check_widths(read_rows(path, error=DataError, comments=True), 2):
         short = row[0]
+        if not short or not row[1]:
+            raise row.fail("expected 'short<TAB>long'")
         if short != short.lower() or any(ch.isspace() for ch in short):
             raise row.fail(f"abbreviation key {short!r} must be lowercase and whitespace-free")
         row.put(table, short, row[1])
@@ -390,7 +390,7 @@ def save_agglutination_model(model: AgglutinationModel, path: str | Path) -> Non
 
 
 def load_agglutination_model(path: str | Path) -> AgglutinationModel:
-    return AgglutinationModel(tuple(row[0].split()) for row in read_rows(path))
+    return AgglutinationModel(tuple(row[0].split()) for row in check_widths(read_rows(path), 1))
 
 
 __all__ = [

@@ -3,14 +3,16 @@
 UTF-8 text, one row per "\n"-ended line, cells separated by tabs. A
 model file opens with a magic line ("#boost\tv1") and keeps its scalars
 on "#key\tvalue" header lines; floats are written with 17 significant
-digits, which round-trips every double. A bad row raises the error class
-its reader names (ModelMismatchError for artifacts, DataError or
-ConfigError for user tables) with the row's ``file:line``.
+digits, which round-trips every double. Each reader states each row
+kind's width (``check_widths``); a bad row raises the error class its
+reader names (ModelMismatchError for artifacts, DataError or ConfigError
+for user tables) with the row's ``file:line``.
 """
 
 from __future__ import annotations
 
 import math
+from operator import eq, itemgetter
 from pathlib import Path
 
 from .errors import ModelMismatchError
@@ -22,19 +24,13 @@ def write_lines(path, lines) -> None:
 
 
 class Row(list):
-    """One line's cells; a missing or malformed cell names the row's file:line."""
+    """One line's cells; a malformed cell names the row's file:line."""
 
     __slots__ = ("source", "lineno")   # source: (path, error class)
 
     def fail(self, message: str) -> Exception:
         path, error = self.source
         return error(f"{path}:{self.lineno}: {message}")
-
-    def __getitem__(self, index):
-        try:
-            return list.__getitem__(self, index)
-        except IndexError:
-            raise self.fail(f"expected at least {index + 1} cells, got {len(self)}") from None
 
     def parse(self, index: int, convert):
         """``convert`` applied to cell ``index``; a ValueError names the row."""
@@ -53,9 +49,9 @@ class Row(list):
             raise self.fail(f"bad cell {index + 1}: {value!r}")
         return value
 
-    def floats(self, start: int, stop: int | None = None) -> list[float]:
-        """Cells ``start`` up to ``stop`` (default: the last) as finite floats."""
-        cells = self._cells(start, stop)
+    def floats(self, start: int) -> list[float]:
+        """The cells from ``start`` on as finite floats."""
+        cells = self[start:]
         try:
             values = list(map(float, cells))
             if all(map(math.isfinite, values)):
@@ -63,19 +59,6 @@ class Row(list):
         except ValueError:
             pass
         return [self.float(i) for i in range(start, start + len(cells))]  # names the bad cell
-
-    def ints(self, start: int, stop: int | None = None) -> list[int]:
-        """Cells ``start`` up to ``stop`` (default: the last) as ints."""
-        cells = self._cells(start, stop)
-        try:
-            return list(map(int, cells))
-        except ValueError:
-            return [self.int(i) for i in range(start, start + len(cells))]  # names the bad cell
-
-    def _cells(self, start: int, stop: int | None) -> list[str]:
-        if stop is not None and len(self) < stop:
-            raise self.fail(f"expected at least {stop} cells, got {len(self)}")
-        return list.__getitem__(self, slice(start, stop))
 
     def put(self, table: dict, key, value) -> None:
         """``table[key] = value``; a repeated key names the row."""
@@ -109,6 +92,22 @@ def read_rows(path, magic: str | None = None, error=ModelMismatchError,
     return rows
 
 
+def check_widths(rows: list[Row], widths: int | dict) -> list[Row]:
+    """``rows``, once each has the width stated for it: ``widths`` when
+    an int, else ``widths[row[0]]`` (None: any), where a first cell that
+    is not a key is an unknown row kind."""
+    fixed = type(widths) is int
+    expected = [widths] * len(rows) if fixed else map(widths.get, map(itemgetter(0), rows))
+    if not all(map(eq, map(len, rows), expected)):
+        for row in rows:  # the row to name; a None width passes
+            width = widths if fixed else widths.get(row[0], -1)
+            if width == -1:
+                raise row.fail(f"unknown row kind {row[0]!r}")
+            if width is not None and len(row) != width:
+                raise row.fail(f"expected {width} cells, got {len(row)}")
+    return rows
+
+
 class Header(dict):
     """The "#key<TAB>value..." rows of a file by key (without the "#")."""
 
@@ -116,23 +115,22 @@ class Header(dict):
         super().__init__()
         self.where = where
 
-    def put(self, row: Row) -> None:
-        row.put(self, row[0][1:], row)
-
     @classmethod
-    def split(cls, rows, where) -> tuple[Header, list[Row]]:
-        """The header of the rows whose first cell starts with "#", and
-        the other rows; ``where`` names the file in errors."""
+    def split(cls, rows, where, widths: dict) -> tuple[Header, list[Row]]:
+        """The header of the rows whose first cell starts with "#", each
+        of a kind and width in ``widths`` (see check_widths), and the
+        other rows; ``where`` names the file in errors."""
         header, body = cls(where), []
         for row in rows:
             if row[0].startswith("#"):
-                header.put(row)
+                row.put(header, row[0][1:], row)
             else:
                 body.append(row)
+        check_widths(list(header.values()), widths)
         return header, body
 
     def __missing__(self, key):
         raise ModelMismatchError(f"{self.where}: no #{key} line")
 
 
-__all__ = ["Header", "Row", "read_rows", "write_lines"]
+__all__ = ["Header", "Row", "check_widths", "read_rows", "write_lines"]

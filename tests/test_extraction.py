@@ -1,5 +1,7 @@
 import pytest
 
+from references import generic_posteriors
+
 from recipetext.corpus import Corpus, LabelKind, Recipe
 from recipetext.errors import DataError
 from recipetext.extraction import (
@@ -8,7 +10,6 @@ from recipetext.extraction import (
     extract,
     extract_candidates,
     fold_token,
-    generic_posteriors,
     load_lexicon,
     load_run,
     resolve_generics,

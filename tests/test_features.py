@@ -3,7 +3,7 @@ import math
 import pytest
 
 from oracles import gini_oracle, mi_oracle
-from references import recipe_vector, table_vectors
+from references import by_id, gini, recipe_vector, table_vectors
 
 from recipetext.corpus import Corpus, LabelKind, Recipe
 from recipetext.cosine import train_cosine
@@ -57,8 +57,8 @@ class TestBuildStats:
 
     def test_pure_term_gini_is_one(self, small_stats):
         _, stats = small_stats
-        assert stats.gini("chocolat") == 1.0
-        assert stats.gini("poulet") == 1.0
+        assert gini(stats, "chocolat") == 1.0
+        assert gini(stats, "poulet") == 1.0
 
     def test_uniform_term_gini_is_one_third(self, analyze_all):
         corpus = _corpus({
@@ -66,7 +66,7 @@ class TestBuildStats:
             "d": ("x", "Dessert"), "e": ("x", "Entree"), "f": ("x", "PlatPrincipal"),
         })
         stats = build_stats(corpus, corpus, analyze_all(corpus))
-        assert stats.gini("sel") == pytest.approx(1 / 3, abs=1e-15)
+        assert gini(stats, "sel") == pytest.approx(1 / 3, abs=1e-15)
 
     def test_gini_matches_bruteforce(self, mini6_dish, analyze_all):
         config = NormConfig()
@@ -76,7 +76,7 @@ class TestBuildStats:
         labels = mini6_dish.labels()
         for term in stats.terms:
             expected = gini_oracle(doc_terms, labels, term)
-            got = stats.gini(term)
+            got = gini(stats, term)
             if expected is None:
                 assert got is None
             else:
@@ -88,7 +88,7 @@ class TestBuildStats:
         stats = build_stats(train, mini6_dish, analyze_all(mini6_dish))
         # "cannelle" occurs only in r5, which is not in the train slice
         assert stats.terms["cannelle"].df_train == 0
-        assert stats.gini("cannelle") is None
+        assert gini(stats, "cannelle") is None
 
     def test_roundtrip(self, tmp_path, small_stats):
         _, stats = small_stats
@@ -140,7 +140,7 @@ class TestTfidf:
         config = NormConfig()
         analyses = analyze_all(mini6_dish, config)
         stats = build_stats(mini6_dish, mini6_dish, analyses)
-        recipe = mini6_dish.by_id("r1")
+        recipe = by_id(mini6_dish, "r1")
         vector = tfidf_vector(analyses["r1"], stats)
         tokens = normalize(recipe.title + "\n" + recipe.body, config)
         for term, weight in vector.items():
@@ -160,9 +160,9 @@ class TestGiniVectors:
         strict = list(train_cosine(stats, 0.45).terms)
         top = list(train_cosine(stats, 1.0).terms)
         assert set(top) <= set(strict) <= set(everything)
-        assert set(everything) == {t for t in stats.terms if stats.gini(t) is not None}
+        assert set(everything) == {t for t in stats.terms if gini(stats, t) is not None}
         for term in strict:
-            assert stats.gini(term) >= 0.45
+            assert gini(stats, term) >= 0.45
 
     def test_bruteforce_survivors(self, mini6_dish, analyze_all):
         config = NormConfig()
@@ -183,7 +183,7 @@ class TestGiniVectors:
         v_r = recipe_vector(model, analysis)
         v_c = table_vectors(model)["Dessert"]
         for term, weight in v_r.items():
-            g = stats.gini(term)
+            g = gini(stats, term)
             assert g >= 0.45
             tokens = stats.tokenize(analysis)
             assert weight == pytest.approx(
@@ -191,7 +191,7 @@ class TestGiniVectors:
         for term, weight in v_c.items():
             info = stats.terms[term]
             assert weight == pytest.approx(
-                info.df_class.get("Dessert", 0) * stats.idf(term) * stats.gini(term),
+                info.df_class.get("Dessert", 0) * stats.idf(term) * gini(stats, term),
                 abs=1e-15)
 
 
@@ -257,7 +257,7 @@ class TestNumericFeatures:
         assert numeric_features(analysis, ["a", "b"])["ingredient_count"] == 2
 
     def test_fixture_recipe_counts(self, mini6_dish, plain_norm):
-        recipe = mini6_dish.by_id("r2")
+        recipe = by_id(mini6_dish, "r2")
         feats = numeric_features(analyze(recipe, plain_norm), ["chocolat", "beurre"])
         assert feats["title_words"] == len(normalize(recipe.title, plain_norm))
         assert feats["body_words"] == len(normalize(recipe.body, plain_norm))

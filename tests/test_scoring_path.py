@@ -108,7 +108,7 @@ def test_cosine_equals_reference_on_golden_models(golden, mode):
 @pytest.mark.parametrize("mode", [STANDARD, LITERAL])
 def test_cosine_with_class_boosts_equals_reference(golden, mode):
     stats = golden["stats"]
-    kept = [t for t in sorted(stats.terms) if (stats.gini(t) or 0.0) >= 0.45]
+    kept = [t for t in sorted(stats.terms) if (references.gini(stats, t) or 0.0) >= 0.45]
     rng = SplitMix64(23)
     boosts = {(kept[rng.below(len(kept))], cls): 1 + rng.below(5)
               for cls in stats.classes for _ in range(6)}

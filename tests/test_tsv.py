@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from recipetext.errors import DataError, ModelMismatchError
-from recipetext.tsv import Header, read_rows, write_lines
+from recipetext.tsv import Header, check_widths, read_rows, write_lines
 
 SRC = Path(__file__).parent.parent / "src" / "recipetext"
 
@@ -48,22 +48,21 @@ class TestRow:
     def test_typed_cells(self, tmp_path):
         _, (row,) = _rows(tmp_path, "k\t7\t-0.5\t1e-3\n")
         assert (row[0], row.int(1), row.float(2), row.float(3)) == ("k", 7, -0.5, 1e-3)
-        assert row.floats(1) == [7.0, -0.5, 1e-3] and row.floats(2, 3) == [-0.5]
-        _, (row,) = _rows(tmp_path, "k\t7\t-2\t0\n")
-        assert row.ints(1) == [7, -2, 0] and row.ints(1, 3) == [7, -2] and row.ints(4) == []
+        assert row.floats(1) == [7.0, -0.5, 1e-3] and row.floats(3) == [1e-3]
+        assert row.floats(4) == []
 
     @pytest.mark.parametrize("cells,call", [
-        ("k", lambda row: row[1]),
-        ("k\t7", lambda row: row.int(2)),
+        ("k", lambda row: check_widths([row], 2)),
+        ("k\t7", lambda row: check_widths([row], {"k": 3})),
         ("k\t1.2.3", lambda row: row.float(1)),
         ("k\tnan", lambda row: row.float(1)),
         ("k\t-inf", lambda row: row.float(1)),
         ("k\t2.5", lambda row: row.int(1)),
-        ("k\t1\t2", lambda row: row.ints(1, 4)),
-        ("k\t1\tx\t3", lambda row: row.ints(1)),
-        ("k\t0.5", lambda row: row.floats(1, 3)),
+        ("k\t1\t2", lambda row: check_widths([row], {"j": 3})),
+        ("k\t1\tx\t3", lambda row: row.floats(1)),
+        ("k\t0.5", lambda row: check_widths([row], {"k": None}) and row.int(1)),
         ("k\t0.5\t1.2.3", lambda row: row.floats(1)),
-        ("k\t0.5\tinf\t1", lambda row: row.floats(1, 4)),
+        ("k\t0.5\tinf\t1", lambda row: row.floats(1)),
     ])
     def test_bad_cell_names_file_and_line(self, tmp_path, cells, call):
         path, (_, row) = _rows(tmp_path, f"first\n{cells}\n", error=DataError)
@@ -74,8 +73,15 @@ class TestRow:
         path, (row,) = _rows(tmp_path, "k\t1\tnan\tx\n")
         with pytest.raises(ModelMismatchError, match=re.escape(f"{path}:1: bad cell 3: nan")):
             row.floats(1)
-        with pytest.raises(ModelMismatchError, match=re.escape(f"{path}:1: bad cell 3: 'nan'")):
-            row.ints(1)
+
+    def test_stated_widths(self, tmp_path):
+        path, rows = _rows(tmp_path, "a\t1\nb\t2\t3\nb\t4\t5\nc\n")
+        assert check_widths(rows, {"a": 2, "b": 3, "c": 1}) is rows
+        assert check_widths(rows, {"a": None, "b": 3, "c": None}) is rows
+        with pytest.raises(ModelMismatchError, match=re.escape(f"{path}:1: expected 3 cells")):
+            check_widths(rows, 3)
+        with pytest.raises(ModelMismatchError, match=re.escape(f"{path}:4: unknown row kind 'c'")):
+            check_widths(rows, {"a": 2, "b": 3})
 
     def test_put_rejects_a_repeated_key(self, tmp_path):
         path, (row,) = _rows(tmp_path, "k\t1\n")
@@ -88,17 +94,19 @@ class TestRow:
 class TestHeader:
     def test_split_keeps_data_rows_and_indexes_headers(self, tmp_path):
         path, rows = _rows(tmp_path, "#classes\ta,b\nx\t1\n#seed\t4\n")
-        header, body = Header.split(rows, path)
+        header, body = Header.split(rows, path, {"#classes": 2, "#seed": 2})
         assert body == [["x", "1"]]
         assert header["classes"][1] == "a,b" and header["seed"].int(1) == 4
 
     def test_missing_and_repeated_keys(self, tmp_path):
         path, rows = _rows(tmp_path, "#seed\t4\n#seed\t5\n")
         with pytest.raises(ModelMismatchError, match=re.escape(f"{path}:2: repeated key 'seed'")):
-            Header.split(rows, path)
-        header, _ = Header.split(rows[:1], path)
+            Header.split(rows, path, {"#seed": 2})
+        header, _ = Header.split(rows[:1], path, {"#seed": 2})
         with pytest.raises(ModelMismatchError, match=re.escape(f"{path}: no #classes line")):
             header["classes"]
+        with pytest.raises(ModelMismatchError, match=re.escape(f"{path}:1: unknown row kind")):
+            Header.split(rows[:1], path, {"#classes": 2})
 
 
 # JSON and XML are not line formats: the config file and the model
