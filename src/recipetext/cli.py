@@ -248,7 +248,7 @@ def _check_class_boosts(flat: cosine_mod.CosineModel, path: str | None) -> None:
         if cls not in flat.classes:
             raise DataError(f"{path}: boost ({term!r}, {cls!r}) names no training class "
                             f"(classes: {flat.classes})")
-        if flat.stats._gini.get(term, -1.0) < flat.gini_threshold:
+        if flat.stats.gini.get(term, -1.0) < flat.gini_threshold:
             raise DataError(f"{path}: boost ({term!r}, {cls!r}) names a term outside the "
                             f"flat model's Gini-kept vocabulary")
 
@@ -308,9 +308,8 @@ def cmd_train(config: PipelineConfig) -> int:
 
     vocab_filter = None
     if config.task == "T2" and config.mi_k:
-        training_terms = [term for term, info in stats.terms.items() if info.df_train]
-        # the top mi_k of every training term are all of them
-        vocab_filter = frozenset(training_terms if config.mi_k >= len(training_terms)
+        # the top mi_k of every training term (each has a G) are all of them
+        vocab_filter = frozenset(stats.gini if config.mi_k >= len(stats.gini)
                                  else mutual_information_select(stats, config.mi_k))
     svm_model = svm_mod.train_ovo(train, analyses, stats, config.svm_config, vocab_filter)
     svm_mod.save_ovo(svm_model, model_dir / "svm.model")

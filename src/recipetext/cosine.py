@@ -38,6 +38,7 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import repeat
 from pathlib import Path
 
 from .corpus import Corpus
@@ -102,14 +103,18 @@ class CosineModel:
         memory small). Built on first use: ``train`` writes the model
         from its statistics and never scores it."""
         stats, boosts = self.stats, self.class_boosts
+        by_class = dict(zip(stats.classes, stats.df_class))
+        # a class the statistics never saw has df_c 0 throughout
+        columns = [by_class.get(cls, repeat(0)) for cls in self.classes]
         table = {}
-        for term, g in sorted(stats._gini.items()):
+        for term, *df_class in zip(stats.terms, *columns):
+            g = stats.gini.get(term, -1.0)  # -1.0: unseen in training
             if g < self.gini_threshold:
                 continue
-            idf, df_class = stats.idf(term), stats.terms[term].df_class
-            table[term] = (idf, g, *[
-                (df_class.get(cls, 0) + boosts.get((term, cls), 0)) * idf * g or 0.0
-                for cls in self.classes])
+            idf_t = stats.idf[term]
+            table[term] = (idf_t, g, *[
+                (df_c + boosts.get((term, cls), 0)) * idf_t * g or 0.0
+                for df_c, cls in zip(df_class, self.classes)])
         return table
 
     @cached_property

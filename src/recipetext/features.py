@@ -15,8 +15,8 @@ from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain
-from operator import le
+from itertools import chain, repeat
+from operator import le, lt
 from pathlib import Path
 
 from .corpus import Corpus
@@ -50,46 +50,34 @@ def feed_counts(analysis: Analysis) -> dict[Feed, TermCounts]:
 
 
 @dataclass
-class TermStats:
-    df: int = 0          # docs containing the term, full corpus
-    df_train: int = 0    # docs containing the term, training corpus
-    df_class: dict[str, int] = field(default_factory=dict)
-
-
-@dataclass
 class LexiconStats:
+    """The statistics as columns over ``terms``, which are in strictly
+    ascending order: ``df`` and ``df_train`` per term, and one
+    ``df_class`` column per class in ``classes`` order."""
+
     corpus_size: int
     train_size: int
     classes: list[str]
     class_sizes: dict[str, int]
-    terms: dict[str, TermStats]
+    terms: list[str]
+    df: list[int]          # docs containing the term, full corpus
+    df_train: list[int]    # docs containing the term, training corpus
+    df_class: list[list[int]]
     feed: Feed = Feed.TITLE_AND_BODY
-    # G(t) per training term and idf per corpus term, computed once from ``terms``
-    _gini: dict[str, float] = field(init=False, repr=False, compare=False)
-    _idf: dict[str, float] = field(init=False, repr=False, compare=False)
+    # G(t) per training term and idf per corpus term, computed once from the columns
+    gini: dict[str, float] = field(init=False, repr=False, compare=False)
+    idf: dict[str, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self._gini = {}
-        self._idf = {}
-        for term, stats in self.terms.items():
-            if stats.df > 0:
-                self._idf[term] = math.log(self.corpus_size / stats.df)
-            if stats.df_train == 0:
-                continue
-            total = 0.0
-            for cls in self.classes:
-                ratio = stats.df_class.get(cls, 0) / stats.df_train
-                total += ratio * ratio
-            self._gini[term] = total
-
-    def tokenize(self, analysis: Analysis) -> tuple[str, ...]:
-        return feed_tokens(analysis, self.feed)
-
-    def idf(self, term: str) -> float:
-        idf = self._idf.get(term)
-        if idf is None:
-            raise DataError(f"term {term!r} not in lexicon")
-        return idf
+        n = self.corpus_size
+        self.idf = {term: math.log(n / df) for term, df in zip(self.terms, self.df) if df > 0}
+        # G = 0.0 + r*r over the classes in order, r = df_c / df_T
+        totals = [0.0] * len(self.terms)
+        for column in self.df_class:
+            totals = [total + (r := df_c / df_t) * r if df_t else total
+                      for total, df_c, df_t in zip(totals, column, self.df_train)]
+        self.gini = {term: total for term, total, df_t in zip(self.terms, totals, self.df_train)
+                     if df_t}
 
 
 def build_stats(train: Corpus, full: Corpus, analyses: Mapping[str, Analysis],
@@ -118,32 +106,29 @@ def build_stats(train: Corpus, full: Corpus, analyses: Mapping[str, Analysis],
     for counts in by_class.values():
         df_train.update(counts)
 
-    terms: dict[str, TermStats] = {}
-    for term in df_full.keys() | df_train.keys():
-        n_train = df_train[term]
-        terms[term] = TermStats(
-            # train not a subset of full: count the missing docs into df
-            df=max(df_full[term], n_train), df_train=n_train,
-            df_class={cls: counts[term] for cls, counts in by_class.items() if term in counts})
-
+    terms = sorted(df_full.keys() | df_train.keys())
     class_sizes = dict(sorted(Counter(labels[recipe.id] for recipe in train).items()))
-
+    train_column = [df_train[term] for term in terms]
     return LexiconStats(
         corpus_size=len(full),
         train_size=len(train),
         classes=sorted(class_sizes),
         class_sizes=class_sizes,
         terms=terms,
+        # train not a subset of full: count the missing docs into df
+        df=[max(df_full[term], n) for term, n in zip(terms, train_column)],
+        df_train=train_column,
+        df_class=[[by_class[cls][term] for term in terms] for cls in class_sizes],
         feed=feed,
     )
 
 
 def tfidf_vector(analysis: Analysis, stats: LexiconStats) -> SparseVector:
     """tf * idf weights over the recipe's in-lexicon terms; zeros dropped."""
-    counts = Counter(stats.tokenize(analysis))
+    counts = Counter(feed_tokens(analysis, stats.feed))
     vector: SparseVector = {}
     for term, tf in counts.items():
-        idf = stats._idf.get(term)
+        idf = stats.idf.get(term)
         if idf is None:
             continue
         weight = tf * idf
@@ -152,19 +137,14 @@ def tfidf_vector(analysis: Analysis, stats: LexiconStats) -> SparseVector:
     return vector
 
 
-def mutual_information(stats: LexiconStats, term: str, cls: str) -> float:
-    """2x2 mutual information between term presence and class membership."""
-    info = stats.terms.get(term)
-    if info is None or info.df_train == 0:
-        return 0.0
-    n = stats.train_size
-    n11 = info.df_class.get(cls, 0)
-    n10 = info.df_train - n11
-    n01 = stats.class_sizes[cls] - n11
-    n00 = n - info.df_train - stats.class_sizes[cls] + n11
-    n1_ = info.df_train
+def mutual_information(n11: int, n1_: int, n_1: int, n: int) -> float:
+    """2x2 mutual information between term presence and class membership,
+    from n11 training docs of the class holding the term, n1_ training
+    docs holding it, n_1 docs of the class and n docs in all."""
+    n10 = n1_ - n11
+    n01 = n_1 - n11
+    n00 = n - n1_ - n_1 + n11
     n0_ = n - n1_
-    n_1 = stats.class_sizes[cls]
     n_0 = n - n_1
     total = 0.0
     for nij, ni, nj in ((n11, n1_, n_1), (n10, n1_, n_0),
@@ -183,12 +163,11 @@ def mutual_information_select(stats: LexiconStats, k: int) -> list[str]:
     """
     if k < 1:
         raise ConfigError("k must be >= 1")
-    scored = []
-    for term in sorted(stats.terms):
-        if stats.terms[term].df_train == 0:
-            continue
-        best = max(mutual_information(stats, term, cls) for cls in stats.classes)
-        scored.append((-best, term))
+    n = stats.train_size
+    sizes = [stats.class_sizes[cls] for cls in stats.classes]
+    scored = [(-max(map(mutual_information, per_class, repeat(df_t), sizes, repeat(n))), term)
+              for term, df_t, *per_class in zip(stats.terms, stats.df_train, *stats.df_class)
+              if df_t]
     scored.sort()
     return [term for _, term in scored[:k]]
 
@@ -227,20 +206,18 @@ def stats_lines(stats: LexiconStats) -> list[str]:
         f"#feed\t{stats.feed.value}",
         "#columns\tterm\tdf\tdf_train\t" + "\t".join("df:" + c for c in stats.classes),
     ]
-    for term in sorted(stats.terms):
-        info = stats.terms[term]
-        row = [term, str(info.df), str(info.df_train)]
-        row += [str(info.df_class.get(c, 0)) for c in stats.classes]
-        lines.append("\t".join(row))
+    lines += map("\t".join, zip(stats.terms, *[map(str, column) for column in
+                                              (stats.df, stats.df_train, *stats.df_class)]))
     return lines
 
 
-def _well_formed(terms: list[str], counts: list[int], m: int) -> bool:
-    """Terms are not empty, and each row's m counts (df, df_train, then
-    one per class) are ordered 0 <= df_c <= df_train <= df."""
-    df, df_train = counts[0::m], counts[1::m]
-    return (all(terms) and min(counts, default=0) >= 0 and all(map(le, df_train, df))
-            and all(all(map(le, counts[c::m], df_train)) for c in range(2, m)))
+def _well_formed(terms: list[str], columns: list[list[int]]) -> bool:
+    """Terms are not empty, and the count columns (df, df_train, then one
+    per class) hold 0 <= df_c <= df_train <= df on every row."""
+    df, df_train, *df_class = columns
+    return (all(terms) and all(min(column, default=0) >= 0 for column in df_class)
+            and all(map(le, df_train, df))
+            and all(all(map(le, column, df_train)) for column in df_class))
 
 
 def stats_from_rows(rows: list[Row], where) -> LexiconStats:
@@ -264,21 +241,28 @@ def stats_from_rows(rows: list[Row], where) -> LexiconStats:
         counts = list(map(int, cells))
     except ValueError:
         counts = []
-    if (len(counts) < len(cells) or len(set(terms)) < len(terms)
-            or not _well_formed(terms, counts, m)):
-        seen: dict[str, None] = {}
+    columns = [counts[c::m] for c in range(m)]
+    if (len(counts) < len(cells) or not _well_formed(terms, columns)
+            or not all(map(lt, terms, terms[1:]))):
+        previous = ""
         for row in body:
-            if not _well_formed(row[:1], [row.int(i) for i in range(1, 1 + m)], m):
+            if not _well_formed(row[:1], [[row.int(i)] for i in range(1, 1 + m)]):
                 raise row.fail("empty term, or counts outside 0 <= df_c <= df_train <= df")
-            row.put(seen, row[0], None)
-    table = {term: TermStats(df, df_train, {c: n for c, n in zip(classes, per_class) if n})
-             for term, (df, df_train, *per_class) in zip(terms, zip(*[iter(counts)] * m))}
+            if row[0] <= previous:
+                raise row.fail(f"repeated key {row[0]!r}" if row[0] == previous else
+                               f"term {row[0]!r} after {previous!r}: terms must be in "
+                               "strictly ascending order")
+            previous = row[0]
+    df, df_train, *df_class = columns
     return LexiconStats(
         corpus_size=header["corpus_size"].int(1),
         train_size=header["train_size"].int(1),
         classes=classes,
         class_sizes=dict(zip(classes, sizes)),
-        terms=table,
+        terms=terms,
+        df=df,
+        df_train=df_train,
+        df_class=df_class,
         feed=header["feed"].parse(1, Feed),
     )
 
@@ -297,7 +281,6 @@ __all__ = [
     "NUMERIC_FIELDS",
     "SparseVector",
     "TermCounts",
-    "TermStats",
     "build_stats",
     "feed_counts",
     "feed_tokens",

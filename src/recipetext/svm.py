@@ -54,10 +54,10 @@ class OvoModel:
     @cached_property
     def term_weights(self) -> dict[str, tuple[float, ...]]:
         """Term -> its weight in each pair model (0.0 where the pair has
-        none), over the vocab filter; built on the model's first score."""
+        none); built on the model's first score. Every weighted term lies
+        in the vocab filter: training restricts its vectors to it, and
+        ``load_ovo`` refuses a weight outside it."""
         terms = {term for pair_model in self.pair_models for term in pair_model.weights}
-        if self.vocab_filter is not None:
-            terms &= self.vocab_filter
         return {term: tuple(pair_model.weights.get(term, 0.0) for pair_model in self.pair_models)
                 for term in terms}
 
@@ -160,7 +160,7 @@ def score_ovo(model: OvoModel, analysis: Analysis, stats: LexiconStats,
     term, or a term whose x is 0.0, adds an exact zero, which leaves the
     sum as it is (see the ``cosine`` module docstring)."""
     pairs = (feed_counts(analysis) if counts is None else counts)[stats.feed]
-    idf = stats._idf
+    idf = stats.idf
     table = model.term_weights
     pair_indexes = range(len(model.pair_models))
     totals = [0.0] * len(pair_indexes)
@@ -198,18 +198,20 @@ def save_ovo(model: OvoModel, path: str | Path) -> None:
 def load_ovo(path: str | Path) -> OvoModel:
     header, body = Header.split(read_rows(path, "#ovo\tv1"), path,
                                 {"#classes": 2, "#vocab_filter": 2})
+    vocab_filter = None
+    if "vocab_filter" in header:
+        vocab_filter = frozenset(header["vocab_filter"][1].split(","))
     pair_models: list[PairModel] = []
     for row in check_widths(body, {"pair": 4, "w": 3}):
         if row[0] == "pair":
             pair_models.append(PairModel((row[1], row[2]), {}, row.float(3)))
         elif not pair_models:
             raise row.fail("weight line before any pair header")
+        elif vocab_filter is not None and row[1] not in vocab_filter:
+            raise row.fail(f"weight for term {row[1]!r} outside #vocab_filter")
         else:
             row.put(pair_models[-1].weights, row[1], row.float(2))
     classes = header["classes"][1].split(",")
-    vocab_filter = None
-    if "vocab_filter" in header:
-        vocab_filter = frozenset(header["vocab_filter"][1].split(","))
     expected = [(a, b) for i, a in enumerate(classes) for b in classes[i + 1:]]
     if [model.class_pair for model in pair_models] != expected:
         raise ModelMismatchError(

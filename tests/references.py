@@ -12,12 +12,13 @@ from __future__ import annotations
 import math
 import unicodedata
 from collections import Counter
+from typing import NamedTuple
 
 from recipetext.corpus import Corpus, Recipe
 from recipetext.cosine import STANDARD, CosineModel
 from recipetext.evaluation import QrelSet
 from recipetext.extraction import CandidateList, IngredientLexicon, _generic_counts
-from recipetext.features import LexiconStats, tfidf_vector
+from recipetext.features import LexiconStats, feed_tokens, tfidf_vector
 from recipetext.scores import ScoreVector
 from recipetext.summation import ordered_sum
 from recipetext.textnorm import (
@@ -31,7 +32,37 @@ from recipetext.textnorm import (
 
 def gini(stats: LexiconStats, term: str) -> float | None:
     """G(t) in [1/|C|, 1], or None for terms unseen in training."""
-    return stats._gini.get(term)
+    return stats.gini.get(term)
+
+
+class Counts(NamedTuple):
+    df: int
+    df_train: int
+    df_class: dict[str, int]  # every class of the statistics
+
+
+def term_counts(stats: LexiconStats) -> dict[str, Counts]:
+    """Each term's counts, read off the statistics' columns."""
+    return {term: Counts(df, df_train, dict(zip(stats.classes, per_class)))
+            for term, df, df_train, *per_class
+            in zip(stats.terms, stats.df, stats.df_train, *stats.df_class)}
+
+
+def gini_and_idf(stats: LexiconStats) -> tuple[dict[str, float], dict[str, float]]:
+    """G(t) per training term and idf per corpus term, one term at a time;
+    ``LexiconStats`` computes both down its columns, bit for bit the same."""
+    gini, idf = {}, {}
+    for term, info in term_counts(stats).items():
+        if info.df > 0:
+            idf[term] = math.log(stats.corpus_size / info.df)
+        if info.df_train == 0:
+            continue
+        total = 0.0
+        for cls in stats.classes:
+            ratio = info.df_class[cls] / info.df_train
+            total += ratio * ratio
+        gini[term] = total
+    return gini, idf
 
 
 def by_id(corpus: Corpus, recipe_id: str) -> Recipe:
@@ -77,11 +108,11 @@ def recipe_vector(model: CosineModel, analysis) -> dict[str, float]:
     """tf*idf*G over the recipe's terms whose G reaches the threshold."""
     stats = model.stats
     vector = {}
-    for term, tf in Counter(stats.tokenize(analysis)).items():
+    for term, tf in Counter(feed_tokens(analysis, stats.feed)).items():
         g = gini(stats, term)
         if g is None or g < model.gini_threshold:
             continue
-        weight = tf * stats.idf(term) * g
+        weight = tf * stats.idf[term] * g
         if weight != 0.0:
             vector[term] = weight
     return vector
@@ -91,15 +122,16 @@ def class_vectors(model: CosineModel) -> dict[str, dict[str, float]]:
     """(df_c + boost)*idf*G per class over the terms whose G reaches the
     threshold, built from the model's statistics; zeros dropped."""
     stats, boosts = model.stats, model.class_boosts
+    counts = term_counts(stats)
     vectors = {}
     for cls in model.classes:
         vector = {}
-        for term in sorted(stats.terms):
+        for term in sorted(counts):
             g = gini(stats, term)
             if g is None or g < model.gini_threshold:
                 continue
-            df_c = stats.terms[term].df_class.get(cls, 0) + boosts.get((term, cls), 0)
-            weight = df_c * stats.idf(term) * g
+            df_c = counts[term].df_class.get(cls, 0) + boosts.get((term, cls), 0)
+            weight = df_c * stats.idf[term] * g
             if weight != 0.0:
                 vector[term] = weight
         vectors[cls] = vector

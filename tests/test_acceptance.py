@@ -20,7 +20,7 @@ from oracles import (
     mean_distance_oracle,
     prf_oracle,
 )
-from references import generic_posteriors, gini, table_vectors
+from references import generic_posteriors, gini, table_vectors, term_counts
 
 from recipetext.boost import (
     BoostConfig,
@@ -207,7 +207,7 @@ def test_criterion_4_cosine_gini_correctness():
                      for r in corpus}
         labels = corpus.labels()
         classes = sorted(set(labels.values()))
-        for term, info in stats.terms.items():
+        for term, info in term_counts(stats).items():
             if info.df_train == 0:
                 assert gini(stats, term) is None
                 continue
@@ -264,7 +264,7 @@ def test_criterion_5_svm_determinism_antisymmetry_filter():
     norm = NormConfig(number_conversion=False)
     analyses = {r.id: analyze(r, norm) for r in corpus}
     stats = build_stats(corpus, corpus, analyses)
-    vocab_size = sum(1 for t in stats.terms.values() if t.df_train > 0)
+    vocab_size = sum(1 for t in term_counts(stats).values() if t.df_train > 0)
     assert vocab_size >= 12_000
 
     selected = frozenset(mutual_information_select(stats, 10_000))

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from references import by_id, gini, table_vectors
+from references import by_id, gini, table_vectors, term_counts
 
 from recipetext.corpus import Corpus, DishType, LabelKind, Recipe
 from recipetext.cosine import (
@@ -22,7 +22,7 @@ from recipetext.cosine import (
     train_hierarchical,
 )
 from recipetext.errors import ConfigError
-from recipetext.features import Feed, TermStats, build_stats
+from recipetext.features import Feed, build_stats
 from recipetext.textnorm import NormConfig, analyze, normalize
 
 
@@ -48,18 +48,19 @@ class TestTrainCosine:
         corpus = Corpus(recipes, LabelKind.DISH_TYPE)
         stats = build_stats(corpus, corpus, analyze_all(corpus))
         model = train_cosine(stats, 0.0)
+        counts = term_counts(stats)
         for term, weight in table_vectors(model)["Dessert"].items():
-            info = stats.terms[term]
             assert gini(stats, term) == 1.0
-            assert weight == pytest.approx(info.df_class["Dessert"] * stats.idf(term),
+            assert weight == pytest.approx(counts[term].df_class["Dessert"] * stats.idf[term],
                                            abs=1e-15)
 
     def test_fixture_weights_match_direct_formula(self, fixture_model):
         corpus, stats, model = fixture_model
+        counts = term_counts(stats)
         for cls in corpus.classes():
             for term, weight in table_vectors(model)[cls].items():
-                expected = (stats.terms[term].df_class.get(cls, 0)
-                            * stats.idf(term) * gini(stats, term))
+                expected = (counts[term].df_class.get(cls, 0)
+                            * stats.idf[term] * gini(stats, term))
                 assert weight == pytest.approx(expected, abs=1e-12)
 
     def test_threshold_monotonicity(self, fixture_model):
@@ -122,7 +123,7 @@ class TestScoreCosine:
                 for term in set(tokens):
                     g = gini(stats, term)
                     if g is not None and g >= 0.45:
-                        w = tokens.count(term) * stats.idf(term) * g
+                        w = tokens.count(term) * stats.idf[term] * g
                         if w != 0.0:
                             v_r[term] = w
                 shared = sorted(set(v_r) & set(v_c))
@@ -144,7 +145,7 @@ class TestScoreCosine:
             for term in set(tokens):
                 g = gini(stats, term)
                 if g is not None and g >= 0.45:
-                    w = tokens.count(term) * stats.idf(term) * g
+                    w = tokens.count(term) * stats.idf[term] * g
                     if w != 0.0:
                         v_r[term] = w
             norm_r = math.sqrt(sum(w * w for w in v_r.values()))
@@ -158,10 +159,10 @@ class TestScoreCosine:
         corpus, stats, model = fixture_model
         # df_c and df_T times 7.5 leave idf and G as they are, so every class
         # weight df_c*idf*G scales by 7.5; the new model's norms follow
-        terms = {term: TermStats(info.df, info.df_train * 7.5,
-                                 {cls: n * 7.5 for cls, n in info.df_class.items()})
-                 for term, info in stats.terms.items()}
-        scaled = train_cosine(dataclasses.replace(stats, terms=terms), model.gini_threshold)
+        scaled_stats = dataclasses.replace(
+            stats, df_train=[n * 7.5 for n in stats.df_train],
+            df_class=[[n * 7.5 for n in column] for column in stats.df_class])
+        scaled = train_cosine(scaled_stats, model.gini_threshold)
         assert table_vectors(scaled) == {
             cls: {term: pytest.approx(w * 7.5, rel=1e-15) for term, w in vector.items()}
             for cls, vector in table_vectors(model).items()}

@@ -5,8 +5,9 @@ A fixed-seed stream of edits (delete, duplicate or swap a line; replace,
 insert or drop a cell; truncate the file) hits the seven model files
 (manifest re-hashed, then ``classify``), the four score files
 (``fuse``), the test XML (``classify``) and ``run2.tsv``
-(``evaluate``). Many edits leave a legal file (swapped rows, or the
-agglutination n-grams, which are a free list), so an edit may pass.
+(``evaluate``). Many edits leave a legal file (swapped rows outside
+the statistics, whose terms must ascend, or the agglutination n-grams,
+which are a free list), so an edit may pass.
 None may crash: every command exits 0, 2, 3 or 4 with at most one
 ``error:`` line and no traceback. The edits that each reader must
 refuse by its stated row widths, counts and keys are checked one by
@@ -141,6 +142,14 @@ def _first(prefix="", data=False):
                               if (not line.startswith("#") if data else line.startswith(prefix)))
 
 
+def _swap_next(find):
+    """The edit that swaps the line at ``find(lines)`` with the next one."""
+    def edit(lines):
+        i = find(lines)
+        return lines[:i] + [lines[i + 1], lines[i]] + lines[i + 2:]
+    return edit
+
+
 # Edits each reader once accepted with exit 0.
 REFUSED = {
     "score_row_extra_cell": ("scores_svm.tsv", _change_line(_first(data=True),
@@ -152,6 +161,11 @@ REFUSED = {
     "stats_extra_cell": ("stats.tsv", _change_line(_first(data=True), lambda line: line + "\t1")),
     "hier_stats_extra_cell": ("cosine_hier.model", _change_line(
         lambda lines: lines.index("#end_context") - 1, lambda line: line + "\t1")),
+    "stats_rows_swapped": ("stats.tsv", _swap_next(_first(data=True))),
+    "hier_stats_rows_swapped": ("cosine_hier.model", _swap_next(
+        lambda lines: _first("#columns\t")(lines) + 1)),
+    "svm_weight_outside_filter": ("svm.model", _change_line(
+        _first("w\tajouter\t"), lambda line: line.replace("ajouter", "zzzz"))),
     "lexicon_empty_entry": ("lexicon.tsv", lambda lines: lines + ["entry\t"]),
     "flat_threshold_trailing_cell": ("cosine_flat.model", _change_line(
         _first("#threshold\t"), lambda line: line + "\t")),

@@ -30,7 +30,7 @@ from recipetext.cosine import (
 )
 from recipetext.features import build_stats, feed_counts, load_stats
 from recipetext.rng import SplitMix64
-from recipetext.svm import OvoModel, SvmConfig, load_ovo, score_ovo, train_ovo
+from recipetext.svm import OvoModel, PairModel, SvmConfig, load_ovo, score_ovo, train_ovo
 from recipetext.textnorm import (
     AgglutinationModel,
     Analysis,
@@ -93,6 +93,12 @@ def _with_mode(model: CosineModel, mode: str) -> CosineModel:
 # cosine
 # --------------------------------------------------------------------
 
+def test_gini_and_idf_equal_reference(golden):
+    # stats.tsv and every cosine_hier.model block
+    for stats in [golden["stats"]] + [m.stats for m in golden["cosine"]]:
+        assert (stats.gini, stats.idf) == references.gini_and_idf(stats)
+
+
 @pytest.mark.parametrize("mode", [STANDARD, LITERAL])
 def test_cosine_equals_reference_on_golden_models(golden, mode):
     vocabulary = sorted(golden["stats"].terms)
@@ -135,8 +141,11 @@ def test_svm_equals_per_pair_margins(golden):
     stats, model = golden["stats"], golden["svm"]
     vocabulary = sorted(stats.terms)
     analyses = golden["analyses"] + _random_analyses(vocabulary, 31)
-    # every third term kept: the filter must drop the others' weights
-    filtered = OvoModel(model.pair_models, model.classes, frozenset(vocabulary[::3]))
+    # every third term kept, as training and load_ovo keep the weights
+    # inside the filter: a filtered-out term must add nothing
+    kept = frozenset(vocabulary[::3])
+    filtered = OvoModel([PairModel(p.class_pair, {t: w for t, w in p.weights.items() if t in kept},
+                                   p.bias) for p in model.pair_models], model.classes, kept)
     for ovo in (model, filtered):
         for analysis in analyses:
             expected = references.score_ovo(ovo, analysis, stats).scores
@@ -163,7 +172,7 @@ def test_zero_and_negative_idf_terms_equal_reference():
                                                          *words["Entree"]], 41)
     for full in (train, Corpus(recipes[:4], LabelKind.DISH_TYPE)):
         stats = build_stats(train, full, analyses)
-        assert min(stats._idf.values()) <= 0.0
+        assert min(stats.idf.values()) <= 0.0
         ovo = train_ovo(train, analyses, stats, SvmConfig(regularization=0.01, epochs=3))
         for mode in (STANDARD, LITERAL):
             model = train_cosine(stats, 0.45, mode)
