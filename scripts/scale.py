@@ -9,11 +9,13 @@ runs REPEATS times in a row, each time as its own `python -m
 recipetext.cli` child process, so its wall time and peak RSS
 (ru_maxrss, from wait4) are its own; a command's report holds the
 median of each and every sample, since single runs on a shared machine
-move by up to about 20%. After its timed runs, each command runs once
-more with perfbench's tracer (perfbench/tracing.py) installed around
-`recipetext.cli.main` in the child; that run's layer self times (s) and
-counters go under the command's "layers" and feed no timed figure. The
-report's "layer_growth" gives each layer's ratio per 4x in n, and
+move by up to about 20%. After its timed runs, each command runs
+REPEATS times more with perfbench's tracer (perfbench/tracing.py)
+installed around `recipetext.cli.main` in the child; the median of
+each layer's self time (s) and counters over those runs goes under the
+command's "layers" (a layer a run does not report reads 0 there) and
+feeds no timed figure. The report's "layer_growth" gives each layer's
+ratio per 4x in n, and
 "top_layers" the three layers with the most self time at the largest
 n. The result goes to BENCH_scale_<label>.json in --out-dir, with the
 sha256 of the corpora, of every model file, of the four score files
@@ -141,7 +143,10 @@ def measure(n: int, src: Path, work: Path) -> dict:
         result[command] = {"wall_s": statistics.median(s["wall_s"] for s in samples),
                            "maxrss_mb": statistics.median(s["maxrss_mb"] for s in samples),
                            "samples": samples}
-        result[command]["layers"] = _traced(src, base + [command], size_dir / "traced.json")
+        traced = [_traced(src, base + [command], size_dir / "traced.json")
+                  for _ in range(REPEATS)]
+        result[command]["layers"] = {name: statistics.median(t.get(name, 0) for t in traced)
+                                     for name in sorted(set().union(*traced))}
         print(f"n={n} {command}: {result[command]}", flush=True)
     result["models"] = {p.name: _sha256(p) for p in sorted(model_dir.iterdir())}
     for key, patterns in RUN_FILES.items():

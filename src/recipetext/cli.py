@@ -321,8 +321,10 @@ def cmd_train(config: PipelineConfig) -> int:
         _check_class_boosts(flat, config.class_boosts_tsv)
         cosine_mod.save_cosine(flat, model_dir / "cosine_flat.model")
 
-    hier = cosine_mod.train_hierarchical(train, full, config.hierarchy, analyses,
-                                         cosine.gini_threshold, cosine.denominator_mode)
+    leaf_stats = {Feed.TITLE_AND_BODY: stats,
+                  Feed.TITLE_ONLY: build_stats(train, full, analyses, Feed.TITLE_ONLY)}
+    hier = cosine_mod.train_hierarchical(config.hierarchy, leaf_stats, cosine.gini_threshold,
+                                         cosine.denominator_mode)
     cosine_mod.save_hierarchical(hier, model_dir / "cosine_hier.model")
 
     _write_manifest(model_dir, {

@@ -29,7 +29,9 @@ Hierarchical mode stacks two (or more) flat stages: each stage scores
 superclass groups with two models fed from different views (title
 only / title plus body), mixes the two normalized score vectors
 linearly, and the final leaf score is the product of its path's stage
-scores, so a full distribution over leaves comes out.
+scores, so a full distribution over leaves comes out. Every context's
+statistics are the leaf statistics' columns summed by group, so
+``train`` counts each feed over the corpus once.
 """
 
 from __future__ import annotations
@@ -41,14 +43,13 @@ from functools import cached_property
 from itertools import repeat
 from pathlib import Path
 
-from .corpus import Corpus
 from .errors import ConfigError, DataError, ModelMismatchError, check_types, is_number
 from .features import (
     Feed,
     LexiconStats,
     TermCounts,
-    build_stats,
     feed_counts,
+    group_stats,
     stats_from_rows,
     stats_lines,
 )
@@ -215,19 +216,15 @@ class HierarchySpec:
     def leaves(self) -> list[str]:
         return sorted(self.stages[0].grouping)
 
-    def contexts(self) -> dict[tuple[int, str], tuple[list[str], list[str]]]:
-        """(stage index, context) -> the sorted leaves inside the context
-        and the sorted groups they go to at that stage, keys in sorted
-        order."""
-        leaves: dict[tuple[int, str], list[str]] = {}
-        for stage_idx in range(len(self.stages)):
+    def contexts(self) -> dict[tuple[int, str], dict[str, str]]:
+        """(stage index, context) -> {leaf: its group at that stage} for
+        the leaves inside the context, keys in sorted order."""
+        out: dict[tuple[int, str], dict[str, str]] = {}
+        for stage_idx, stage in enumerate(self.stages):
             for leaf in self.leaves():
-                leaves.setdefault((stage_idx, _context_of(self, stage_idx, leaf)), []).append(leaf)
-        out = {}
-        for (stage_idx, context), members in sorted(leaves.items()):
-            grouping = self.stages[stage_idx].grouping
-            out[(stage_idx, context)] = (members, sorted({grouping[leaf] for leaf in members}))
-        return out
+                out.setdefault((stage_idx, _context_of(self, stage_idx, leaf)),
+                               {})[leaf] = stage.grouping[leaf]
+        return dict(sorted(out.items()))
 
 
 def default_hierarchy(task: str) -> HierarchySpec:
@@ -271,38 +268,26 @@ def _context_of(spec: HierarchySpec, stage_idx: int, leaf: str) -> str:
     return spec.stages[stage_idx - 1].grouping[leaf]
 
 
-def train_hierarchical(train: Corpus, full: Corpus, spec: HierarchySpec,
-                       analyses: Mapping[str, Analysis],
+def train_hierarchical(spec: HierarchySpec, stats: Mapping[Feed, LexiconStats],
                        gini_threshold: float,
                        mode: str = STANDARD) -> HierarchicalCosineModel:
-    """Fit one cosine model per (stage, context, feed).
-
-    Each stage/context model sees only the training recipes whose leaf
-    label falls inside that context, relabeled by the stage grouping;
-    its lexicon statistics are rebuilt on that subset (df still over
-    the full corpus). Contexts with a single outgoing group are left
-    modelless and contribute probability 1.
+    """Fit one cosine model per (stage, context, feed) from each feed's
+    leaf statistics, whose classes must be the spec's leaves. A context's
+    statistics are its leaves' columns summed by stage group
+    (``features.group_stats``), df still over the full corpus. Contexts
+    with a single outgoing group are left modelless and contribute
+    probability 1.
     """
-    leaf_labels = train.labels()
-    missing = sorted(set(leaf_labels.values()) - set(spec.leaves()))
-    if missing:
-        raise DataError(f"training labels {missing} absent from the hierarchy spec")
-
+    for feed_stats in stats.values():
+        if feed_stats.classes != spec.leaves():
+            raise DataError(f"training classes {feed_stats.classes} are not the "
+                            f"hierarchy leaves {spec.leaves()}")
     stage_models: dict[tuple[int, str], dict[Feed, CosineModel]] = {}
-    for (stage_idx, context), (member_leaves, groups) in spec.contexts().items():
-        if len(groups) < 2:
-            continue
-        stage = spec.stages[stage_idx]
-        subset_ids = {rid for rid, leaf in leaf_labels.items() if leaf in member_leaves}
-        subset = Corpus([r for r in train.recipes if r.id in subset_ids],
-                        train.label_kind)
-        group_labels = {rid: stage.grouping[leaf_labels[rid]] for rid in subset_ids}
-        per_feed = {}
-        for feed in (Feed.TITLE_ONLY, Feed.TITLE_AND_BODY):
-            stats = build_stats(subset, full, analyses, feed=feed,
-                                labels=group_labels)
-            per_feed[feed] = train_cosine(stats, gini_threshold, mode)
-        stage_models[(stage_idx, context)] = per_feed
+    for key, grouping in spec.contexts().items():
+        if len(set(grouping.values())) > 1:
+            stage_models[key] = {
+                feed: train_cosine(group_stats(stats[feed], grouping), gini_threshold, mode)
+                for feed in (Feed.TITLE_ONLY, Feed.TITLE_AND_BODY)}
     return HierarchicalCosineModel(spec, stage_models)
 
 
@@ -423,8 +408,8 @@ def load_hierarchical(path: str | Path) -> HierarchicalCosineModel:
         spec = HierarchySpec(tuple(stages))
     except ConfigError as exc:
         raise ModelMismatchError(f"{path}: #stage lines: {exc}") from None
-    expected = {key: groups for key, (_, groups) in spec.contexts().items()
-                if len(groups) > 1}
+    expected = {key: groups for key, grouping in spec.contexts().items()
+                if len(groups := sorted(set(grouping.values()))) > 1}
     stage_models: dict[tuple[int, str], dict[Feed, CosineModel]] = {}
     for begin, rows in contexts:
         stats = stats_from_rows(rows, f"{path}:{begin.lineno}")

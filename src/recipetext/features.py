@@ -13,7 +13,7 @@ import math
 import re
 from collections import Counter
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import chain, repeat
 from operator import le, lt
@@ -81,19 +81,14 @@ class LexiconStats:
 
 
 def build_stats(train: Corpus, full: Corpus, analyses: Mapping[str, Analysis],
-                feed: Feed = Feed.TITLE_AND_BODY,
-                labels: dict[str, str] | None = None) -> LexiconStats:
-    """Collect df/df_T/df_c statistics.
-
-    df is counted over ``full``; df_T and df_c over ``train``, whose
-    gold labels may be overridden through ``labels`` (used by the
-    hierarchical classifier to train on superclass groupings).
-    ``analyses`` maps every recipe id of both corpora to its analysis.
+                feed: Feed = Feed.TITLE_AND_BODY) -> LexiconStats:
+    """Collect df/df_T/df_c statistics: df over ``full``, df_T and df_c
+    over ``train`` by gold label. ``analyses`` maps every recipe id of
+    both corpora to its analysis.
     """
     if len(train) == 0:
         raise DataError("build_stats needs a non-empty training corpus")
-    if labels is None:
-        labels = train.labels()
+    labels = train.labels()
 
     by_class: dict[str, Counter] = {}
     for recipe in train:
@@ -121,6 +116,22 @@ def build_stats(train: Corpus, full: Corpus, analyses: Mapping[str, Analysis],
         df_class=[[by_class[cls][term] for term in terms] for cls in class_sizes],
         feed=feed,
     )
+
+
+def group_stats(stats: LexiconStats, grouping: Mapping[str, str]) -> LexiconStats:
+    """The statistics of the training docs whose class is a key of
+    ``grouping``, each labelled by its group. A doc has one class, so a
+    group's df_c column and size are the sums of its classes', and df_T
+    sums the group columns; terms, df, the corpus size and the feed are
+    shared with ``stats``."""
+    by_class = dict(zip(stats.classes, stats.df_class))
+    groups = sorted(set(grouping.values()))
+    members = [[cls for cls in grouping if grouping[cls] == group] for group in groups]
+    sizes = [sum(stats.class_sizes[cls] for cls in classes) for classes in members]
+    df_class = [list(map(sum, zip(*[by_class[cls] for cls in classes]))) for classes in members]
+    return replace(stats, train_size=sum(sizes), classes=groups,
+                   class_sizes=dict(zip(groups, sizes)),
+                   df_train=list(map(sum, zip(*df_class))), df_class=df_class)
 
 
 def tfidf_vector(analysis: Analysis, stats: LexiconStats) -> SparseVector:
@@ -284,6 +295,7 @@ __all__ = [
     "build_stats",
     "feed_counts",
     "feed_tokens",
+    "group_stats",
     "load_stats",
     "mutual_information",
     "mutual_information_select",

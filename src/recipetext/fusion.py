@@ -79,15 +79,6 @@ class ElectreParams:
                 raise ConfigError(f"veto value for {method!r} must be a number in [0, 1], "
                                   f"got {veto!r}")
 
-    @classmethod
-    def uniform(cls, methods: list[str], concordance_threshold: float,
-                veto: float = 0.5) -> "ElectreParams":
-        return cls(
-            method_weights={m: 1.0 for m in methods},
-            concordance_threshold=concordance_threshold,
-            veto_values={m: veto for m in methods},
-        )
-
 
 @dataclass
 class OutrankingRelation:

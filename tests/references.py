@@ -1,5 +1,5 @@
 """Straight-line forms of the scoring path, kept as test references,
-and the lookups only tests need.
+and the lookups and constructors only tests need.
 
 The package computes the same values with per-config memos and
 per-model term tables (see ``test_scoring_path.py``); these functions
@@ -10,15 +10,18 @@ time, in the accumulation order the package must reproduce bit for bit.
 from __future__ import annotations
 
 import math
+import types
 import unicodedata
 from collections import Counter
+from pathlib import Path
 from typing import NamedTuple
 
-from recipetext.corpus import Corpus, Recipe
+from recipetext.corpus import Corpus, LabelKind, Recipe
 from recipetext.cosine import STANDARD, CosineModel
 from recipetext.evaluation import QrelSet
 from recipetext.extraction import CandidateList, IngredientLexicon, _generic_counts
-from recipetext.features import LexiconStats, feed_tokens, tfidf_vector
+from recipetext.features import Feed, LexiconStats, feed_tokens, tfidf_vector
+from recipetext.fusion import ElectreParams
 from recipetext.scores import ScoreVector
 from recipetext.summation import ordered_sum
 from recipetext.textnorm import (
@@ -63,6 +66,60 @@ def gini_and_idf(stats: LexiconStats) -> tuple[dict[str, float], dict[str, float
             total += ratio * ratio
         gini[term] = total
     return gini, idf
+
+
+def context_stats(train: Corpus, full: Corpus, analyses, feed: Feed,
+                  grouping: dict[str, str]) -> LexiconStats:
+    """The statistics of one hierarchy context counted from the recipes:
+    the training recipes whose class is a key of ``grouping``, each
+    labelled by its group, df over ``full``."""
+    labels = {rid: grouping[leaf] for rid, leaf in train.labels().items() if leaf in grouping}
+    members = [recipe for recipe in train if recipe.id in labels]
+    by_group: dict[str, Counter] = {}
+    df_train = Counter()
+    for recipe in members:
+        terms = set(feed_tokens(analyses[recipe.id], feed))
+        by_group.setdefault(labels[recipe.id], Counter()).update(terms)
+        df_train.update(terms)
+    df_full = Counter()
+    for recipe in full:
+        df_full.update(set(feed_tokens(analyses[recipe.id], feed)))
+    terms = sorted(df_full.keys() | df_train.keys())
+    groups = sorted(by_group)
+    return LexiconStats(
+        corpus_size=len(full),
+        train_size=len(members),
+        classes=groups,
+        class_sizes={g: sum(1 for r in members if labels[r.id] == g) for g in groups},
+        terms=terms,
+        df=[max(df_full[t], df_train[t]) for t in terms],
+        df_train=[df_train[t] for t in terms],
+        df_class=[[by_group[g][t] for t in terms] for g in groups],
+        feed=feed,
+    )
+
+
+def uniform_electre(methods: list[str], concordance_threshold: float,
+                    veto: float = 0.5) -> ElectreParams:
+    """ELECTRE parameters weighting every method 1 with one veto value."""
+    return ElectreParams(
+        method_weights={m: 1.0 for m in methods},
+        concordance_threshold=concordance_threshold,
+        veto_values={m: veto for m in methods},
+    )
+
+
+CORPUSGEN = Path(__file__).resolve().parents[1] / "perfbench" / "corpusgen.py"
+
+
+def perfbench_corpus(seed: int, n: int, label_kind: LabelKind) -> Corpus:
+    """A training corpus of the benchmark's generator, run from its
+    source text so that nothing is written next to it."""
+    module = types.ModuleType("perfbench_corpusgen")
+    exec(compile(CORPUSGEN.read_text(encoding="utf-8"), str(CORPUSGEN), "exec"),
+         module.__dict__)
+    corpus = module.generate(CORPUSGEN.parents[1], seed, "tr", n)
+    return Corpus(corpus.recipes, label_kind)
 
 
 def by_id(corpus: Corpus, recipe_id: str) -> Recipe:

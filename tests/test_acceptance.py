@@ -20,7 +20,7 @@ from oracles import (
     mean_distance_oracle,
     prf_oracle,
 )
-from references import generic_posteriors, gini, table_vectors, term_counts
+from references import generic_posteriors, gini, table_vectors, term_counts, uniform_electre
 
 from recipetext.boost import (
     BoostConfig,
@@ -39,7 +39,7 @@ from recipetext.evaluation import (
 )
 from recipetext.extraction import build_lexicon, extract, extract_candidates
 from recipetext.features import build_stats, mutual_information_select, tfidf_vector
-from recipetext.fusion import ElectreParams, fuse_electre, normalize_scores
+from recipetext.fusion import fuse_electre, normalize_scores
 from recipetext.rng import SplitMix64
 from recipetext.scores import ScoreVector
 from recipetext.svm import SvmConfig, save_ovo, train_ovo
@@ -68,7 +68,7 @@ def test_criterion_1_fusion_oracle_equivalence():
         ]
         sc = rng.uniform()
         veto = rng.uniform()
-        params = ElectreParams.uniform(methods, sc, veto)
+        params = uniform_electre(methods, sc, veto)
         decision, relation = fuse_electre(vectors, params)
 
         table = {v.method_id: v.scores for v in vectors}

@@ -1,12 +1,11 @@
 import math
-import types
 from dataclasses import replace
 from itertools import accumulate
-from pathlib import Path
 
 import pytest
 
 from oracles import adaboost_oracle
+from references import perfbench_corpus
 
 import recipetext.boost as boost_mod
 from recipetext.boost import (
@@ -385,19 +384,6 @@ class TestSerialization:
         assert again.read_bytes() == path.read_bytes()
 
 
-CORPUSGEN = Path(__file__).resolve().parents[1] / "perfbench" / "corpusgen.py"
-
-
-def _perfbench_corpus(seed, n):
-    """A training corpus of the benchmark's generator, run from its
-    source text so that nothing is written next to it."""
-    module = types.ModuleType("perfbench_corpusgen")
-    exec(compile(CORPUSGEN.read_text(encoding="utf-8"), str(CORPUSGEN), "exec"),
-         module.__dict__)
-    corpus = module.generate(CORPUSGEN.parents[1], seed, "tr", n)
-    return Corpus(corpus.recipes, LabelKind.DISH_TYPE)
-
-
 def _round_inputs(corpus, feats, seed, power):
     """The candidates and a seeded weight distribution over a corpus,
     with the weight columns and per-class totals a round computes from
@@ -495,7 +481,7 @@ class TestBound:
                 < sum(info.summed for info in unbounded.history))
 
     def test_bound_never_changes_a_perfbench_fit(self, monkeypatch):
-        corpus = _perfbench_corpus(7, 160)
+        corpus = perfbench_corpus(7, 160, LabelKind.DISH_TYPE)
         train = Corpus(corpus.recipes[:120], LabelKind.DISH_TYPE)
         dev = Corpus(corpus.recipes[120:], LabelKind.DISH_TYPE)
         feats = _features_for(corpus)

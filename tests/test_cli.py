@@ -2,6 +2,7 @@ import ast
 import json
 import shutil
 import sys
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
@@ -492,6 +493,32 @@ class TestErrorCodes:
         config = _config(tmp_path, train_xml=str(bad))
         assert main(["--config", str(config), "train"]) == 3
         assert capsys.readouterr().err.startswith("error:data:")
+
+    @pytest.mark.parametrize("dropped, absent", [
+        (("Difficile",), ["Difficile"]),
+        (("Difficile", "Moyennement difficile"), ["Difficile", "MoyennementDifficile"]),
+    ])
+    def test_training_split_without_a_hierarchy_leaf_is_data_error(self, tmp_path, capsys,
+                                                                   dropped, absent):
+        tree = ET.parse(FIXTURES / "golden60.xml")
+        root = tree.getroot()
+        for recipe in root.findall("recette"):
+            if recipe.findtext("niveau") in dropped:
+                root.remove(recipe)
+        train_xml = tmp_path / "train.xml"
+        tree.write(train_xml, encoding="utf-8", xml_declaration=True)
+        config = json.loads((FIXTURES / "golden_config_t1.json").read_text(encoding="utf-8"))
+        config.update(train_xml=str(train_xml), test_xml=str(train_xml),
+                      model_dir=str(tmp_path / "models"), run_dir=str(tmp_path / "runs"))
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["--config", str(path), "train"]) == 3
+        err = capsys.readouterr().err
+        leaves = ["Difficile", "Facile", "MoyennementDifficile", "TresFacile"]
+        classes = [leaf for leaf in leaves if leaf not in absent]
+        assert err == (f"error:data: training classes {classes} are not the hierarchy "
+                       f"leaves {leaves}\n")
+        assert not (tmp_path / "models" / "manifest.json").exists()
 
     def test_corrupt_model_is_mismatch_error(self, tmp_path, pipeline, capsys):
         src, _ = pipeline

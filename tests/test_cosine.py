@@ -30,6 +30,11 @@ def _analysis(recipe):
     return analyze(recipe, NormConfig())
 
 
+def _leaf_stats(corpus, analyses):
+    """Each feed's statistics of ``corpus`` trained on itself."""
+    return {feed: build_stats(corpus, corpus, analyses, feed) for feed in Feed}
+
+
 @pytest.fixture(scope="module")
 def fixture_model(mini6_dish, analyze_all):
     stats = build_stats(mini6_dish, mini6_dish, analyze_all(mini6_dish))
@@ -203,8 +208,7 @@ class TestHierarchy:
 
     def test_stage_scores_sum_to_one_and_leaves_nonnegative(self, mini6_dish, analyze_all):
         spec = default_hierarchy("T2")
-        model = train_hierarchical(mini6_dish, mini6_dish, spec, analyze_all(mini6_dish),
-                                   0.3)
+        model = train_hierarchical(spec, _leaf_stats(mini6_dish, analyze_all(mini6_dish)), 0.3)
         for recipe in mini6_dish:
             vector = classify_hierarchical(model, _analysis(recipe))
             assert set(vector.scores) == {"Dessert", "Entree", "PlatPrincipal"}
@@ -218,8 +222,8 @@ class TestHierarchy:
     def test_alpha_one_uses_title_models_only(self, mini6_dish, analyze_all):
         spec_title = HierarchySpec(tuple(
             HierarchyStage(s.grouping, 1.0) for s in default_hierarchy("T2").stages))
-        model = train_hierarchical(mini6_dish, mini6_dish, spec_title,
-                                   analyze_all(mini6_dish), 0.0)
+        model = train_hierarchical(spec_title, _leaf_stats(mini6_dish, analyze_all(mini6_dish)),
+                                   0.0)
         # mutate every title+body model: with alpha=1 the output must not change
         import copy
         mutated = copy.deepcopy(model)
@@ -236,7 +240,7 @@ class TestHierarchy:
         from recipetext.features import Feed
         from recipetext.fusion import normalize_scores
         spec = default_hierarchy("T2")
-        model = train_hierarchical(mini6_dish, mini6_dish, spec, analyze_all(mini6_dish), 0.3)
+        model = train_hierarchical(spec, _leaf_stats(mini6_dish, analyze_all(mini6_dish)), 0.3)
         analysis = _analysis(by_id(mini6_dish, "r3"))
         vector = classify_hierarchical(model, analysis)
         per_feed = model.stage_models[(0, "__root__")]
@@ -256,8 +260,8 @@ class TestHierarchy:
     def test_hierarchical_roundtrip(self, tmp_path, mini6_dish, analyze_all):
         spec = default_hierarchy("T2")
         config = NormConfig()
-        model = train_hierarchical(mini6_dish, mini6_dish, spec,
-                                   analyze_all(mini6_dish, config), 0.3)
+        model = train_hierarchical(spec, _leaf_stats(mini6_dish, analyze_all(mini6_dish, config)),
+                                   0.3)
         path = tmp_path / "hier.model"
         save_hierarchical(model, path)
         reloaded = load_hierarchical(path)
@@ -268,8 +272,8 @@ class TestHierarchy:
 
     def test_t1_hierarchy_on_difficulty(self, mini6_difficulty, analyze_all):
         spec = default_hierarchy("T1")
-        model = train_hierarchical(mini6_difficulty, mini6_difficulty, spec,
-                                   analyze_all(mini6_difficulty), 0.0)
+        model = train_hierarchical(
+            spec, _leaf_stats(mini6_difficulty, analyze_all(mini6_difficulty)), 0.0)
         recipe = by_id(mini6_difficulty, "r1")
         vector = classify_hierarchical(model, _analysis(recipe))
         assert set(vector.scores) == {

@@ -3,15 +3,25 @@ import math
 import pytest
 
 from oracles import gini_oracle, mi_oracle
-from references import by_id, gini, recipe_vector, table_vectors, term_counts
+from references import (
+    by_id,
+    context_stats,
+    gini,
+    perfbench_corpus,
+    recipe_vector,
+    table_vectors,
+    term_counts,
+)
 
-from recipetext.corpus import Corpus, LabelKind, Recipe
-from recipetext.cosine import train_cosine
+from recipetext.cli import TASK_LABEL_KIND, _analyze_corpus, load_config
+from recipetext.corpus import Corpus, LabelKind, Recipe, load_corpus, stratified_split
+from recipetext.cosine import default_hierarchy, train_cosine
 from recipetext.errors import ConfigError
 from recipetext.features import (
     Feed,
     build_stats,
     feed_tokens,
+    group_stats,
     load_stats,
     mutual_information,
     mutual_information_select,
@@ -96,6 +106,26 @@ class TestBuildStats:
         path = tmp_path / "stats.tsv"
         save_stats(stats, path)
         assert load_stats(path) == stats
+
+
+class TestGroupStats:
+    @pytest.mark.parametrize("task", ["T1", "T2"])
+    @pytest.mark.parametrize("source", ["golden60", "corpusgen"])
+    def test_equals_the_context_counted_from_the_recipes(self, fixtures_dir, task, source):
+        # every context and feed of the task's default hierarchy, on the
+        # training split of the task's golden config
+        config = load_config(fixtures_dir / f"golden_config_{task.lower()}.json")
+        kind = TASK_LABEL_KIND[task]
+        full = (load_corpus(fixtures_dir / "golden60.xml", kind) if source == "golden60"
+                else perfbench_corpus(7, 300, kind))
+        analyses, _ = _analyze_corpus(full, config.norm_config)
+        train, _ = stratified_split(full, config.dev_fraction, config.seed)
+        contexts = default_hierarchy(task).contexts()
+        for feed in Feed:
+            stats = build_stats(train, full, analyses, feed)
+            for grouping in contexts.values():
+                assert group_stats(stats, grouping) == context_stats(
+                    train, full, analyses, feed, grouping)
 
 
 class TestTfidf:

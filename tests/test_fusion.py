@@ -1,10 +1,10 @@
 import pytest
 
 from oracles import electre_oracle, linear_oracle, normalize_oracle
+from references import uniform_electre
 
 from recipetext.errors import DataError
 from recipetext.fusion import (
-    ElectreParams,
     electre_relation,
     fuse_electre,
     fuse_linear,
@@ -95,7 +95,7 @@ class TestLinear:
 
 
 def _params(methods, sc, veto=0.5):
-    return ElectreParams.uniform(list(methods), sc, veto)
+    return uniform_electre(list(methods), sc, veto)
 
 
 class TestElectre:
