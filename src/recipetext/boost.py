@@ -573,6 +573,13 @@ def presence_index(model: BoostModel) -> PresenceIndex:
             for name, by_first in lengths.items()}
 
 
+def reads_ingredients(model: BoostModel) -> bool:
+    """Whether a round tests the recipe's ingredient items (a stump on
+    the ``ingredients`` text field or on ``ingredient_count``). Without
+    one, no score depends on the items, so scoring may pass none."""
+    return any(hyp.field in ("ingredients", "ingredient_count") for hyp in model.rounds)
+
+
 def _confidence(margin: float) -> float:
     # logistic of twice the margin, overflow-safe
     if margin >= 0.0:
@@ -640,6 +647,7 @@ __all__ = [
     "load_boost",
     "margins",
     "presence_index",
+    "reads_ingredients",
     "recipe_boost_features",
     "save_boost",
     "score_boost",

@@ -272,11 +272,13 @@ def _boost_features(analysis: Analysis, lexicon, norm: NormConfig, agglut,
 def cmd_train(config: PipelineConfig) -> int:
     train_path = _require_file(config.train_xml, "training corpus")
     norm, cosine = config.norm_config, config.cosine_config
+    full = load_corpus(train_path, TASK_LABEL_KIND[config.task])
+    if config.task != "T4":
+        train, dev = stratified_split(full, config.dev_fraction, config.seed)
+        # refused before anything is fitted or written
+        config.hierarchy.check_leaves(train.classes())
     model_dir = Path(config.model_dir)
     model_dir.mkdir(parents=True, exist_ok=True)
-
-    label_kind = TASK_LABEL_KIND[config.task]
-    full = load_corpus(train_path, label_kind)
 
     analyses, agglut = _analyze_corpus(full, norm)
     if agglut is not None:
@@ -291,8 +293,6 @@ def cmd_train(config: PipelineConfig) -> int:
         })
         print(f"trained T4 lexicon on {len(full)} recipes -> {model_dir}")
         return 0
-
-    train, dev = stratified_split(full, config.dev_fraction, config.seed)
 
     lexicon = None
     if any(r.gold_ingredients for r in train):
@@ -402,6 +402,8 @@ def cmd_classify(config: PipelineConfig) -> int:
     stats = load_stats(model_dir / "stats.tsv")
     methods = TASK_METHODS[config.task]
     boost_model = boost_mod.load_boost(model_dir / "boost.model")
+    if not boost_mod.reads_ingredients(boost_model):
+        lexicon = None  # the items would change no score: extract none
     svm_model = svm_mod.load_ovo(model_dir / "svm.model")
     hier_model = cosine_mod.load_hierarchical(model_dir / "cosine_hier.model")
     loaded = {"svm.model": svm_model.classes, "stats.tsv": stats.classes,

@@ -32,6 +32,17 @@ linearly, and the final leaf score is the product of its path's stage
 scores, so a full distribution over leaves comes out. Every context's
 statistics are the leaf statistics' columns summed by group, so
 ``train`` counts each feed over the corpus once.
+
+A recipe is scored through plain lists in class order. Each modelled
+context's two feeds give their cosines (the list core that
+``score_cosine`` wraps). ``fusion.normalized`` normalizes each list as
+``normalize_scores`` does: min, a shift when it is below 0, the sum in
+class order, the division. The two lists are mixed as
+alpha*t + (1-alpha)*b, and each leaf multiplies its path's entries,
+1.0 * s_0 * s_1 ... in stage order. The contexts and the leaf paths,
+as list positions, are built once per model. These are the same
+operations in the same order as scoring and normalizing one score
+vector per context, so no bit changes.
 """
 
 from __future__ import annotations
@@ -53,7 +64,7 @@ from .features import (
     stats_from_rows,
     stats_lines,
 )
-from .fusion import normalize_scores
+from .fusion import normalized
 from .scores import ScoreVector
 from .summation import ordered_sum
 from .textnorm import Analysis
@@ -147,14 +158,22 @@ def score_cosine(model: CosineModel, analysis: Analysis,
     ``counts`` is the recipe's ``feed_counts`` when the caller shares
     them across models; the model reads its own feed's pairs.
     """
-    pairs = (feed_counts(analysis) if counts is None else counts)[model.stats.feed]
+    if counts is None:
+        counts = feed_counts(analysis)
+    return ScoreVector(analysis.recipe.id, model.method_id,
+                       dict(zip(model.classes, _cosines(model, counts))))
+
+
+def _cosines(model: CosineModel, counts: Mapping[Feed, TermCounts]) -> list[float]:
+    """The recipe's cosine with each class, in ``classes`` order, from
+    the pairs of the model's feed in ``counts``."""
     literal = model.denominator_mode == LITERAL
     classes = range(len(model.class_norms))
     numerators = [0.0] * len(classes)
     products = [0.0] * len(classes)     # literal mode: sum of (w_r * w_c)^2
     squares = 0.0                       # ||v_r||^2
     table = model.terms
-    for term, tf in pairs:
+    for term, tf in counts[model.stats.feed]:
         entry = table.get(term)
         if entry is None:
             continue
@@ -166,15 +185,14 @@ def score_cosine(model: CosineModel, analysis: Analysis,
             if literal:
                 products[ci] += product ** 2
     norm_r = math.sqrt(squares)
-    scores = {}
-    for ci, (cls, norm_c) in enumerate(model.class_norms.items()):
-        numerator = numerators[ci]
+    scores = []
+    for numerator, squared, norm_c in zip(numerators, products, model.class_norms.values()):
         if numerator == 0.0:
-            scores[cls] = 0.0
+            scores.append(0.0)
             continue
-        denominator = math.sqrt(products[ci]) if literal else norm_r * norm_c
-        scores[cls] = numerator / denominator if denominator != 0.0 else 0.0
-    return ScoreVector(analysis.recipe.id, model.method_id, scores)
+        denominator = math.sqrt(squared) if literal else norm_r * norm_c
+        scores.append(numerator / denominator if denominator != 0.0 else 0.0)
+    return scores
 
 
 # --------------------------------------------------------------------
@@ -215,6 +233,12 @@ class HierarchySpec:
 
     def leaves(self) -> list[str]:
         return sorted(self.stages[0].grouping)
+
+    def check_leaves(self, classes: list[str]) -> None:
+        """Refuse training classes (sorted) that are not the leaves."""
+        if classes != self.leaves():
+            raise DataError(f"training classes {classes} are not the hierarchy leaves "
+                            f"{self.leaves()}")
 
     def contexts(self) -> dict[tuple[int, str], dict[str, str]]:
         """(stage index, context) -> {leaf: its group at that stage} for
@@ -261,6 +285,29 @@ class HierarchicalCosineModel:
 
     ROOT = "__root__"
 
+    @cached_property
+    def mixes(self) -> list[tuple[CosineModel, CosineModel, float]]:
+        """(title model, title_body model, alpha) of each modelled
+        context, in ``stage_models`` order."""
+        return [(per_feed[Feed.TITLE_ONLY], per_feed[Feed.TITLE_AND_BODY],
+                 self.spec.stages[stage_idx].alpha)
+                for (stage_idx, _), per_feed in self.stage_models.items()]
+
+    @cached_property
+    def paths(self) -> dict[str, list[tuple[int, int]]]:
+        """Each leaf, in sorted order -> its path, in stage order: the
+        position in ``mixes`` of every modelled context it passes, with
+        the position of its group among that context's classes."""
+        position = {key: i for i, key in enumerate(self.stage_models)}
+        paths: dict[str, list[tuple[int, int]]] = {}
+        for leaf in self.spec.leaves():
+            path = paths[leaf] = []
+            for stage_idx, stage in enumerate(self.spec.stages):
+                i = position.get((stage_idx, _context_of(self.spec, stage_idx, leaf)))
+                if i is not None:
+                    path.append((i, self.mixes[i][0].classes.index(stage.grouping[leaf])))
+        return paths
+
 
 def _context_of(spec: HierarchySpec, stage_idx: int, leaf: str) -> str:
     if stage_idx == 0:
@@ -279,9 +326,7 @@ def train_hierarchical(spec: HierarchySpec, stats: Mapping[Feed, LexiconStats],
     probability 1.
     """
     for feed_stats in stats.values():
-        if feed_stats.classes != spec.leaves():
-            raise DataError(f"training classes {feed_stats.classes} are not the "
-                            f"hierarchy leaves {spec.leaves()}")
+        spec.check_leaves(feed_stats.classes)
     stage_models: dict[tuple[int, str], dict[Feed, CosineModel]] = {}
     for key, grouping in spec.contexts().items():
         if len(set(grouping.values())) > 1:
@@ -294,29 +339,23 @@ def train_hierarchical(spec: HierarchySpec, stats: Mapping[Feed, LexiconStats],
 def classify_hierarchical(model: HierarchicalCosineModel, analysis: Analysis,
                           counts: Mapping[Feed, TermCounts] | None = None) -> ScoreVector:
     """Full leaf distribution: each leaf scores the product of its own
-    path's mixed stage scores. The two feeds are mixed once per modelled
-    context; a context with a single group has no model and contributes
-    1.0. Every context reads the same ``counts`` (see ``score_cosine``),
-    counted here when not given."""
-    spec = model.spec
+    path's mixed stage scores. Each modelled context's two feeds are
+    scored, normalized and mixed once, as lists in class order; a
+    context with a single group has no model and contributes 1.0. Every
+    context reads the same ``counts`` (see ``score_cosine``), counted
+    here when not given."""
     if counts is None:
         counts = feed_counts(analysis)
-    mixed: dict[tuple[int, str], dict[str, float]] = {}
-    for (stage_idx, context), per_feed in model.stage_models.items():
-        alpha = spec.stages[stage_idx].alpha
-        title = normalize_scores(score_cosine(per_feed[Feed.TITLE_ONLY], analysis,
-                                              counts)).scores
-        both = normalize_scores(score_cosine(per_feed[Feed.TITLE_AND_BODY], analysis,
-                                             counts)).scores
-        mixed[(stage_idx, context)] = {
-            group: alpha * title[group] + (1.0 - alpha) * both[group] for group in title}
+    mixed = []
+    for title_model, both_model, alpha in model.mixes:
+        title = normalized(_cosines(title_model, counts))
+        both = normalized(_cosines(both_model, counts))
+        mixed.append([alpha * t + (1.0 - alpha) * b for t, b in zip(title, both)])
     leaf_scores = {}
-    for leaf in spec.leaves():
+    for leaf, path in model.paths.items():
         product = 1.0
-        for stage_idx, stage in enumerate(spec.stages):
-            scores = mixed.get((stage_idx, _context_of(spec, stage_idx, leaf)))
-            if scores is not None:
-                product *= scores[stage.grouping[leaf]]
+        for context, group in path:
+            product *= mixed[context][group]
         leaf_scores[leaf] = product
     return ScoreVector(analysis.recipe.id, model.method_id, leaf_scores)
 

@@ -18,7 +18,7 @@ from .summation import ordered_sum
 
 
 def normalize_scores(vector: ScoreVector) -> ScoreVector:
-    """Rescale scores to sum to 1.
+    """Rescale scores to sum to 1, keyed in sorted class order.
 
     Raw scores may be negative (SVM margins): if any score is below
     zero, all scores are first shifted by -min so the minimum lands at
@@ -27,15 +27,21 @@ def normalize_scores(vector: ScoreVector) -> ScoreVector:
     values = vector.scores
     if not values:
         raise DataError(f"empty score vector for recipe {vector.recipe_id!r}")
-    low = min(values.values())
-    shifted = {c: v - low for c, v in values.items()} if low < 0 else dict(values)
-    total = ordered_sum(shifted[c] for c in sorted(shifted))
+    classes = sorted(values)
+    return ScoreVector(vector.recipe_id, vector.method_id,
+                       dict(zip(classes, normalized([values[c] for c in classes]))))
+
+
+def normalized(values: list[float]) -> list[float]:
+    """``normalize_scores`` of a non-empty score list in sorted class
+    order: the same arithmetic, with the sum taken left to right."""
+    low = min(values)
+    if low < 0:
+        values = [v - low for v in values]
+    total = ordered_sum(values)
     if total == 0.0:
-        uniform = 1.0 / len(shifted)
-        normalized = {c: uniform for c in shifted}
-    else:
-        normalized = {c: v / total for c, v in shifted.items()}
-    return ScoreVector(vector.recipe_id, vector.method_id, normalized)
+        return [1.0 / len(values)] * len(values)
+    return [v / total for v in values]
 
 
 def _check_alignment(vectors: list[ScoreVector]) -> list[str]:
@@ -146,4 +152,5 @@ __all__ = [
     "fuse_electre",
     "fuse_linear",
     "normalize_scores",
+    "normalized",
 ]

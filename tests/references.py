@@ -17,7 +17,13 @@ from pathlib import Path
 from typing import NamedTuple
 
 from recipetext.corpus import Corpus, LabelKind, Recipe
-from recipetext.cosine import STANDARD, CosineModel
+from recipetext.cosine import (
+    STANDARD,
+    CosineModel,
+    HierarchicalCosineModel,
+    _context_of,
+    score_cosine as package_score_cosine,
+)
 from recipetext.evaluation import QrelSet
 from recipetext.extraction import CandidateList, IngredientLexicon, _generic_counts
 from recipetext.features import Feed, LexiconStats, feed_tokens, tfidf_vector
@@ -221,6 +227,47 @@ def score_cosine(model: CosineModel, analysis) -> ScoreVector:
             denominator = math.sqrt(ordered_sum((v_r[t] * v_c[t]) ** 2 for t in shared))
         scores[cls] = numerator / denominator if denominator != 0.0 else 0.0
     return ScoreVector(analysis.recipe.id, model.method_id, scores)
+
+
+def normalize_scores(vector: ScoreVector) -> ScoreVector:
+    """Scores shifted by -min when it is below zero, then divided by
+    their sum in sorted class order (uniform on a zero sum); keys in the
+    vector's order."""
+    values = vector.scores
+    low = min(values.values())
+    shifted = {c: v - low for c, v in values.items()} if low < 0 else dict(values)
+    total = ordered_sum(shifted[c] for c in sorted(shifted))
+    if total == 0.0:
+        normalized = {c: 1.0 / len(shifted) for c in shifted}
+    else:
+        normalized = {c: v / total for c, v in shifted.items()}
+    return ScoreVector(vector.recipe_id, vector.method_id, normalized)
+
+
+def classify_hierarchical(model: HierarchicalCosineModel, analysis) -> ScoreVector:
+    """Each context's two feeds scored (``score_cosine``, itself checked
+    against ``score_cosine`` above), normalized and mixed as score
+    dicts; then each leaf's product over the stages of its path's
+    context scores, walked by ``_context_of``."""
+    spec = model.spec
+    mixed: dict[tuple[int, str], dict[str, float]] = {}
+    for (stage_idx, context), per_feed in model.stage_models.items():
+        alpha = spec.stages[stage_idx].alpha
+        title = normalize_scores(package_score_cosine(per_feed[Feed.TITLE_ONLY],
+                                                      analysis)).scores
+        both = normalize_scores(package_score_cosine(per_feed[Feed.TITLE_AND_BODY],
+                                                     analysis)).scores
+        mixed[(stage_idx, context)] = {
+            group: alpha * title[group] + (1.0 - alpha) * both[group] for group in title}
+    leaf_scores = {}
+    for leaf in spec.leaves():
+        product = 1.0
+        for stage_idx, stage in enumerate(spec.stages):
+            scores = mixed.get((stage_idx, _context_of(spec, stage_idx, leaf)))
+            if scores is not None:
+                product *= scores[stage.grouping[leaf]]
+        leaf_scores[leaf] = product
+    return ScoreVector(analysis.recipe.id, model.method_id, leaf_scores)
 
 
 def margin(model, vector: dict[str, float]) -> float:

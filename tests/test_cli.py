@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from recipetext import cli, textnorm
+from recipetext import boost, cli, extraction, textnorm
 from recipetext.cli import _load_score_tsv, load_config, main
 from recipetext.corpus import LabelKind, load_corpus
 from recipetext.cosine import score_cosine, train_cosine
@@ -185,26 +185,52 @@ class TestClassify:
         assert len(err) == 1 and err[0].startswith("error:model-mismatch:")
         assert "stats.tsv" in err[0]
 
-    def test_each_recipe_normalized_once_per_field(self, tmp_path, pipeline, monkeypatch):
-        # two normalize calls per test recipe (title, body), plus one per
-        # extracted ingredient for the boost features
-        src, config = pipeline
-        calls = []
+    @staticmethod
+    def _counted_classify(monkeypatch, args) -> tuple[int, int]:
+        """The normalize and extraction.extract calls of one classify."""
+        calls = {"normalize": 0, "extract": 0}
+
+        def counting(name, original):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
         original = textnorm.normalize
-
-        def counting(*args, **kwargs):
-            calls.append(args[0])
-            return original(*args, **kwargs)
-
         for module in list(sys.modules.values()):
             if getattr(module, "__name__", "").startswith("recipetext"):
                 if getattr(module, "normalize", None) is original:
-                    monkeypatch.setattr(module, "normalize", counting)
-        assert main(["--config", str(config), "--run-dir", str(tmp_path / "runs"),
-                     "classify"]) == 0
-        ingredients = (src / "runs" / "ingredients.tsv").read_text(
+                    monkeypatch.setattr(module, "normalize", counting("normalize", original))
+        monkeypatch.setattr(extraction, "extract", counting("extract", extraction.extract))
+        assert main(args + ["classify"]) == 0
+        return calls["normalize"], calls["extract"]
+
+    def test_recipe_normalized_once_per_field_without_an_ingredient_round(
+            self, tmp_path, pipeline, monkeypatch):
+        # no boost round reads the ingredients: two normalize calls per
+        # test recipe (title, body) and no extraction
+        src, config = pipeline
+        model = boost.load_boost(src / "models" / "boost.model")
+        assert not boost.reads_ingredients(model)
+        assert self._counted_classify(monkeypatch, [
+            "--config", str(config), "--run-dir", str(tmp_path / "runs")]) == (2 * 60, 0)
+
+    def test_extracted_items_normalized_once_when_a_round_reads_them(
+            self, tmp_path, monkeypatch):
+        # the golden T2 model has an ingredients round: one more normalize
+        # call per extracted item, and one extraction per test recipe
+        corpus = str(FIXTURES / "golden60.xml")
+        args = ["--config", str(FIXTURES / "golden_config_t2.json"), "--train-xml", corpus,
+                "--test-xml", corpus, "--model-dir", str(tmp_path / "models"),
+                "--run-dir", str(tmp_path / "runs")]
+        assert main(args + ["train"]) == 0
+        assert main(args + ["extract"]) == 0
+        model = boost.load_boost(tmp_path / "models" / "boost.model")
+        assert [hyp.field for hyp in model.rounds].count("ingredients") == 1
+        assert boost.reads_ingredients(model)
+        items = (tmp_path / "runs" / "ingredients.tsv").read_text(
             encoding="utf-8").splitlines()
-        assert len(calls) == 2 * 60 + len(ingredients)
+        assert self._counted_classify(monkeypatch, args) == (2 * 60 + len(items), 60)
 
 
 class TestFuse:
@@ -518,7 +544,8 @@ class TestErrorCodes:
         classes = [leaf for leaf in leaves if leaf not in absent]
         assert err == (f"error:data: training classes {classes} are not the hierarchy "
                        f"leaves {leaves}\n")
-        assert not (tmp_path / "models" / "manifest.json").exists()
+        # refused before any model is fitted or written
+        assert list((tmp_path / "models").glob("*")) == []
 
     def test_corrupt_model_is_mismatch_error(self, tmp_path, pipeline, capsys):
         src, _ = pipeline

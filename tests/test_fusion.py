@@ -1,7 +1,7 @@
 import pytest
 
 from oracles import electre_oracle, linear_oracle, normalize_oracle
-from references import uniform_electre
+from references import normalize_scores as reference_normalize, uniform_electre
 
 from recipetext.errors import DataError
 from recipetext.fusion import (
@@ -48,6 +48,18 @@ class TestNormalize:
             for k in (0.5, 2.0, 8.0, 1024.0):
                 scaled = normalize_scores(_vec("m", {c: k * v for c, v in raw.items()}))
                 assert scaled.scores == base
+
+    def test_equals_the_dict_form_in_sorted_key_order(self):
+        # the list routine the hierarchy shares gives the plain dict
+        # computation's every bit; keys come out sorted
+        rng = SplitMix64(29)
+        for i in range(300):
+            classes = ("d", "b", "a", "c")[:2 + i % 3]
+            raw = {c: [0.0, -0.0, rng.uniform(), rng.uniform() * 6 - 3][rng.below(4)]
+                   for c in classes}
+            got = normalize_scores(_vec("m", raw)).scores
+            assert got == reference_normalize(_vec("m", raw)).scores
+            assert list(got) == sorted(raw)
 
     def test_matches_oracle(self):
         rng = SplitMix64(23)

@@ -2,14 +2,16 @@
 
 ``normalize`` maps each token-pattern match through a per-config memo,
 ``score_cosine`` and ``score_ovo`` walk one sorted (term, tf) list per
-feed through per-model term tables, and ``with_agglutination`` merges
-the joined stream once. Each must give exactly (``==``, not approx)
+feed through per-model term tables, ``classify_hierarchical`` scores
+its contexts as lists along leaf paths built once per model, and
+``with_agglutination`` merges the joined stream once. Each must give exactly (``==``, not approx)
 what the plain computation in ``references.py`` gives.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
 import sys
 from pathlib import Path
 
@@ -22,13 +24,16 @@ from recipetext.cosine import (
     LITERAL,
     STANDARD,
     CosineModel,
+    HierarchicalCosineModel,
     classify_hierarchical,
+    default_hierarchy,
     load_cosine,
     load_hierarchical,
     score_cosine,
     train_cosine,
+    train_hierarchical,
 )
-from recipetext.features import build_stats, feed_counts, load_stats
+from recipetext.features import Feed, build_stats, feed_counts, load_stats
 from recipetext.rng import SplitMix64
 from recipetext.svm import OvoModel, PairModel, SvmConfig, load_ovo, score_ovo, train_ovo
 from recipetext.textnorm import (
@@ -127,10 +132,119 @@ def test_cosine_with_class_boosts_equals_reference(golden, mode):
             model, analysis).scores
 
 
+# --------------------------------------------------------------------
+# hierarchical cosine
+# --------------------------------------------------------------------
+
+# no term of any model: every context's cosines are 0.0
+EMPTY = Analysis(Recipe("empty", "", ""), (), 0, (), (), ())
+
+
+def _spec_text(*stages: tuple[str, ...]) -> str:
+    return "".join("stage\t" + "\t".join(cells) + "\n" for cells in stages)
+
+
+# name -> (hierarchy spec file, its modelled contexts, each leaf's path length)
+SPECS = {
+    # TresFacile and Facile pass three modelled contexts, Difficile one:
+    # the rest of its path is modelless. Each stage has its own alpha.
+    "three_stages": (_spec_text(
+        ("alpha=0.3", "Difficile=DIFFICILE", "Facile=FACILE",
+         "MoyennementDifficile=FACILE", "TresFacile=FACILE"),
+        ("alpha=0.7", "Difficile=Difficile", "Facile=EASY",
+         "MoyennementDifficile=MoyennementDifficile", "TresFacile=EASY"),
+        ("alpha=0.25", "Difficile=Difficile", "Facile=Facile",
+         "MoyennementDifficile=MoyennementDifficile", "TresFacile=TresFacile")),
+        [(0, "__root__"), (1, "FACILE"), (2, "EASY")],
+        {"Difficile": 1, "Facile": 3, "MoyennementDifficile": 2, "TresFacile": 3}),
+    # a context with three groups: its sum has an order, its uniform is 1/3
+    "three_groups": (_spec_text(
+        ("alpha=0.6", "Difficile=DIFFICILE", "Facile=FACILE",
+         "MoyennementDifficile=FACILE", "TresFacile=FACILE"),
+        ("alpha=0.4", "Difficile=Difficile", "Facile=Facile",
+         "MoyennementDifficile=MoyennementDifficile", "TresFacile=TresFacile")),
+        [(0, "__root__"), (1, "FACILE")],
+        {"Difficile": 1, "Facile": 2, "MoyennementDifficile": 2, "TresFacile": 2}),
+}
+
+
+def _hier_with_mode(model: HierarchicalCosineModel, mode: str) -> HierarchicalCosineModel:
+    return HierarchicalCosineModel(model.spec, {
+        key: {feed: _with_mode(sub, mode) for feed, sub in per_feed.items()}
+        for key, per_feed in model.stage_models.items()}, model.method_id)
+
+
+def _assert_hierarchy_equals_reference(model: HierarchicalCosineModel, analyses) -> None:
+    for analysis in analyses:
+        expected = references.classify_hierarchical(model, analysis).scores
+        got = classify_hierarchical(model, analysis, feed_counts(analysis)).scores
+        assert got == expected
+        assert list(got) == list(expected)
+
+
 def test_hierarchical_scores_do_not_depend_on_shared_counts(golden):
     for analysis in golden["analyses"]:
         assert (classify_hierarchical(golden["hier"], analysis, feed_counts(analysis)).scores
                 == classify_hierarchical(golden["hier"], analysis).scores)
+
+
+@pytest.mark.parametrize("mode", [STANDARD, LITERAL])
+def test_hierarchical_equals_reference_on_golden_models(golden, mode):
+    analyses = golden["analyses"] + _random_analyses(sorted(golden["stats"].terms), 37)
+    _assert_hierarchy_equals_reference(_hier_with_mode(golden["hier"], mode),
+                                       analyses + [EMPTY])
+
+
+def test_all_zero_contexts_score_uniform_groups(golden):
+    model = golden["hier"]
+    for per_feed in model.stage_models.values():
+        for sub in per_feed.values():
+            assert set(score_cosine(sub, EMPTY).scores.values()) == {0.0}
+    # each modelled context on a leaf's path gives it 1 / (its group count)
+    expected = dict.fromkeys(model.spec.leaves(), 1.0)
+    for key, grouping in model.spec.contexts().items():
+        if key in model.stage_models:
+            for leaf in grouping:
+                expected[leaf] *= 1.0 / len(set(grouping.values()))
+    assert classify_hierarchical(model, EMPTY).scores == expected
+    _assert_hierarchy_equals_reference(model, [EMPTY])
+
+
+def test_hierarchical_equals_reference_on_a_perfbench_corpus():
+    # the t1-plain workload's settings: T1, the CLI's default normalization
+    corpus = references.perfbench_corpus(7, 120, LabelKind.DIFFICULTY)
+    norm = load_config(None, task="T1").norm_config
+    analyses = {r.id: analyze(r, norm) for r in corpus}
+    stats = {feed: build_stats(corpus, corpus, analyses, feed)
+             for feed in (Feed.TITLE_ONLY, Feed.TITLE_AND_BODY)}
+    model = train_hierarchical(default_hierarchy("T1"), stats, 0.45)
+    _assert_hierarchy_equals_reference(model, analyses.values())
+
+
+@pytest.mark.parametrize("spec", list(SPECS))
+@pytest.mark.parametrize("mode", [STANDARD, LITERAL])
+def test_spec_file_hierarchy_equals_reference(tmp_path, spec, mode):
+    text, contexts, path_lengths = SPECS[spec]
+    spec_path = tmp_path / "hierarchy.tsv"
+    spec_path.write_text(text, encoding="utf-8")
+    models = tmp_path / "models"
+    config = json.loads((FIXTURES / "golden_config_t1.json").read_text(encoding="utf-8"))
+    config["cosine"]["denominator_mode"] = mode
+    config.update(hierarchy_spec=str(spec_path), train_xml=str(FIXTURES / "golden60.xml"),
+                  model_dir=str(models))
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["--config", str(config_path), "train"]) == 0
+    model = load_hierarchical(models / "cosine_hier.model")
+    assert {sub.denominator_mode for per_feed in model.stage_models.values()
+            for sub in per_feed.values()} == {mode}
+    assert sorted(model.stage_models) == contexts
+    assert {leaf: len(path) for leaf, path in model.paths.items()} == path_lengths
+    norm = load_config(FIXTURES / "golden_config_t1.json").norm_config
+    agglut = load_agglutination_model(models / "agglutination.txt")
+    analyses = [analyze(r, norm, agglut)
+                for r in load_corpus(FIXTURES / "golden60.xml", LabelKind.NONE)]
+    _assert_hierarchy_equals_reference(model, analyses + [EMPTY])
 
 
 # --------------------------------------------------------------------
