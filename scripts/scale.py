@@ -11,10 +11,11 @@ recipetext.cli` child process, so its wall time and peak RSS
 median of each and every sample, since single runs on a shared machine
 move by up to about 20%. After its timed runs, each command runs
 REPEATS times more with perfbench's tracer (perfbench/tracing.py)
-installed around `recipetext.cli.main` in the child; the median of
-each layer's self time (s) and counters over those runs goes under the
-command's "layers" (a layer a run does not report reads 0 there) and
-feeds no timed figure. The report's "layer_growth" gives each layer's
+installed around `recipetext.cli.main` in the child, with four more
+layers for the per-recipe work around the scorers (TRACED_CHILD); the
+median of each layer's self time (s) and counters over those runs goes
+under the command's "layers" (a layer a run does not report reads 0
+there) and feeds no timed figure. The report's "layer_growth" gives each layer's
 ratio per 4x in n, and
 "top_layers" the three layers with the most self time at the largest
 n. The result goes to BENCH_scale_<label>.json in --out-dir, with the
@@ -63,10 +64,26 @@ RUN_FILES = {"scores": ("scores_*.tsv",),
              "outputs": ("fused_*.tsv", "fusion_details.tsv", "ingredients.tsv")}
 COMPARED = ("boost.model", "svm.model", "manifest.json")
 # The traced run's child: argv is the output path, then the CLI's argv.
+# Besides perfbench's layers it times the per-recipe work that `classify`
+# does outside them, so cli.classify's self time is named. A wrapper
+# around the generator corpus.iter_recipes would time only its creation,
+# so that one is left out.
 TRACED_CHILD = """
 import json, sys
 import recipetext.cli
+import tracing
 from tracing import Tracer
+tracing.TRACED.extend([
+    ("textnorm", "analyze", "textnorm.analyze", None),
+    ("textnorm", "with_agglutination", "textnorm.with_agglutination", None),
+    ("features", "feed_counts", "features.feed_counts", None),
+    ("cli", "_save_score_tsv", "cli.save_score_tsv", None),
+])
+tracing.LAYER_METRICS.update({
+    "textnorm.analyze_s": "s", "textnorm.analyze_calls": "count",
+    "textnorm.with_agglutination_s": "s", "features.feed_counts_s": "s",
+    "cli.save_score_tsv.self_s": "s",
+})
 tracer = Tracer()
 tracer.install()
 code = recipetext.cli.main(sys.argv[2:])

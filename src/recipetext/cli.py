@@ -29,6 +29,7 @@ from .evaluation import (
 )
 from .features import (
     Feed,
+    LexiconStats,
     build_stats,
     feed_counts,
     load_stats,
@@ -321,8 +322,9 @@ def cmd_train(config: PipelineConfig) -> int:
         _check_class_boosts(flat, config.class_boosts_tsv)
         cosine_mod.save_cosine(flat, model_dir / "cosine_flat.model")
 
-    leaf_stats = {Feed.TITLE_AND_BODY: stats,
-                  Feed.TITLE_ONLY: build_stats(train, full, analyses, Feed.TITLE_ONLY)}
+    title_stats = build_stats(train, full, analyses, Feed.TITLE_ONLY)
+    save_stats(title_stats, model_dir / "stats_title.tsv")
+    leaf_stats = {Feed.TITLE_AND_BODY: stats, Feed.TITLE_ONLY: title_stats}
     hier = cosine_mod.train_hierarchical(config.hierarchy, leaf_stats, cosine.gini_threshold,
                                          cosine.denominator_mode)
     cosine_mod.save_hierarchical(hier, model_dir / "cosine_hier.model")
@@ -379,6 +381,26 @@ def _load_score_tsv(path: Path, method: str) -> list[ScoreVector]:
             for row in check_widths(rows, 1 + len(classes))]
 
 
+def _load_leaf_stats(model_dir: Path) -> dict[Feed, LexiconStats]:
+    """Each feed's leaf statistics (``stats.tsv``, ``stats_title.tsv``),
+    once each file holds its own feed and both describe one split."""
+    paths = {Feed.TITLE_AND_BODY: model_dir / "stats.tsv",
+             Feed.TITLE_ONLY: model_dir / "stats_title.tsv"}
+    leaf_stats = {}
+    for feed, path in paths.items():
+        stats = leaf_stats[feed] = load_stats(path)
+        if stats.feed is not feed:
+            raise ModelMismatchError(f"{path}: statistics of feed {stats.feed.value!r}, "
+                                     f"expected {feed.value!r}")
+    both, title = leaf_stats.values()
+    if ((both.corpus_size, both.train_size, both.classes, both.class_sizes)
+            != (title.corpus_size, title.train_size, title.classes, title.class_sizes)):
+        raise ModelMismatchError(f"{paths[Feed.TITLE_ONLY]}: corpus size, training size, "
+                                 f"classes or class sizes differ from "
+                                 f"{paths[Feed.TITLE_AND_BODY]}")
+    return leaf_stats
+
+
 def cmd_classify(config: PipelineConfig) -> int:
     if config.task == "T4":
         raise ConfigError("classify applies to tasks T1 and T2; use extract for T4")
@@ -399,13 +421,14 @@ def cmd_classify(config: PipelineConfig) -> int:
     lexicon = None
     if "lexicon.tsv" in manifest["files"]:
         lexicon = extraction_mod.load_lexicon(model_dir / "lexicon.tsv")
-    stats = load_stats(model_dir / "stats.tsv")
+    leaf_stats = _load_leaf_stats(model_dir)
+    stats = leaf_stats[Feed.TITLE_AND_BODY]
     methods = TASK_METHODS[config.task]
     boost_model = boost_mod.load_boost(model_dir / "boost.model")
     if not boost_mod.reads_ingredients(boost_model):
         lexicon = None  # the items would change no score: extract none
     svm_model = svm_mod.load_ovo(model_dir / "svm.model")
-    hier_model = cosine_mod.load_hierarchical(model_dir / "cosine_hier.model")
+    hier_model = cosine_mod.load_hierarchical(model_dir / "cosine_hier.model", leaf_stats)
     loaded = {"svm.model": svm_model.classes, "stats.tsv": stats.classes,
               "cosine_hier.model": hier_model.spec.leaves()}
     flat_model = None

@@ -49,21 +49,13 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import repeat
 from pathlib import Path
 
 from .errors import ConfigError, DataError, ModelMismatchError, check_types, is_number
-from .features import (
-    Feed,
-    LexiconStats,
-    TermCounts,
-    feed_counts,
-    group_stats,
-    stats_from_rows,
-    stats_lines,
-)
+from .features import Feed, LexiconStats, TermCounts, feed_counts, group_stats
 from .fusion import normalized
 from .scores import ScoreVector
 from .summation import ordered_sum
@@ -362,9 +354,12 @@ def classify_hierarchical(model: HierarchicalCosineModel, analysis: Analysis,
 
 # --------------------------------------------------------------------
 # Serialization. A model's table is a pure function of its statistics,
-# so model files store the stats, the few scalars and the boosts, and
-# the table is rebuilt after loading, which keeps the files small and
-# diffable.
+# and each hierarchical context's statistics of the leaf statistics, so
+# model files store only the few scalars, the classes and boosts or the
+# stages. The loaders rebuild the rest from the statistics they are
+# given (``stats.tsv`` and ``stats_title.tsv``), which keeps the files
+# small and diffable and leaves no second copy of the statistics to
+# disagree with the first.
 # --------------------------------------------------------------------
 
 _SCALAR_WIDTHS = {"#threshold": 2, "#mode": 2, "#method_id": 2}
@@ -412,57 +407,26 @@ def save_hierarchical(model: HierarchicalCosineModel, path: str | Path) -> None:
     mode = first[Feed.TITLE_ONLY].denominator_mode if first else STANDARD
     lines = _scalar_lines("#cosine_hier\tv1", threshold, mode, model.method_id)
     lines += ["\t".join(["#stage"] + _stage_cells(stage)) for stage in model.spec.stages]
-    for (stage_idx, context) in sorted(model.stage_models):
-        per_feed = model.stage_models[(stage_idx, context)]
-        for feed in (Feed.TITLE_ONLY, Feed.TITLE_AND_BODY):
-            sub = per_feed[feed]
-            lines.append("#begin_context\t" + "\t".join(
-                [str(stage_idx), context, feed.value, ",".join(sub.classes)]))
-            lines.extend(stats_lines(sub.stats))
-            lines.append("#end_context")
     write_lines(path, lines)
 
 
-def load_hierarchical(path: str | Path) -> HierarchicalCosineModel:
-    outer: list[Row] = []                       # the rows outside the stats blocks
-    contexts: list[tuple[Row, list[Row]]] = []  # (#begin_context row, its stats rows)
-    block = None
-    for row in read_rows(path, "#cosine_hier\tv1"):
-        if row[0] == "#begin_context":
-            block = []
-            contexts.append((row, block))
-        elif row[0] == "#end_context":
-            block = None
-        elif block is not None:
-            block.append(row)
-            continue
-        outer.append(row)
-    check_widths(outer, {**_SCALAR_WIDTHS, "#stage": None, "#begin_context": 5,
-                         "#end_context": 1})
-    header, _ = Header.split([row for row in outer if row[0] in _SCALAR_WIDTHS], path,
-                             _SCALAR_WIDTHS)
-    stages = [_parse_stage(row) for row in outer if row[0] == "#stage"]
+def load_hierarchical(path: str | Path,
+                      leaf_stats: Mapping[Feed, LexiconStats]) -> HierarchicalCosineModel:
+    """The model fitted by ``train_hierarchical`` from the file's stages
+    and scalars and from each feed's leaf statistics, so a context is
+    built by the same code at load as at fit."""
+    rows = read_rows(path, "#cosine_hier\tv1")
+    # a #stage line holds alpha and one cell per leaf class
+    check_widths(rows, {**_SCALAR_WIDTHS,
+                        "#stage": 2 + len(leaf_stats[Feed.TITLE_AND_BODY].classes)})
+    header, _ = Header.split([row for row in rows if row[0] != "#stage"], path, _SCALAR_WIDTHS)
+    stages = [_parse_stage(row) for row in rows if row[0] == "#stage"]
     threshold, mode, method_id = _scalars(header)
     try:
-        spec = HierarchySpec(tuple(stages))
-    except ConfigError as exc:
-        raise ModelMismatchError(f"{path}: #stage lines: {exc}") from None
-    expected = {key: groups for key, grouping in spec.contexts().items()
-                if len(groups := sorted(set(grouping.values()))) > 1}
-    stage_models: dict[tuple[int, str], dict[Feed, CosineModel]] = {}
-    for begin, rows in contexts:
-        stats = stats_from_rows(rows, f"{path}:{begin.lineno}")
-        rows.clear()  # the parsed rows are not held while the next block is parsed
-        key, classes = (begin.int(1), begin[2]), begin[4].split(",")
-        if classes != expected.get(key) or stats.classes != classes:
-            raise begin.fail(f"context classes {classes} do not match the #stage "
-                             f"groups {expected.get(key)}")
-        begin.put(stage_models.setdefault(key, {}), begin.parse(3, Feed),
-                  CosineModel(stats, classes, threshold, mode, method_id))
-    missing = [key for key in expected if len(stage_models.get(key, ())) < 2]
-    if missing:
-        raise ModelMismatchError(f"{path}: no title and title_body models for {missing}")
-    return HierarchicalCosineModel(spec, stage_models, method_id)
+        model = train_hierarchical(HierarchySpec(tuple(stages)), leaf_stats, threshold, mode)
+    except (ConfigError, DataError) as exc:
+        raise ModelMismatchError(f"{path}: {exc}") from None
+    return replace(model, method_id=method_id)
 
 
 # --------------------------------------------------------------------

@@ -22,7 +22,7 @@ from pathlib import Path
 from .corpus import Corpus
 from .errors import ConfigError, DataError, ModelMismatchError
 from .textnorm import Analysis
-from .tsv import Header, Row, check_widths, read_rows, write_lines
+from .tsv import Header, check_widths, read_rows, write_lines
 
 SparseVector = dict[str, float]
 
@@ -206,8 +206,8 @@ def numeric_features(analysis: Analysis, ingredients: list) -> dict[str, float]:
     return dict(zip(NUMERIC_FIELDS, map(float, counts)))
 
 
-def stats_lines(stats: LexiconStats) -> list[str]:
-    """The statistics table as diff-friendly TSV lines."""
+def save_stats(stats: LexiconStats, path: str | Path) -> None:
+    """Write the statistics as diff-friendly TSV lines (see ``load_stats``)."""
     lines = [
         "#lexstats\tv1",
         f"#corpus_size\t{stats.corpus_size}",
@@ -219,7 +219,7 @@ def stats_lines(stats: LexiconStats) -> list[str]:
     ]
     lines += map("\t".join, zip(stats.terms, *[map(str, column) for column in
                                               (stats.df, stats.df_train, *stats.df_class)]))
-    return lines
+    write_lines(path, lines)
 
 
 def _well_formed(terms: list[str], columns: list[list[int]]) -> bool:
@@ -231,13 +231,13 @@ def _well_formed(terms: list[str], columns: list[list[int]]) -> bool:
             and all(all(map(le, column, df_train)) for column in df_class))
 
 
-def stats_from_rows(rows: list[Row], where) -> LexiconStats:
-    """The statistics in the rows of a stats_lines table, its magic line
-    first; ``where`` names the table in errors. All rows are checked at
+def load_stats(path: str | Path) -> LexiconStats:
+    """The statistics in a ``save_stats`` file. All rows are checked at
     once; only a failure goes row by row, to name the first bad one."""
+    rows = read_rows(path)
     if not rows or rows[0] != ["#lexstats", "v1"]:
-        raise ModelMismatchError(f"{where}: not a v1 lexstats table")
-    header, body = Header.split(rows[1:], where, {
+        raise ModelMismatchError(f"{path}: not a v1 lexstats table")
+    header, body = Header.split(rows[1:], path, {
         "#corpus_size": 2, "#train_size": 2, "#classes": 2, "#class_sizes": 2, "#feed": 2,
         "#columns": None})
     classes = header["classes"][1].split(",")
@@ -278,14 +278,6 @@ def stats_from_rows(rows: list[Row], where) -> LexiconStats:
     )
 
 
-def save_stats(stats: LexiconStats, path: str | Path) -> None:
-    write_lines(path, stats_lines(stats))
-
-
-def load_stats(path: str | Path) -> LexiconStats:
-    return stats_from_rows(read_rows(path), path)
-
-
 __all__ = [
     "Feed",
     "LexiconStats",
@@ -301,7 +293,5 @@ __all__ = [
     "mutual_information_select",
     "numeric_features",
     "save_stats",
-    "stats_from_rows",
-    "stats_lines",
     "tfidf_vector",
 ]

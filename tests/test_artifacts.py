@@ -19,11 +19,12 @@ import pytest
 from recipetext import boost, cosine, extraction, features, svm
 from recipetext.cli import _load_label_run, main
 from recipetext.errors import DataError, ModelMismatchError
+from recipetext.features import Feed
 from recipetext.evaluation import load_qrels
 
 FIXTURES = Path(__file__).parent / "fixtures"
-ARTIFACTS = ("agglutination.txt", "boost.model", "cosine_flat.model",
-             "cosine_hier.model", "lexicon.tsv", "stats.tsv", "svm.model")
+ARTIFACTS = ("agglutination.txt", "boost.model", "cosine_flat.model", "cosine_hier.model",
+             "lexicon.tsv", "stats.tsv", "stats_title.tsv", "svm.model")
 
 
 def _is_number(cell):
@@ -117,7 +118,13 @@ def _faulted_text(models, name, fault):
     return None if text == original else text
 
 
-PAIRS = [(fault, name) for fault in FAULTS for name in ARTIFACTS]
+# cosine_hier.model holds header lines only: no #classes line, data row
+# or count for these faults to edit. They edit the statistics it is
+# built from in stats.tsv and stats_title.tsv.
+NO_TARGET = {(fault, "cosine_hier.model") for fault in ("drop_classes", "duplicate_row",
+                                                        "flip_count")}
+PAIRS = [(fault, name) for fault in FAULTS for name in ARTIFACTS
+         if (fault, name) not in NO_TARGET]
 
 
 def _assert_classify_refuses(model_dir, tmp_path, capsys, name, *argv):
@@ -147,9 +154,12 @@ def _load(path, models):
         "boost.model": boost.load_boost,
         "cosine_flat.model": lambda p: cosine.load_cosine(
             p, features.load_stats(models / "stats.tsv")),
-        "cosine_hier.model": cosine.load_hierarchical,
+        "cosine_hier.model": lambda p: cosine.load_hierarchical(p, {
+            Feed.TITLE_AND_BODY: features.load_stats(models / "stats.tsv"),
+            Feed.TITLE_ONLY: features.load_stats(models / "stats_title.tsv")}),
         "lexicon.tsv": extraction.load_lexicon,
         "stats.tsv": features.load_stats,
+        "stats_title.tsv": features.load_stats,
         "svm.model": svm.load_ovo,
     }
     return loaders[path.name](path)
@@ -184,10 +194,15 @@ def _replace_prefix(prefix, new):
     return edit
 
 
-def _drop_last_context(lines):
-    start = _last(lines, lambda line: line.startswith("#begin_context\t"))
-    end = lines.index("#end_context", start)
-    return lines[:start] + lines[end + 1:]
+def _drop_last_stage(lines):
+    return lines[:_last(lines, lambda line: line.startswith("#stage\t"))]
+
+
+def _rename_leaf(lines):
+    """Entree becomes Starter on every #stage line: a well-formed
+    hierarchy whose leaves are not the statistics' classes."""
+    return [line.replace("Entree", "Starter") if line.startswith("#stage\t") else line
+            for line in lines]
 
 
 # Well-formed models whose parts disagree with each other, lie out of
@@ -199,18 +214,14 @@ INCONSISTENT = {
     "boost_numeric_round_text_field": ("boost.model", _replace_prefix("numeric\tbody_words\t",
                                                                       "numeric\ttitle\t")),
     "boost_field_line": ("boost.model", _replace_line("#field\tbody\t", "#field\tbody\t3")),
-    "swapped_stage_groups": ("cosine_hier.model", _replace_line(
-        "#stage\t", "#stage\talpha=0.5\tDessert=AUTRE\tEntree=DESSERT\tPlatPrincipal=AUTRE")),
     "final_stage_not_leaves": ("cosine_hier.model", _replace_line(
         "#stage\talpha=0.5\tDessert=Dessert",
         "#stage\talpha=0.5\tDessert=Dessert\tEntree=PlatPrincipal\tPlatPrincipal=PlatPrincipal")),
     "stage_missing_leaf": ("cosine_hier.model", _replace_line(
         "#stage\talpha=0.5\tDessert=Dessert",
         "#stage\talpha=0.5\tDessert=Dessert\tEntree=Entree")),
-    "context_classes": ("cosine_hier.model", _replace_line(
-        "#begin_context\t0\t__root__\ttitle\t",
-        "#begin_context\t0\t__root__\ttitle\tAUTRE,DESSERT,Entree")),
-    "missing_context": ("cosine_hier.model", _drop_last_context),
+    "context_classes": ("cosine_hier.model", _rename_leaf),
+    "missing_context": ("cosine_hier.model", _drop_last_stage),
     "hier_threshold_above_one": ("cosine_hier.model", _replace_line("#threshold\t",
                                                                     "#threshold\t1.5")),
     "flat_threshold_negative": ("cosine_flat.model", _replace_line("#threshold\t",
@@ -238,6 +249,44 @@ def test_classify_rejects_inconsistent_cosine_model(models, tmp_path, capsys, ca
     faulted = _rehashed_copy(models, tmp_path, name, edit)
     with pytest.raises(ModelMismatchError, match=re.escape(str(faulted / name))):
         _load(faulted / name, models)
+    _assert_classify_refuses(faulted, tmp_path, capsys, name)
+
+
+def test_classify_rejects_swapped_stage_groups_by_the_manifest_hash(models, tmp_path, capsys):
+    # swapped groups still form a hierarchy of the same leaves, so the
+    # model loads (as another model): only the manifest's sha256 sees it
+    faulted = tmp_path / "models"
+    shutil.copytree(models, faulted)
+    path = faulted / "cosine_hier.model"
+    edit = _replace_line("#stage\t",
+                         "#stage\talpha=0.5\tDessert=AUTRE\tEntree=DESSERT\tPlatPrincipal=AUTRE")
+    lines = edit(path.read_text(encoding="utf-8").splitlines())
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    assert _load(path, models).spec != _load(models / path.name, models).spec
+    _assert_classify_refuses(faulted, tmp_path, capsys, path.name)
+
+
+# Well-formed statistics of the wrong feed, or of another split than the
+# other statistics file: only classify, which reads both, can catch them.
+SPLIT_FAULTS = {
+    "stats_feed_title": ("stats.tsv", _replace_line("#feed\t", "#feed\ttitle")),
+    "stats_title_feed_title_body": ("stats_title.tsv", _replace_line(
+        "#feed\t", "#feed\ttitle_body")),
+    "stats_title_corpus_size": ("stats_title.tsv", _replace_line("#corpus_size\t",
+                                                                 "#corpus_size\t61")),
+    "stats_train_size": ("stats.tsv", _replace_line("#train_size\t", "#train_size\t44")),
+    "stats_title_classes": ("stats_title.tsv", _replace_prefix("#classes\tDessert",
+                                                               "#classes\tDesserts")),
+    "stats_title_class_sizes": ("stats_title.tsv", _replace_line("#class_sizes\t",
+                                                                 "#class_sizes\t16,14,15")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SPLIT_FAULTS))
+def test_classify_rejects_statistics_of_another_feed_or_split(models, tmp_path, capsys, case):
+    name, edit = SPLIT_FAULTS[case]
+    faulted = _rehashed_copy(models, tmp_path, name, edit)
+    features.load_stats(faulted / name)  # well formed on its own
     _assert_classify_refuses(faulted, tmp_path, capsys, name)
 
 

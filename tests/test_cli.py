@@ -54,7 +54,7 @@ class TestTrain:
         tmp, _ = pipeline
         names = {p.name for p in (tmp / "models").iterdir()}
         assert {"boost.model", "svm.model", "cosine_flat.model", "cosine_hier.model",
-                "stats.tsv", "lexicon.tsv", "agglutination.txt",
+                "stats.tsv", "stats_title.tsv", "lexicon.tsv", "agglutination.txt",
                 "manifest.json"} <= names
 
     def test_manifest_contents(self, pipeline):

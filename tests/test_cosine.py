@@ -260,11 +260,12 @@ class TestHierarchy:
     def test_hierarchical_roundtrip(self, tmp_path, mini6_dish, analyze_all):
         spec = default_hierarchy("T2")
         config = NormConfig()
-        model = train_hierarchical(spec, _leaf_stats(mini6_dish, analyze_all(mini6_dish, config)),
-                                   0.3)
+        leaf_stats = _leaf_stats(mini6_dish, analyze_all(mini6_dish, config))
+        model = train_hierarchical(spec, leaf_stats, 0.3)
         path = tmp_path / "hier.model"
         save_hierarchical(model, path)
-        reloaded = load_hierarchical(path)
+        reloaded = load_hierarchical(path, leaf_stats)
+        assert reloaded.stage_models == model.stage_models
         for recipe in mini6_dish:
             analysis = analyze(recipe, config)
             assert (classify_hierarchical(model, analysis).scores

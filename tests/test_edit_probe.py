@@ -2,7 +2,7 @@
 reads the edited file.
 
 A fixed-seed stream of edits (delete, duplicate or swap a line; replace,
-insert or drop a cell; truncate the file) hits the seven model files
+insert or drop a cell; truncate the file) hits the eight model files
 (manifest re-hashed, then ``classify``), the four score files
 (``fuse``), the test XML (``classify``) and ``run2.tsv``
 (``evaluate``). Many edits leave a legal file (swapped rows outside
@@ -28,7 +28,7 @@ from recipetext.rng import SplitMix64
 
 FIXTURES = Path(__file__).parent / "fixtures"
 MODEL_FILES = ("agglutination.txt", "boost.model", "cosine_flat.model", "cosine_hier.model",
-               "lexicon.tsv", "stats.tsv", "svm.model")
+               "lexicon.tsv", "stats.tsv", "stats_title.tsv", "svm.model")
 SCORE_FILES = tuple(f"scores_{m}.tsv" for m in ("boost", "cosine_flat", "cosine_hier", "svm"))
 TARGETS = MODEL_FILES + SCORE_FILES + ("test.xml", "run2.tsv")
 SEED = 1
@@ -159,11 +159,10 @@ REFUSED = {
     "stats_negative_class_count": ("stats.tsv", _change_line(
         _first(data=True), lambda line: line.rsplit("\t", 1)[0] + "\t-1")),
     "stats_extra_cell": ("stats.tsv", _change_line(_first(data=True), lambda line: line + "\t1")),
-    "hier_stats_extra_cell": ("cosine_hier.model", _change_line(
-        lambda lines: lines.index("#end_context") - 1, lambda line: line + "\t1")),
+    "hier_stats_extra_cell": ("stats_title.tsv", _change_line(
+        lambda lines: len(lines) - 1, lambda line: line + "\t1")),
     "stats_rows_swapped": ("stats.tsv", _swap_next(_first(data=True))),
-    "hier_stats_rows_swapped": ("cosine_hier.model", _swap_next(
-        lambda lines: _first("#columns\t")(lines) + 1)),
+    "hier_stats_rows_swapped": ("stats_title.tsv", _swap_next(_first(data=True))),
     "svm_weight_outside_filter": ("svm.model", _change_line(
         _first("w\tajouter\t"), lambda line: line.replace("ajouter", "zzzz"))),
     "lexicon_empty_entry": ("lexicon.tsv", lambda lines: lines + ["entry\t"]),

@@ -5,7 +5,9 @@
 feed through per-model term tables, ``classify_hierarchical`` scores
 its contexts as lists along leaf paths built once per model, and
 ``with_agglutination`` merges the joined stream once. Each must give exactly (``==``, not approx)
-what the plain computation in ``references.py`` gives.
+what the plain computation in ``references.py`` gives. A loaded
+hierarchical model must equal the one ``train`` fitted, so the checks
+on loaded models hold for the fitted ones.
 """
 
 from __future__ import annotations
@@ -18,8 +20,9 @@ from pathlib import Path
 import pytest
 
 import references
+from recipetext import cosine
 from recipetext.cli import load_config, main
-from recipetext.corpus import Corpus, DishType, LabelKind, Recipe, load_corpus
+from recipetext.corpus import Corpus, DishType, LabelKind, Recipe, load_corpus, save_corpus
 from recipetext.cosine import (
     LITERAL,
     STANDARD,
@@ -50,6 +53,13 @@ from recipetext.textnorm import (
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
+def _load_hier(models: Path) -> HierarchicalCosineModel:
+    """A model directory's hierarchical model, built from its statistics."""
+    return load_hierarchical(models / "cosine_hier.model", {
+        Feed.TITLE_AND_BODY: load_stats(models / "stats.tsv"),
+        Feed.TITLE_ONLY: load_stats(models / "stats_title.tsv")})
+
+
 @pytest.fixture(scope="module", params=["T1", "T2"])
 def golden(request, tmp_path_factory):
     """A golden60 model directory trained with the task's golden config,
@@ -66,7 +76,7 @@ def golden(request, tmp_path_factory):
     if norm.agglutinate:
         agglut = load_agglutination_model(models / "agglutination.txt")
     stats = load_stats(models / "stats.tsv")
-    hier = load_hierarchical(models / "cosine_hier.model")
+    hier = _load_hier(models)
     cosine_models = [m for per_feed in hier.stage_models.values() for m in per_feed.values()]
     if task == "T2":
         cosine_models.append(load_cosine(models / "cosine_flat.model", stats))
@@ -99,7 +109,7 @@ def _with_mode(model: CosineModel, mode: str) -> CosineModel:
 # --------------------------------------------------------------------
 
 def test_gini_and_idf_equal_reference(golden):
-    # stats.tsv and every cosine_hier.model block
+    # stats.tsv and the statistics of every hierarchical context and feed
     for stats in [golden["stats"]] + [m.stats for m in golden["cosine"]]:
         assert (stats.gini, stats.idf) == references.gini_and_idf(stats)
 
@@ -235,7 +245,7 @@ def test_spec_file_hierarchy_equals_reference(tmp_path, spec, mode):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(config), encoding="utf-8")
     assert main(["--config", str(config_path), "train"]) == 0
-    model = load_hierarchical(models / "cosine_hier.model")
+    model = _load_hier(models)
     assert {sub.denominator_mode for per_feed in model.stage_models.values()
             for sub in per_feed.values()} == {mode}
     assert sorted(model.stage_models) == contexts
@@ -245,6 +255,44 @@ def test_spec_file_hierarchy_equals_reference(tmp_path, spec, mode):
     analyses = [analyze(r, norm, agglut)
                 for r in load_corpus(FIXTURES / "golden60.xml", LabelKind.NONE)]
     _assert_hierarchy_equals_reference(model, analyses + [EMPTY])
+
+
+def _training(case: str, tmp_path: Path) -> list[str]:
+    """The arguments of ``train`` for each case of the loaded-equals-fitted test."""
+    config = json.loads((FIXTURES / f"golden_config_{case[:2].lower()}.json")
+                        .read_text(encoding="utf-8"))
+    corpus = FIXTURES / "golden60.xml"
+    if case == "T1-spec":
+        spec_path = tmp_path / "hierarchy.tsv"
+        spec_path.write_text(SPECS["three_stages"][0], encoding="utf-8")
+        config["hierarchy_spec"] = str(spec_path)
+    elif case == "T2-perfbench":
+        corpus = tmp_path / "train.xml"
+        save_corpus(references.perfbench_corpus(7, 150, LabelKind.DISH_TYPE), corpus)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    return ["--config", str(config_path), "--train-xml", str(corpus),
+            "--model-dir", str(tmp_path / "models"), "train"]
+
+
+@pytest.mark.parametrize("case", ["T1", "T2", "T1-spec", "T2-perfbench"])
+def test_loaded_hierarchy_equals_the_fitted_one(tmp_path, monkeypatch, case):
+    fitted = []
+    fit = cosine.train_hierarchical
+    with monkeypatch.context() as patch:
+        patch.setattr(cosine, "train_hierarchical",
+                      lambda *args: fitted.append(fit(*args)) or fitted[-1])
+        assert main(_training(case, tmp_path)) == 0
+    [model] = fitted
+    loaded = _load_hier(tmp_path / "models")
+    assert (loaded.spec, loaded.method_id) == (model.spec, model.method_id)
+    assert list(loaded.stage_models) == list(model.stage_models)
+    for key, per_feed in model.stage_models.items():
+        assert list(loaded.stage_models[key]) == list(per_feed)
+        for feed, sub in per_feed.items():
+            # the dataclass fields (stats, classes, threshold, mode...) and the table
+            assert loaded.stage_models[key][feed] == sub
+            assert loaded.stage_models[key][feed].terms == sub.terms
 
 
 # --------------------------------------------------------------------
