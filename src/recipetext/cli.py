@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -219,6 +220,17 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _norm_settings(norm: NormConfig) -> dict:
+    """The normalization a model directory is trained with, as its
+    manifest records it: every ``NormConfig`` option, and the sha256 of
+    the abbreviation table's sorted ``short<TAB>long`` lines."""
+    settings = {f.name: getattr(norm, f.name) for f in fields(NormConfig)
+                if f.name != "abbrev_table"}
+    table = "".join(f"{short}\t{long}\n" for short, long in sorted(norm.abbrev_table.items()))
+    settings["abbrev_table_sha256"] = hashlib.sha256(table.encode("utf-8")).hexdigest()
+    return settings
+
+
 def _write_manifest(model_dir: Path, payload: dict) -> None:
     files = {}
     for child in sorted(model_dir.iterdir()):
@@ -239,19 +251,6 @@ def _analyze_corpus(corpus: Corpus, norm: NormConfig):
         return analyses, None
     agglut = fit_agglutinator(analyses, norm)
     return {rid: with_agglutination(a, norm, agglut) for rid, a in analyses.items()}, agglut
-
-
-def _check_class_boosts(flat: cosine_mod.CosineModel, path: str | None) -> None:
-    """Every class boost must name a training class and a term the flat
-    model keeps (its G reaches the threshold); any other boost would
-    change no score."""
-    for term, cls in flat.class_boosts:
-        if cls not in flat.classes:
-            raise DataError(f"{path}: boost ({term!r}, {cls!r}) names no training class "
-                            f"(classes: {flat.classes})")
-        if flat.stats.gini.get(term, -1.0) < flat.gini_threshold:
-            raise DataError(f"{path}: boost ({term!r}, {cls!r}) names a term outside the "
-                            f"flat model's Gini-kept vocabulary")
 
 
 def _boost_features(analysis: Analysis, lexicon, norm: NormConfig, agglut,
@@ -289,7 +288,7 @@ def cmd_train(config: PipelineConfig) -> int:
         lexicon = extraction_mod.build_lexicon(full, analyses, norm)
         extraction_mod.save_lexicon(lexicon, model_dir / "lexicon.tsv")
         _write_manifest(model_dir, {
-            "task": config.task, "seed": config.seed,
+            "task": config.task, "seed": config.seed, "norm": _norm_settings(norm),
             "train_size": len(full), "dev_size": 0,
         })
         print(f"trained T4 lexicon on {len(full)} recipes -> {model_dir}")
@@ -316,10 +315,11 @@ def cmd_train(config: PipelineConfig) -> int:
     svm_mod.save_ovo(svm_model, model_dir / "svm.model")
 
     if config.task == "T2":
-        flat = cosine_mod.train_cosine(stats, cosine.gini_threshold, cosine.denominator_mode,
-                                       class_boosts=config.class_boosts,
-                                       method_id="cosine_flat")
-        _check_class_boosts(flat, config.class_boosts_tsv)
+        try:
+            flat = cosine_mod.train_cosine(stats, cosine.gini_threshold,
+                                           cosine.denominator_mode, config.class_boosts)
+        except DataError as exc:
+            raise DataError(f"{config.class_boosts_tsv}: {exc}") from None
         cosine_mod.save_cosine(flat, model_dir / "cosine_flat.model")
 
     title_stats = build_stats(train, full, analyses, Feed.TITLE_ONLY)
@@ -330,7 +330,7 @@ def cmd_train(config: PipelineConfig) -> int:
     cosine_mod.save_hierarchical(hier, model_dir / "cosine_hier.model")
 
     _write_manifest(model_dir, {
-        "task": config.task, "seed": config.seed,
+        "task": config.task, "seed": config.seed, "norm": _norm_settings(norm),
         "train_size": len(train), "dev_size": len(dev),
         "boost_rounds": len(boost_model.rounds),
         "classes": stats.classes,
@@ -344,15 +344,22 @@ def cmd_train(config: PipelineConfig) -> int:
 # classify
 # --------------------------------------------------------------------
 
-def _verified_manifest(model_dir: Path) -> dict:
-    """The model directory's manifest, once every file it lists is
-    present and matches its recorded sha256."""
+def _verified_manifest(model_dir: Path, norm: NormConfig) -> dict:
+    """The model directory's manifest, once it records ``norm``'s settings
+    and every file it lists is present and matches its recorded sha256."""
     path = model_dir / "manifest.json"
     try:
         manifest = json.loads(path.read_text(encoding="utf-8"))
         files = manifest["files"].items()
     except (OSError, ValueError, LookupError, TypeError, AttributeError) as exc:
         raise ModelMismatchError(f"{path}: unreadable manifest ({exc!r})") from exc
+    recorded, expected = manifest.get("norm"), _norm_settings(norm)
+    if type(recorded) is not dict:
+        raise ModelMismatchError(f"{path}: no norm block (the models' normalization)")
+    for key in sorted(recorded.keys() | expected.keys()):
+        if recorded.get(key) != expected.get(key):
+            raise ModelMismatchError(f"{path}: norm.{key} is {recorded.get(key)!r} in the "
+                                     f"models, {expected.get(key)!r} in the config")
     for name, digest in files:
         if not (model_dir / name).is_file():
             raise ModelMismatchError(f"{model_dir / name} is listed in {path} but missing")
@@ -406,18 +413,15 @@ def cmd_classify(config: PipelineConfig) -> int:
         raise ConfigError("classify applies to tasks T1 and T2; use extract for T4")
     test_path = _require_file(config.test_xml, "test corpus")
     model_dir = Path(config.model_dir)
-    manifest = _verified_manifest(model_dir)
+    norm = config.norm_config
+    manifest = _verified_manifest(model_dir, norm)
     if manifest.get("task") != config.task:
         raise ModelMismatchError(
             f"{model_dir} holds models trained for task {manifest.get('task')!r}, "
             f"config asks for {config.task!r}")
-    norm = config.norm_config
     agglut = None
     if norm.agglutinate:
         agglut = load_agglutination_model(model_dir / "agglutination.txt")
-    elif "agglutination.txt" in manifest["files"]:
-        raise ModelMismatchError(f"{model_dir / 'agglutination.txt'}: the models were "
-                                 "trained with norm.agglutinate, the config turns it off")
     lexicon = None
     if "lexicon.tsv" in manifest["files"]:
         lexicon = extraction_mod.load_lexicon(model_dir / "lexicon.tsv")
@@ -429,15 +433,12 @@ def cmd_classify(config: PipelineConfig) -> int:
         lexicon = None  # the items would change no score: extract none
     svm_model = svm_mod.load_ovo(model_dir / "svm.model")
     hier_model = cosine_mod.load_hierarchical(model_dir / "cosine_hier.model", leaf_stats)
-    loaded = {"svm.model": svm_model.classes, "stats.tsv": stats.classes,
-              "cosine_hier.model": hier_model.spec.leaves()}
     flat_model = None
     if "cosine_flat" in methods:
         flat_model = cosine_mod.load_cosine(model_dir / "cosine_flat.model", stats)
-        loaded["cosine_flat.model"] = flat_model.classes
     # every method scores the classes of boost.model, or nothing is scored
     classes = sorted(boost_model.classes)
-    for name, model_classes in loaded.items():
+    for name, model_classes in (("svm.model", svm_model.classes), ("stats.tsv", stats.classes)):
         if sorted(model_classes) != classes:
             raise ModelMismatchError(f"{model_dir / name}: classes {sorted(model_classes)} "
                                      f"differ from {classes} in boost.model")
@@ -533,11 +534,11 @@ def cmd_fuse(config: PipelineConfig, runs_preset: str | None) -> int:
 def cmd_extract(config: PipelineConfig) -> int:
     test_path = _require_file(config.test_xml, "test corpus")
     model_dir = Path(config.model_dir)
-    _verified_manifest(model_dir)
-    # every task's model directory carries the lexicon, the only file read
-    lexicon = extraction_mod.load_lexicon(model_dir / "lexicon.tsv")
     # extraction reads only the plain view
     norm = config.norm_config
+    _verified_manifest(model_dir, norm)
+    # every task's model directory carries the lexicon, the only file read
+    lexicon = extraction_mod.load_lexicon(model_dir / "lexicon.tsv")
     run_dir = Path(config.run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     test = load_corpus(test_path, LabelKind.NONE)
@@ -583,8 +584,8 @@ def cmd_evaluate(config: PipelineConfig, run_file: str, qrels_file: str | None,
 
 def cmd_sweep(config: PipelineConfig, param: str, start: float, stop: float,
               step: float) -> int:
-    if step <= 0:
-        raise ConfigError("sweep step must be > 0")
+    if not (all(map(math.isfinite, (start, stop, step))) and step > 0 and start <= stop):
+        raise ConfigError(f"sweep needs finite start <= stop, step > 0: {start}, {stop}, {step}")
     values = []
     v = start
     while v <= stop + 1e-12:

@@ -49,9 +49,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import repeat
 from pathlib import Path
 
 from .errors import ConfigError, DataError, ModelMismatchError, check_types, is_number
@@ -89,58 +88,58 @@ class CosineConfig:
 
 @dataclass
 class CosineModel:
-    stats: LexiconStats
-    classes: list[str]  # sorted, once each, on construction
+    stats: LexiconStats  # its classes, in their sorted order, are the model's
     gini_threshold: float
     denominator_mode: str = STANDARD
-    method_id: str = "cosine"
     # fictitious df_c counts added for chosen (term, class) pairs
     class_boosts: dict[tuple[str, str], int] = field(default_factory=dict)
 
-    def __post_init__(self):
-        self.classes = sorted(set(self.classes))
-
     @cached_property
     def terms(self) -> dict[str, tuple[float, ...]]:
-        """Gini-kept term -> (idf, G, w_c of each class in ``classes``
-        order; a zero w_c is the shared 0.0, which keeps the zeros'
-        memory small). Built on first use: ``train`` writes the model
-        from its statistics and never scores it."""
+        """Gini-kept term -> (idf, G, w_c of each class in
+        ``stats.classes`` order; a zero w_c is the shared 0.0, which
+        keeps the zeros' memory small). Built on first use: ``train``
+        writes the model from its statistics and never scores it."""
         stats, boosts = self.stats, self.class_boosts
-        by_class = dict(zip(stats.classes, stats.df_class))
-        # a class the statistics never saw has df_c 0 throughout
-        columns = [by_class.get(cls, repeat(0)) for cls in self.classes]
         table = {}
-        for term, *df_class in zip(stats.terms, *columns):
+        for term, *df_class in zip(stats.terms, *stats.df_class):
             g = stats.gini.get(term, -1.0)  # -1.0: unseen in training
             if g < self.gini_threshold:
                 continue
             idf_t = stats.idf[term]
             table[term] = (idf_t, g, *[
                 (df_c + boosts.get((term, cls), 0)) * idf_t * g or 0.0
-                for df_c, cls in zip(df_class, self.classes)])
+                for df_c, cls in zip(df_class, stats.classes)])
         return table
 
     @cached_property
     def class_norms(self) -> dict[str, float]:
-        """||v_c|| per class, in ``classes`` order."""
+        """||v_c|| per class, in ``stats.classes`` order."""
         table = self.terms
         return {cls: math.sqrt(ordered_sum(entry[col] * entry[col] for entry in table.values()))
-                for col, cls in enumerate(self.classes, 2)}
+                for col, cls in enumerate(self.stats.classes, 2)}
 
 
 def train_cosine(stats: LexiconStats, gini_threshold: float, mode: str = STANDARD,
-                 class_boosts: dict[tuple[str, str], int] | None = None,
-                 method_id: str = "cosine") -> CosineModel:
+                 class_boosts: dict[tuple[str, str], int] | None = None) -> CosineModel:
     """One df_c*idf*G column per class of ``stats`` over the
     Gini-filtered vocabulary.
 
     ``class_boosts`` optionally adds fictitious df_c counts for chosen
     (term, class) pairs before weighting, to reinforce pure high-coverage
     terms; a class whose column comes out all zeros is kept (it scores 0).
+    Each boost must name a class of ``stats`` and a term the model keeps
+    (its G reaches the threshold): any other would change no score.
     """
-    return CosineModel(stats, stats.classes, gini_threshold, mode, method_id,
-                       dict(class_boosts or {}))
+    boosts = dict(class_boosts or {})
+    for term, cls in boosts:
+        if cls not in stats.classes:
+            raise DataError(f"boost ({term!r}, {cls!r}) names no training class "
+                            f"(classes: {stats.classes})")
+        if stats.gini.get(term, -1.0) < gini_threshold:
+            raise DataError(f"boost ({term!r}, {cls!r}) names a term outside the "
+                            f"flat model's Gini-kept vocabulary")
+    return CosineModel(stats, gini_threshold, mode, boosts)
 
 
 def score_cosine(model: CosineModel, analysis: Analysis,
@@ -152,12 +151,12 @@ def score_cosine(model: CosineModel, analysis: Analysis,
     """
     if counts is None:
         counts = feed_counts(analysis)
-    return ScoreVector(analysis.recipe.id, model.method_id,
-                       dict(zip(model.classes, _cosines(model, counts))))
+    return ScoreVector(analysis.recipe.id, "cosine_flat",
+                       dict(zip(model.stats.classes, _cosines(model, counts))))
 
 
 def _cosines(model: CosineModel, counts: Mapping[Feed, TermCounts]) -> list[float]:
-    """The recipe's cosine with each class, in ``classes`` order, from
+    """The recipe's cosine with each class, in ``stats.classes`` order, from
     the pairs of the model's feed in ``counts``."""
     literal = model.denominator_mode == LITERAL
     classes = range(len(model.class_norms))
@@ -273,7 +272,6 @@ class HierarchicalCosineModel:
     # (stage index, context group) -> feed -> CosineModel; a context with
     # a single outgoing group carries no models (probability 1).
     stage_models: dict[tuple[int, str], dict[Feed, CosineModel]]
-    method_id: str = "cosine_hier"
 
     ROOT = "__root__"
 
@@ -297,7 +295,7 @@ class HierarchicalCosineModel:
             for stage_idx, stage in enumerate(self.spec.stages):
                 i = position.get((stage_idx, _context_of(self.spec, stage_idx, leaf)))
                 if i is not None:
-                    path.append((i, self.mixes[i][0].classes.index(stage.grouping[leaf])))
+                    path.append((i, self.mixes[i][0].stats.classes.index(stage.grouping[leaf])))
         return paths
 
 
@@ -349,63 +347,62 @@ def classify_hierarchical(model: HierarchicalCosineModel, analysis: Analysis,
         for context, group in path:
             product *= mixed[context][group]
         leaf_scores[leaf] = product
-    return ScoreVector(analysis.recipe.id, model.method_id, leaf_scores)
+    return ScoreVector(analysis.recipe.id, "cosine_hier", leaf_scores)
 
 
 # --------------------------------------------------------------------
 # Serialization. A model's table is a pure function of its statistics,
 # and each hierarchical context's statistics of the leaf statistics, so
-# model files store only the few scalars, the classes and boosts or the
-# stages. The loaders rebuild the rest from the statistics they are
-# given (``stats.tsv`` and ``stats_title.tsv``), which keeps the files
-# small and diffable and leaves no second copy of the statistics to
-# disagree with the first.
+# model files store only the few scalars and the boosts or the stages.
+# The loaders rebuild the rest with the fitting code from the statistics
+# they are given (``stats.tsv`` and ``stats_title.tsv``), which keeps
+# the files small and diffable and leaves no second copy of the
+# statistics (or of their classes) to disagree with the first.
 # --------------------------------------------------------------------
 
-_SCALAR_WIDTHS = {"#threshold": 2, "#mode": 2, "#method_id": 2}
+_SCALAR_WIDTHS = {"#threshold": 2, "#mode": 2}
 
 
-def _scalar_lines(magic: str, threshold: float, mode: str, method_id: str) -> list[str]:
-    return [magic, f"#threshold\t{threshold:.17g}", f"#mode\t{mode}",
-            f"#method_id\t{method_id}"]
+def _scalar_lines(magic: str, threshold: float, mode: str) -> list[str]:
+    return [magic, f"#threshold\t{threshold:.17g}", f"#mode\t{mode}"]
 
 
-def _scalars(header: Header) -> tuple[float, str, str]:
-    """The threshold, mode and method id on a model file's _scalar_lines."""
+def _scalars(header: Header) -> tuple[float, str]:
+    """The threshold and mode on a model file's _scalar_lines."""
     threshold = header["threshold"].float(1)
     if not 0.0 <= threshold <= 1.0:
         raise header["threshold"].fail(f"threshold {threshold!r} outside [0, 1]")
     mode = header["mode"][1]
     if mode not in (STANDARD, LITERAL):
         raise header["mode"].fail(f"unknown denominator mode {mode!r}")
-    return threshold, mode, header["method_id"][1]
+    return threshold, mode
 
 
 def save_cosine(model: CosineModel, path: str | Path) -> None:
-    lines = _scalar_lines("#cosine\tv1", model.gini_threshold, model.denominator_mode,
-                          model.method_id)
-    lines.append("#classes\t" + ",".join(model.classes))
+    lines = _scalar_lines("#cosine\tv1", model.gini_threshold, model.denominator_mode)
     for (term, cls), extra in sorted(model.class_boosts.items()):
         lines.append(f"boost\t{term}\t{cls}\t{extra}")
     write_lines(path, lines)
 
 
 def load_cosine(path: str | Path, stats: LexiconStats) -> CosineModel:
-    header, body = Header.split(read_rows(path, "#cosine\tv1"), path,
-                                {**_SCALAR_WIDTHS, "#classes": 2})
+    """The model ``train_cosine`` fits from the file's scalars and
+    boosts and from ``stats``, so a boost is checked as at fit."""
+    header, body = Header.split(read_rows(path, "#cosine\tv1"), path, _SCALAR_WIDTHS)
     boosts: dict[tuple[str, str], int] = {}
     for row in check_widths(body, {"boost": 4}):
         row.put(boosts, (row[1], row[2]), row.int(3))
-    threshold, mode, method_id = _scalars(header)
-    return CosineModel(stats, header["classes"][1].split(","), threshold, mode, method_id,
-                       boosts)
+    try:
+        return train_cosine(stats, *_scalars(header), boosts)
+    except DataError as exc:
+        raise ModelMismatchError(f"{path}: {exc}") from None
 
 
 def save_hierarchical(model: HierarchicalCosineModel, path: str | Path) -> None:
     first = next(iter(model.stage_models.values()), None)
     threshold = first[Feed.TITLE_ONLY].gini_threshold if first else 0.0
     mode = first[Feed.TITLE_ONLY].denominator_mode if first else STANDARD
-    lines = _scalar_lines("#cosine_hier\tv1", threshold, mode, model.method_id)
+    lines = _scalar_lines("#cosine_hier\tv1", threshold, mode)
     lines += ["\t".join(["#stage"] + _stage_cells(stage)) for stage in model.spec.stages]
     write_lines(path, lines)
 
@@ -421,12 +418,10 @@ def load_hierarchical(path: str | Path,
                         "#stage": 2 + len(leaf_stats[Feed.TITLE_AND_BODY].classes)})
     header, _ = Header.split([row for row in rows if row[0] != "#stage"], path, _SCALAR_WIDTHS)
     stages = [_parse_stage(row) for row in rows if row[0] == "#stage"]
-    threshold, mode, method_id = _scalars(header)
     try:
-        model = train_hierarchical(HierarchySpec(tuple(stages)), leaf_stats, threshold, mode)
+        return train_hierarchical(HierarchySpec(tuple(stages)), leaf_stats, *_scalars(header))
     except (ConfigError, DataError) as exc:
         raise ModelMismatchError(f"{path}: {exc}") from None
-    return replace(model, method_id=method_id)
 
 
 # --------------------------------------------------------------------

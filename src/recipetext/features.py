@@ -241,6 +241,8 @@ def load_stats(path: str | Path) -> LexiconStats:
         "#corpus_size": 2, "#train_size": 2, "#classes": 2, "#class_sizes": 2, "#feed": 2,
         "#columns": None})
     classes = header["classes"][1].split(",")
+    if not all(map(lt, ["", *classes], classes)):  # "" first: no class is empty
+        raise header["classes"].fail("classes must be non-empty and strictly ascending")
     sizes = header["class_sizes"].parse(1, lambda cell: [int(n) for n in cell.split(",")])
     if len(sizes) != len(classes):
         raise header["class_sizes"].fail(f"expected one size per class {classes}")

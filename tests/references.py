@@ -187,7 +187,7 @@ def class_vectors(model: CosineModel) -> dict[str, dict[str, float]]:
     stats, boosts = model.stats, model.class_boosts
     counts = term_counts(stats)
     vectors = {}
-    for cls in model.classes:
+    for cls in stats.classes:
         vector = {}
         for term in sorted(counts):
             g = gini(stats, term)
@@ -204,7 +204,7 @@ def class_vectors(model: CosineModel) -> dict[str, dict[str, float]]:
 def table_vectors(model: CosineModel) -> dict[str, dict[str, float]]:
     """The class vectors the model's term table holds; zeros dropped."""
     return {cls: {term: entry[col] for term, entry in model.terms.items() if entry[col] != 0.0}
-            for col, cls in enumerate(model.classes, 2)}
+            for col, cls in enumerate(model.stats.classes, 2)}
 
 
 def score_cosine(model: CosineModel, analysis) -> ScoreVector:
@@ -226,7 +226,7 @@ def score_cosine(model: CosineModel, analysis) -> ScoreVector:
         else:
             denominator = math.sqrt(ordered_sum((v_r[t] * v_c[t]) ** 2 for t in shared))
         scores[cls] = numerator / denominator if denominator != 0.0 else 0.0
-    return ScoreVector(analysis.recipe.id, model.method_id, scores)
+    return ScoreVector(analysis.recipe.id, "cosine_flat", scores)
 
 
 def normalize_scores(vector: ScoreVector) -> ScoreVector:
@@ -267,7 +267,7 @@ def classify_hierarchical(model: HierarchicalCosineModel, analysis) -> ScoreVect
             if scores is not None:
                 product *= scores[stage.grouping[leaf]]
         leaf_scores[leaf] = product
-    return ScoreVector(analysis.recipe.id, model.method_id, leaf_scores)
+    return ScoreVector(analysis.recipe.id, "cosine_hier", leaf_scores)
 
 
 def margin(model, vector: dict[str, float]) -> float:

@@ -16,8 +16,8 @@ from pathlib import Path
 
 import pytest
 
-from recipetext import boost, cosine, extraction, features, svm
-from recipetext.cli import _load_label_run, main
+from recipetext import boost, cosine, extraction, features, svm, textnorm
+from recipetext.cli import _load_label_run, _norm_settings, load_config, main
 from recipetext.errors import DataError, ModelMismatchError
 from recipetext.features import Feed
 from recipetext.evaluation import load_qrels
@@ -120,9 +120,12 @@ def _faulted_text(models, name, fault):
 
 # cosine_hier.model holds header lines only: no #classes line, data row
 # or count for these faults to edit. They edit the statistics it is
-# built from in stats.tsv and stats_title.tsv.
+# built from in stats.tsv and stats_title.tsv. Both cosine models take
+# their classes from those statistics, so cosine_flat.model has no
+# #classes line either.
 NO_TARGET = {(fault, "cosine_hier.model") for fault in ("drop_classes", "duplicate_row",
                                                         "flip_count")}
+NO_TARGET.add(("drop_classes", "cosine_flat.model"))
 PAIRS = [(fault, name) for fault in FAULTS for name in ARTIFACTS
          if (fault, name) not in NO_TARGET]
 
@@ -227,6 +230,16 @@ INCONSISTENT = {
     "flat_threshold_negative": ("cosine_flat.model", _replace_line("#threshold\t",
                                                                    "#threshold\t-0.25")),
     "flat_unknown_mode": ("cosine_flat.model", _replace_line("#mode\t", "#mode\tcosine")),
+    # a boost that would change no score, refused at load as at fit
+    "flat_boost_unknown_class": ("cosine_flat.model",
+                                 lambda lines: lines + ["boost\tsucre\tFoo\t3"]),
+    "flat_boost_term_not_kept": ("cosine_flat.model",
+                                 lambda lines: lines + ["boost\tzzzz\tDessert\t3"]),
+    # the copies the model files no longer keep are unknown row kinds
+    "flat_classes_line": ("cosine_flat.model",
+                          lambda lines: lines + ["#classes\tDessert,Entree,PlatPrincipal"]),
+    "flat_method_id_line": ("cosine_flat.model", lambda lines: lines + ["#method_id\tfoo"]),
+    "hier_method_id_line": ("cosine_hier.model", lambda lines: lines + ["#method_id\tfoo"]),
 }
 
 
@@ -298,12 +311,84 @@ def test_classify_rejects_classes_that_differ_across_models(models, tmp_path, ca
     _assert_classify_refuses(faulted, tmp_path, capsys, "svm.model")
 
 
+@pytest.mark.parametrize("classes", ["Entree,Dessert,PlatPrincipal",
+                                     "Dessert,Dessert,PlatPrincipal", "Dessert,,PlatPrincipal",
+                                     ""], ids=["unsorted", "repeated", "empty_name", "empty"])
+def test_stats_classes_must_be_strictly_ascending(models, tmp_path, capsys, classes):
+    # the flat model's classes are the statistics', in their order
+    faulted = _rehashed_copy(models, tmp_path, "stats.tsv",
+                             _replace_line("#classes\t", f"#classes\t{classes}"))
+    path = faulted / "stats.tsv"
+    with pytest.raises(ModelMismatchError, match=re.escape(str(path)) + r":\d+: classes "):
+        features.load_stats(path)
+    _assert_classify_refuses(faulted, tmp_path, capsys, "stats.tsv")
+
+
 def test_classify_rejects_agglutinated_models_without_agglutination(models, tmp_path, capsys):
     config = json.loads((FIXTURES / "golden_config_t2.json").read_text(encoding="utf-8"))
     assert config.pop("norm")["agglutinate"]
     plain = tmp_path / "plain.json"
     plain.write_text(json.dumps(config), encoding="utf-8")
-    _assert_classify_refuses(models, tmp_path, capsys, "agglutination.txt", "--config", str(plain))
+    _assert_classify_refuses(models, tmp_path, capsys, "norm.agglutinate", "--config", str(plain))
+
+
+# Models trained with another normalization than the config's, or with
+# none recorded: classify and extract compare the manifest's norm block
+# with the config before anything else is read or written.
+NORM_CASES = {
+    "number_conversion_off": ({"number_conversion": False}, "norm.number_conversion "),
+    "agglutination_max_n_2": ({"agglutination_max_n": 2}, "norm.agglutination_max_n "),
+    "other_abbreviations": ({}, "norm.abbrev_table_sha256 "),
+    "no_norm_block": ({}, "no norm block"),
+}
+
+
+@pytest.mark.parametrize("command", ["classify", "extract"])
+@pytest.mark.parametrize("case", sorted(NORM_CASES))
+def test_models_of_another_normalization_are_refused(models, tmp_path, capsys, case, command):
+    norm, words = NORM_CASES[case]
+    config = json.loads((FIXTURES / "golden_config_t2.json").read_text(encoding="utf-8"))
+    config["norm"].update(norm)
+    model_dir = models
+    if case == "other_abbreviations":
+        table = tmp_path / "abbrev.tsv"
+        table.write_text("kg\tkilogramme\n", encoding="utf-8")
+        config["abbreviations_tsv"] = str(table)
+    elif case == "no_norm_block":
+        model_dir = tmp_path / "models"
+        shutil.copytree(models, model_dir)
+        manifest = json.loads((model_dir / "manifest.json").read_text(encoding="utf-8"))
+        del manifest["norm"]
+        (model_dir / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    capsys.readouterr()
+    code = main(_argv(model_dir, "--config", str(config_path),
+                      "--run-dir", str(tmp_path / "runs"), command))
+    err = capsys.readouterr().err
+    assert code == 4
+    assert len(err.splitlines()) == 1 and err.startswith("error:model-mismatch:")
+    assert str(model_dir / "manifest.json") in err and words in err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_builtin_and_copied_abbreviation_tables_hash_the_same(models, tmp_path):
+    builtin = Path(textnorm.__file__).parent / "data" / "abbreviations.tsv"
+    copy = tmp_path / "copy.tsv"
+    shutil.copyfile(builtin, copy)
+    # the hash is over the sorted pairs: row order and comments do not count
+    reordered = tmp_path / "reordered.tsv"
+    reordered.write_text("# reordered\n" + "".join(reversed(
+        builtin.read_text(encoding="utf-8").splitlines(keepends=True))), encoding="utf-8")
+    settings = [_norm_settings(load_config(None, abbreviations_tsv=path).norm_config)
+                for path in (None, str(copy), str(reordered))]
+    assert settings[0] == settings[1] == settings[2]
+    config = json.loads((FIXTURES / "golden_config_t2.json").read_text(encoding="utf-8"))
+    config["abbreviations_tsv"] = str(copy)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    assert main(_argv(models, "--config", str(config_path),
+                      "--run-dir", str(tmp_path / "runs"), "extract")) == 0
 
 
 def test_intact_artifacts_load(models):

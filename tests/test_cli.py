@@ -64,6 +64,11 @@ class TestTrain:
         assert manifest["train_size"] + manifest["dev_size"] == 60
         assert set(manifest["files"])  # digests recorded
         assert manifest["classes"] == ["Dessert", "Entree", "PlatPrincipal"]
+        # every NormConfig option but the table, which is recorded by its hash
+        assert sorted(manifest["norm"]) == [
+            "abbrev_table_sha256", "agglutinate", "agglutination_max_n",
+            "agglutination_min_count", "number_conversion"]
+        assert manifest["norm"]["agglutination_min_count"] == 4
 
     def test_rerun_is_byte_identical(self, tmp_path, pipeline):
         src, _ = pipeline
@@ -105,8 +110,7 @@ class TestClassBoosts:
         # the same scores, bit for bit, as the model fitted in-process
         norm = load_config(config).norm_config
         agglut = textnorm.load_agglutination_model(models / "agglutination.txt")
-        model = train_cosine(load_stats(models / "stats.tsv"), 0.45, class_boosts=BOOSTS,
-                             method_id="cosine_flat")
+        model = train_cosine(load_stats(models / "stats.tsv"), 0.45, class_boosts=BOOSTS)
         expected = [score_cosine(model, textnorm.analyze(recipe, norm, agglut)).scores
                     for recipe in load_corpus(FIXTURES / "golden60.xml", LabelKind.NONE)]
         path = tmp_path / "runs" / "scores_cosine_flat.tsv"
@@ -355,6 +359,25 @@ class TestSweep:
         out, err = capsys.readouterr()
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error:config: gini_threshold")
+
+    @pytest.mark.parametrize("start, stop, step", [
+        ("0.6", "0.4", "0.1"), ("0.4", "nan", "0.1"), ("nan", "0.6", "0.1"),
+        ("0.4", "inf", "0.1"), ("-inf", "0.6", "0.1"), ("0.4", "0.6", "0"),
+        ("0.4", "0.6", "-0.1"), ("0.4", "0.6", "nan"), ("0.4", "0.6", "inf"),
+    ], ids=["start_above_stop", "stop_nan", "start_nan", "stop_inf", "start_minus_inf",
+            "step_zero", "step_negative", "step_nan", "step_inf"])
+    @pytest.mark.parametrize("param", ["gini_threshold", "concordance_threshold"])
+    def test_empty_or_unbounded_range_is_config_error(self, tmp_path, capsys, param, start,
+                                                      stop, step):
+        # refused before any corpus is read: the named corpora do not exist
+        config = _config(tmp_path, train_xml=str(tmp_path / "absent.xml"),
+                         test_xml=str(tmp_path / "absent.xml"))
+        code = main(["--config", str(config), "sweep", "--param", param,
+                     f"--start={start}", f"--stop={stop}", f"--step={step}"])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:config: sweep ")
 
     def test_concordance_sweep_uses_fusion_config(self, pipeline, tmp_path, capsys):
         src, _ = pipeline

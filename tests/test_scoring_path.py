@@ -181,7 +181,7 @@ SPECS = {
 def _hier_with_mode(model: HierarchicalCosineModel, mode: str) -> HierarchicalCosineModel:
     return HierarchicalCosineModel(model.spec, {
         key: {feed: _with_mode(sub, mode) for feed, sub in per_feed.items()}
-        for key, per_feed in model.stage_models.items()}, model.method_id)
+        for key, per_feed in model.stage_models.items()})
 
 
 def _assert_hierarchy_equals_reference(model: HierarchicalCosineModel, analyses) -> None:
@@ -285,12 +285,12 @@ def test_loaded_hierarchy_equals_the_fitted_one(tmp_path, monkeypatch, case):
         assert main(_training(case, tmp_path)) == 0
     [model] = fitted
     loaded = _load_hier(tmp_path / "models")
-    assert (loaded.spec, loaded.method_id) == (model.spec, model.method_id)
+    assert loaded.spec == model.spec
     assert list(loaded.stage_models) == list(model.stage_models)
     for key, per_feed in model.stage_models.items():
         assert list(loaded.stage_models[key]) == list(per_feed)
         for feed, sub in per_feed.items():
-            # the dataclass fields (stats, classes, threshold, mode...) and the table
+            # the dataclass fields (stats, threshold, mode, boosts) and the table
             assert loaded.stage_models[key][feed] == sub
             assert loaded.stage_models[key][feed].terms == sub.terms
 
