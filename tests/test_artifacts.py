@@ -110,22 +110,25 @@ def models(tmp_path_factory):
     return model_dir
 
 
+# cosine_flat.model names classes only on its boost rows (its class list
+# is the statistics'), and the golden60 file has none: its drop_classes
+# case is a boost row that lost its class cell.
+RETARGETED = {("drop_classes", "cosine_flat.model"): lambda lines: lines + ["boost\tsucre\t3"]}
+
+
 def _faulted_text(models, name, fault):
     """The faulted file's text, or None when the fault changes nothing."""
     original = (models / name).read_text(encoding="utf-8")
-    lines = FAULTS[fault](original.splitlines())
+    lines = RETARGETED.get((fault, name), FAULTS[fault])(original.splitlines())
     text = "".join(line + "\n" for line in lines)
     return None if text == original else text
 
 
 # cosine_hier.model holds header lines only: no #classes line, data row
 # or count for these faults to edit. They edit the statistics it is
-# built from in stats.tsv and stats_title.tsv. Both cosine models take
-# their classes from those statistics, so cosine_flat.model has no
-# #classes line either.
+# built from in stats.tsv and stats_title.tsv.
 NO_TARGET = {(fault, "cosine_hier.model") for fault in ("drop_classes", "duplicate_row",
                                                         "flip_count")}
-NO_TARGET.add(("drop_classes", "cosine_flat.model"))
 PAIRS = [(fault, name) for fault in FAULTS for name in ARTIFACTS
          if (fault, name) not in NO_TARGET]
 
